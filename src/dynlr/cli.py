@@ -23,7 +23,7 @@ from .core import (
     SolverConfig,
 )
 from .dataio import read_cplx, read_mask, write_cplx, write_mask
-from .metrics import mse, mse_per_element, psnr, ssim
+from .metrics import fits_ssim_window, mse, mse_per_element, psnr, ssim
 from .operators import encode
 from .sim import DEFAULT_SIGMA_FRAC, PHANTOM_KINDS, make_phantom, make_vd_mask
 from .solvers import SOLVER_NAMES, default_config, run_solver, tune_hyperparams
@@ -176,16 +176,17 @@ def _build_config(args, y: KSpaceData) -> SolverConfig:
 
 
 def _metric_lines(ref, rec, as_json):
+    """Metric report; SSIM is null (``n/a``) for frames smaller than its window."""
     raw = mse(ref, rec)
     scaled = mse_per_element(ref, rec) * 1e5
     p = psnr(ref, rec)
-    s = ssim(ref, rec)
+    s = ssim(ref, rec) if fits_ssim_window(ref) else None
     if as_json:
         payload = {
             "mse": raw,
             "mse_per_element_e5": scaled,
             "psnr": "inf" if math.isinf(p) else round(p, 6),
-            "ssim": round(s, 6),
+            "ssim": None if s is None else round(s, 6),
         }
         return [json.dumps(payload, sort_keys=True)]
     psnr_text = "inf" if math.isinf(p) else f"{p:.4f}"
@@ -193,7 +194,7 @@ def _metric_lines(ref, rec, as_json):
         f"mse={raw:.6e}",
         f"mse_e5={scaled:.4f}",
         f"psnr={psnr_text}",
-        f"ssim={s:.4f}",
+        "ssim=n/a" if s is None else f"ssim={s:.4f}",
     ]
 
 

@@ -119,18 +119,20 @@ def _recompose(u, s, vh, shape):
 
 
 def _svt_soft_arr(arr3d, lambda2, rho, p):
+    """Soft SVT; returns the volume and its thresholded singular values."""
     u, s, vh = _casorati_svd(arr3d)
     with np.errstate(divide="ignore", invalid="ignore"):
         shrunk = np.where(s > 0, s - (lambda2 / rho) * s ** (p - 1.0), 0.0)
     s_new = np.maximum(shrunk, 0.0)
-    return _recompose(u, s_new, vh, arr3d.shape)
+    return _recompose(u, s_new, vh, arr3d.shape), s_new
 
 
 def _svt_hard_arr(arr3d, k):
+    """Hard-rank SVT; returns the volume and its kept singular values."""
     u, s, vh = _casorati_svd(arr3d)
     s_new = s.copy()
     s_new[k:] = 0.0
-    return _recompose(u, s_new, vh, arr3d.shape)
+    return _recompose(u, s_new, vh, arr3d.shape), s_new
 
 
 def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> DynamicImage:
@@ -160,7 +162,7 @@ def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> Dyna
         raise ConfigError(f"rho must be > 0, got {rho}")
     if not (0 < p <= 1):
         raise ConfigError(f"p must lie in (0, 1], got {p}")
-    return DynamicImage(_svt_soft_arr(x.data, lambda2, rho, p))
+    return DynamicImage(_svt_soft_arr(x.data, lambda2, rho, p)[0])
 
 
 def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
@@ -172,7 +174,7 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= x.nt):
         raise ConfigError(f"k must be an integer in [1, nt={x.nt}], got {k}")
-    return DynamicImage(_svt_hard_arr(x.data, int(k)))
+    return DynamicImage(_svt_hard_arr(x.data, int(k))[0])
 
 
 def _nuclear_arr(arr3d):

@@ -32,7 +32,7 @@ from .core import (
     NumericError,
     SolverConfig,
 )
-from .metrics import mse, psnr, ssim
+from .metrics import fits_ssim_window, mse, psnr, ssim
 from .operators import _dc_arr, _fft2c_arr, _ifft2c_arr
 from .prox import (
     _nuclear_arr,
@@ -55,6 +55,15 @@ class IterationRecord:
     for the others data fidelity plus the active regularizers);
     ``rel_change`` is ``||x_n - x_{n-1}|| / ||x_{n-1}||``; ``split_gap`` is
     ``||x_n - t_n||`` and only set by the four-step solver.
+
+    The terms reuse what the iteration already computed.  ``data_fidelity``
+    comes from the masked k-space residual that the next gradient step also
+    uses.  For the four-step solver, ``sparse_term`` is the l1 norm of the
+    soft-thresholded coefficients ``x`` was built from, and ``nuclear_term``
+    sums the singular values the low-rank step kept for ``t``; at placement
+    L3 ``nuclear_term`` likewise comes from the low-rank step that produced
+    ``x``.  Elsewhere both are recomputed from ``x``.  Every term agrees with
+    its recomputation through the public operators to rounding.
     """
 
     iteration: int
@@ -112,6 +121,22 @@ def _check_finite_scalar(value, step, iteration):
     return float(value)
 
 
+def _lagrangian(fid, sparse, nuclear, x, t, beta, rho) -> ObjectiveBreakdown:
+    """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others."""
+    diff = t - x
+    multiplier = -rho * float(np.real(np.vdot(beta, diff)))
+    penalty = 0.5 * rho * _norm2(diff)
+    total = fid + sparse + nuclear + multiplier + penalty
+    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
+
+
+def _low_rank_arr(arr, cfg: SolverConfig):
+    """The configured SVT of ``arr``, and the singular values of its output."""
+    if cfg.lr_mode == "hard":
+        return _svt_hard_arr(arr, cfg.rank_k)
+    return _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p)
+
+
 def _rel_change(curr, prev):
     denom = np.sqrt(_norm2(prev))
     if denom == 0:
@@ -151,11 +176,7 @@ def objective_slr(
     fid = 0.5 * _norm2(resid)
     sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
     nuclear = cfg.lambda2 * _nuclear_arr(t.data)
-    diff = t.data - x.data
-    multiplier = -cfg.rho * float(np.real(np.vdot(beta.data, diff)))
-    penalty = 0.5 * cfg.rho * _norm2(diff)
-    total = fid + sparse + nuclear + multiplier + penalty
-    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
+    return _lagrangian(fid, sparse, nuclear, x.data, t.data, beta.data, cfg.rho)
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -188,7 +209,7 @@ def _finish(x_arr, trace, started, cfg, reference):
     report_metrics = None
     if reference is not None:
         report_metrics = {"mse": mse(reference, image), "psnr": psnr(reference, image)}
-        if reference.nx >= 11 and reference.ny >= 11:
+        if fits_ssim_window(reference):
             report_metrics["ssim"] = ssim(reference, image)
     return ReconReport(
         image=image,
@@ -220,17 +241,18 @@ def solve_ista_sparse(
     ym = y.data * m3
     x = _ifft2c_arr(ym)
     tau = cfg.lambda1 * cfg.eta2
+    resid = _fft2c_arr(x) * m3 - ym
     trace = []
     for n in range(1, cfg.iterations + 1):
         prev = x
-        grad = _ifft2c_arr(_fft2c_arr(x) * m3 - ym)
-        r = x - cfg.eta2 * grad
+        r = x - cfg.eta2 * _ifft2c_arr(resid)
         _check_finite(r, "gradient", n)
         x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
         _check_finite(x, "sparse", n)
         x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
         _check_finite(x, "data-consistency", n)
-        fid = 0.5 * _norm2(_fft2c_arr(x) * m3 - ym)
+        resid = _fft2c_arr(x) * m3 - ym
+        fid = 0.5 * _norm2(resid)
         sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
         objective = _check_finite_scalar(fid + sparse, "objective", n)
         trace.append(
@@ -272,42 +294,38 @@ def solve_slr(
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
+    resid = _fft2c_arr(x) * m3 - ym
     trace = []
     for n in range(1, cfg.iterations + 1):
         prev = x
-        grad = _ifft2c_arr(_fft2c_arr(x) * m3 - ym)
-        r = x - cfg.eta2 * (grad + cfg.rho * (x + beta - t))
+        r = x - cfg.eta2 * (_ifft2c_arr(resid) + cfg.rho * (x + beta - t))
         _check_finite(r, "gradient", n)
-        x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
+        z = _soft_arr(_transform_fwd_arr(r, kind), tau)
+        x = _transform_adj_arr(z, kind)
         _check_finite(x, "sparse", n)
+        sparse = cfg.lambda1 * float(np.abs(z).sum())
+        rel_change = _rel_change(x, prev)
+        # The SVD holds the peak memory: free every volume it does not need.
+        del resid, r, z, prev, t
         svt_in = x + beta if cfg.t_step_input == "x_plus_beta" else x
-        if cfg.lr_mode == "hard":
-            t = _svt_hard_arr(svt_in, cfg.rank_k)
-        else:
-            t = _svt_soft_arr(svt_in, cfg.lambda2, cfg.rho, cfg.p)
+        t, s_new = _low_rank_arr(svt_in, cfg)
+        del svt_in
         _check_finite(t, "low-rank", n)
         beta = beta + cfg.eta1 * (x - t)
         _check_finite(beta, "multiplier", n)
-        fid = 0.5 * _norm2(_fft2c_arr(x) * m3 - ym)
-        sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
-        nuclear = cfg.lambda2 * _nuclear_arr(t)
-        diff = t - x
-        lagrangian = (
-            fid
-            + sparse
-            + nuclear
-            - cfg.rho * float(np.real(np.vdot(beta, diff)))
-            + 0.5 * cfg.rho * _norm2(diff)
+        resid = _fft2c_arr(x) * m3 - ym
+        terms = _lagrangian(
+            0.5 * _norm2(resid), sparse, cfg.lambda2 * float(s_new.sum()), x, t, beta, cfg.rho
         )
-        objective = _check_finite_scalar(lagrangian, "objective", n)
+        objective = _check_finite_scalar(terms.total, "objective", n)
         trace.append(
             IterationRecord(
                 n,
                 objective,
-                fid,
-                sparse,
-                nuclear,
-                _rel_change(x, prev),
+                terms.data_fidelity,
+                terms.sparse_term,
+                terms.nuclear_term,
+                rel_change,
                 split_gap=float(np.sqrt(_norm2(x - t))),
             )
         )
@@ -339,34 +357,34 @@ def solve_ista_lr(
     ym = y.data * m3
     x = _ifft2c_arr(ym)
     tau = cfg.lambda1 * cfg.eta2
-
-    def low_rank(arr):
-        if cfg.lr_mode == "hard":
-            return _svt_hard_arr(arr, cfg.rank_k)
-        return _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p)
-
+    resid = _fft2c_arr(x) * m3 - ym
     trace = []
     for n in range(1, cfg.iterations + 1):
         prev = x
-        grad = _ifft2c_arr(_fft2c_arr(x) * m3 - ym)
-        r = x - cfg.eta2 * grad
+        r = x - cfg.eta2 * _ifft2c_arr(resid)
+        # Free volumes as soon as they are used: the SVD holds the peak memory.
+        del resid
         _check_finite(r, "gradient", n)
         if cfg.placement == "L1":
-            r = low_rank(r)
+            r = _low_rank_arr(r, cfg)[0]
             _check_finite(r, "low-rank", n)
         x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
         _check_finite(x, "sparse", n)
+        del r
         if cfg.placement == "L2":
-            x = low_rank(x)
+            x = _low_rank_arr(x, cfg)[0]
             _check_finite(x, "low-rank", n)
         x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
         _check_finite(x, "data-consistency", n)
         if cfg.placement == "L3":
-            x = low_rank(x)
+            x, s_new = _low_rank_arr(x, cfg)
             _check_finite(x, "low-rank", n)
-        fid = 0.5 * _norm2(_fft2c_arr(x) * m3 - ym)
+            nuclear = cfg.lambda2 * float(s_new.sum())
+        else:
+            nuclear = cfg.lambda2 * _nuclear_arr(x)
+        resid = _fft2c_arr(x) * m3 - ym
+        fid = 0.5 * _norm2(resid)
         sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
-        nuclear = cfg.lambda2 * _nuclear_arr(x)
         objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
         trace.append(
             IterationRecord(n, objective, fid, sparse, nuclear, _rel_change(x, prev))

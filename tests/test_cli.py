@@ -174,6 +174,21 @@ class TestEvalCommand:
         assert payload["psnr"] == "inf"
         assert payload["ssim"] == 1.0
 
+    def test_frames_smaller_than_ssim_window_report_null(self, tmp_path, capsys):
+        phantom, mask, ksp = make_inputs(tmp_path, nx=8, ny=8, nt=8)
+        capsys.readouterr()
+        assert run_cli(["eval", "--ref", phantom, "--rec", phantom, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["ssim"] is None and payload["psnr"] == "inf"
+        assert run_cli(["eval", "--ref", phantom, "--rec", phantom]) == 0
+        assert "ssim=n/a" in capsys.readouterr().out.splitlines()
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "ista", "--iters", "2",
+            "--ref", phantom, "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 0
+        assert "ssim=n/a" in capsys.readouterr().out.splitlines()
+
     def test_dimension_mismatch_exit_code(self, tmp_path, capsys):
         phantom, _, _ = make_inputs(tmp_path)
         other = str(tmp_path / "q")

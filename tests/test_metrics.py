@@ -14,6 +14,8 @@ from dynlr import (
     ssim,
 )
 
+from scipy.ndimage import correlate
+
 from conftest import rand_image, rand_volume
 
 
@@ -25,6 +27,28 @@ def naive_mse(ref, rec):
             for t in range(nt):
                 total += abs(ref.data[x, y, t] - rec.data[x, y, t]) ** 2
     return total
+
+
+def dense_ssim(ref, rec):
+    """SSIM with the dense 11x11 Gaussian window, written from the definition."""
+    g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5**2))
+    win = np.outer(g, g)
+    win /= win.sum()
+    drange = np.abs(ref.data).max()
+    c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
+    values = []
+    for t in range(ref.nt):
+        a, b = np.abs(ref.data[:, :, t]), np.abs(rec.data[:, :, t])
+        mu_a = correlate(a, win, mode="nearest")
+        mu_b = correlate(b, win, mode="nearest")
+        s_aa = correlate(a * a, win, mode="nearest") - mu_a * mu_a
+        s_bb = correlate(b * b, win, mode="nearest") - mu_b * mu_b
+        s_ab = correlate(a * b, win, mode="nearest") - mu_a * mu_b
+        ssim_map = ((2 * mu_a * mu_b + c1) * (2 * s_ab + c2)) / (
+            (mu_a**2 + mu_b**2 + c1) * (s_aa + s_bb + c2)
+        )
+        values.append(ssim_map[5:-5, 5:-5].mean())
+    return float(np.mean(values))
 
 
 def naive_psnr(ref, rec):
@@ -125,6 +149,13 @@ class TestSsim:
         a = rand_image(rng, (16, 16, 2))
         b = DynamicImage(a.data + 0.5 * rand_volume(rng, (16, 16, 2)))
         assert ssim(a, b) < 1.0
+
+    @pytest.mark.parametrize("shape", [(13, 17, 3), (11, 11, 2), (11, 24, 2), (31, 12, 4)])
+    def test_separable_window_matches_dense_reference(self, rng, shape):
+        a = rand_image(rng, shape)
+        b = DynamicImage(a.data + 0.7 * rand_volume(rng, shape))
+        assert abs(ssim(a, b) - dense_ssim(a, b)) < 1e-12
+        assert ssim(b, b) == 1.0
 
     def test_small_frames_rejected(self, rng):
         with pytest.raises(DimensionError):

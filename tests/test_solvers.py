@@ -8,6 +8,7 @@ from dynlr import (
     NumericError,
     SamplingMask,
     SolverConfig,
+    SparseTransform,
     casorati_rank,
     default_config,
     encode,
@@ -23,6 +24,7 @@ from dynlr import (
     solve_ista_lr,
     solve_ista_sparse,
     solve_slr,
+    transform_forward,
     tune_hyperparams,
 )
 
@@ -285,6 +287,47 @@ class TestIstaLr:
         _, y = small_problem()
         with pytest.raises(ConfigError):
             solve_ista_lr(y, default_config(y).replaced(placement="L9"))
+
+
+class TestTraceTermsMatchRecomputation:
+    """Trace terms reused from the iteration agree with recomputation through public ops."""
+
+    @staticmethod
+    def assert_close(recorded, recomputed):
+        assert abs(recorded - recomputed) <= 1e-12 * abs(recomputed)
+
+    def assert_sparse_term(self, record, x, cfg):
+        coeffs = transform_forward(x, SparseTransform(cfg.transform)).data
+        self.assert_close(record.sparse_term, cfg.lambda1 * float(np.abs(coeffs).sum()))
+
+    @pytest.mark.parametrize("lr_mode", ["hard", "soft"])
+    def test_slr(self, lr_mode):
+        _, y = small_problem()
+        cfg = default_config(y, iterations=6, rank_k=2, lr_mode=lr_mode)
+        states = []
+        report = solve_slr(y, cfg, callback=lambda n, x, t, beta: states.append((x, t, beta)))
+        assert len(states) == len(report.trace) == 6
+        for record, (x, t, beta) in zip(report.trace, states):
+            terms = objective_slr(x, t, beta, y, cfg)
+            assert record.nuclear_term > 0
+            self.assert_close(record.nuclear_term, cfg.lambda2 * nuclear_norm(t))
+            self.assert_sparse_term(record, x, cfg)
+            self.assert_close(record.objective, terms.total)
+            assert record.data_fidelity == terms.data_fidelity
+
+    @pytest.mark.parametrize("lr_mode", ["hard", "soft"])
+    def test_ista_lr_l3(self, lr_mode):
+        _, y = small_problem()
+        cfg = default_config(y, iterations=6, rank_k=2, placement="L3", lr_mode=lr_mode)
+        iterates = []
+        report = solve_ista_lr(y, cfg, callback=lambda n, x: iterates.append(x))
+        assert len(iterates) == len(report.trace) == 6
+        for record, x in zip(report.trace, iterates):
+            nuclear = cfg.lambda2 * nuclear_norm(x)
+            assert record.nuclear_term > 0
+            self.assert_close(record.nuclear_term, nuclear)
+            self.assert_sparse_term(record, x, cfg)
+            self.assert_close(record.objective, record.data_fidelity + record.sparse_term + nuclear)
 
 
 class TestDeterminismAndDiagnostics:
