@@ -237,30 +237,40 @@ def cmd_encode(args):
     return EXIT_OK
 
 
+def _write_trace(path, records):
+    with open(path, "w", encoding="ascii") as fh:
+        for rec in records:
+            fh.write(
+                json.dumps(
+                    {
+                        "iteration": rec.iteration,
+                        "objective": rec.objective,
+                        "data_fidelity": rec.data_fidelity,
+                        "sparse_term": rec.sparse_term,
+                        "nuclear_term": rec.nuclear_term,
+                        "rel_change": rec.rel_change,
+                        "split_gap": rec.split_gap,
+                    }
+                )
+                + "\n"
+            )
+
+
 def cmd_recon(args):
     y = _load_kspace(args.ksp, args.mask)
     cfg = _build_config(args, y)
     reference = read_cplx(args.ref) if args.ref else None
-    report = run_solver(args.solver, y, cfg, reference=reference)
+    try:
+        report = run_solver(args.solver, y, cfg, reference=reference)
+    except NumericError as exc:
+        # A failed solve still leaves the iterations it completed on disk.
+        if args.trace:
+            _write_trace(args.trace, exc.trace)
+        raise
     write_cplx(args.out, report.image)
     print(f"wrote {args.out}.hdr {args.out}.dat ({report.seconds:.2f} s)")
     if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            for rec in report.trace:
-                fh.write(
-                    json.dumps(
-                        {
-                            "iteration": rec.iteration,
-                            "objective": rec.objective,
-                            "data_fidelity": rec.data_fidelity,
-                            "sparse_term": rec.sparse_term,
-                            "nuclear_term": rec.nuclear_term,
-                            "rel_change": rec.rel_change,
-                            "split_gap": rec.split_gap,
-                        }
-                    )
-                    + "\n"
-                )
+        _write_trace(args.trace, report.trace)
     if reference is not None:
         for line in _metric_lines(reference, report.image, as_json=False):
             print(line)
@@ -328,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--ref", help="reference volume; prints metrics when given")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", help="write per-iteration diagnostics as JSON lines")
+    p.add_argument(
+        "--trace",
+        help="write per-iteration diagnostics as JSON lines, also for a solve that fails",
+    )
     p.set_defaults(func=cmd_recon)
 
     p = sub.add_parser("eval", help="compare a reconstruction against a reference")

@@ -34,12 +34,17 @@ class FormatError(DataError):
 
 
 class NumericError(DynlrError):
-    """A numerical failure (NaN/Inf) occurred during an iterative solve."""
+    """A numerical failure (NaN/Inf) occurred during an iterative solve.
+
+    A solver sets ``trace`` to the iteration records it completed before
+    the failure.
+    """
 
     def __init__(self, message, step=None, iteration=None):
         super().__init__(message)
         self.step = step
         self.iteration = iteration
+        self.trace = ()
 
 
 def _as_locked_complex(data, ndim, name):

@@ -20,6 +20,7 @@ being finite.
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +122,27 @@ def _check_finite_scalar(value, step, iteration):
     return float(value)
 
 
-def _lagrangian(fid, sparse, nuclear, x, t, beta, rho) -> ObjectiveBreakdown:
-    """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others."""
+@contextmanager
+def _trace_on_failure(trace):
+    """Let the records completed before a :class:`NumericError` travel with it."""
+    try:
+        yield
+    except NumericError as exc:
+        exc.trace = tuple(trace)
+        raise
+
+
+def _lagrangian(fid, sparse, nuclear, x, t, beta, rho):
+    """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others.
+
+    Returns the :class:`ObjectiveBreakdown` and ``||t - x||^2``.
+    """
     diff = t - x
+    gap2 = _norm2(diff)
     multiplier = -rho * float(np.real(np.vdot(beta, diff)))
-    penalty = 0.5 * rho * _norm2(diff)
+    penalty = 0.5 * rho * gap2
     total = fid + sparse + nuclear + multiplier + penalty
-    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
+    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty), gap2
 
 
 def _low_rank_arr(arr, cfg: SolverConfig):
@@ -176,7 +191,7 @@ def objective_slr(
     fid = 0.5 * _norm2(resid)
     sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
     nuclear = cfg.lambda2 * _nuclear_arr(t.data)
-    return _lagrangian(fid, sparse, nuclear, x.data, t.data, beta.data, cfg.rho)
+    return _lagrangian(fid, sparse, nuclear, x.data, t.data, beta.data, cfg.rho)[0]
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -243,23 +258,24 @@ def solve_ista_sparse(
     tau = cfg.lambda1 * cfg.eta2
     resid = _fft2c_arr(x) * m3 - ym
     trace = []
-    for n in range(1, cfg.iterations + 1):
-        prev = x
-        r = x - cfg.eta2 * _ifft2c_arr(resid)
-        _check_finite(r, "gradient", n)
-        x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
-        _check_finite(x, "sparse", n)
-        x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
-        _check_finite(x, "data-consistency", n)
-        resid = _fft2c_arr(x) * m3 - ym
-        fid = 0.5 * _norm2(resid)
-        sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
-        objective = _check_finite_scalar(fid + sparse, "objective", n)
-        trace.append(
-            IterationRecord(n, objective, fid, sparse, 0.0, _rel_change(x, prev))
-        )
-        if callback is not None:
-            callback(n, DynamicImage(x))
+    with _trace_on_failure(trace):
+        for n in range(1, cfg.iterations + 1):
+            prev = x
+            r = x - cfg.eta2 * _ifft2c_arr(resid)
+            _check_finite(r, "gradient", n)
+            x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
+            _check_finite(x, "sparse", n)
+            x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
+            _check_finite(x, "data-consistency", n)
+            resid = _fft2c_arr(x) * m3 - ym
+            fid = 0.5 * _norm2(resid)
+            sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
+            objective = _check_finite_scalar(fid + sparse, "objective", n)
+            trace.append(
+                IterationRecord(n, objective, fid, sparse, 0.0, _rel_change(x, prev))
+            )
+            if callback is not None:
+                callback(n, DynamicImage(x))
     return _finish(x, trace, started, cfg, reference)
 
 
@@ -296,41 +312,42 @@ def solve_slr(
     tau = cfg.lambda1 * cfg.eta2
     resid = _fft2c_arr(x) * m3 - ym
     trace = []
-    for n in range(1, cfg.iterations + 1):
-        prev = x
-        r = x - cfg.eta2 * (_ifft2c_arr(resid) + cfg.rho * (x + beta - t))
-        _check_finite(r, "gradient", n)
-        z = _soft_arr(_transform_fwd_arr(r, kind), tau)
-        x = _transform_adj_arr(z, kind)
-        _check_finite(x, "sparse", n)
-        sparse = cfg.lambda1 * float(np.abs(z).sum())
-        rel_change = _rel_change(x, prev)
-        # The SVD holds the peak memory: free every volume it does not need.
-        del resid, r, z, prev, t
-        svt_in = x + beta if cfg.t_step_input == "x_plus_beta" else x
-        t, s_new = _low_rank_arr(svt_in, cfg)
-        del svt_in
-        _check_finite(t, "low-rank", n)
-        beta = beta + cfg.eta1 * (x - t)
-        _check_finite(beta, "multiplier", n)
-        resid = _fft2c_arr(x) * m3 - ym
-        terms = _lagrangian(
-            0.5 * _norm2(resid), sparse, cfg.lambda2 * float(s_new.sum()), x, t, beta, cfg.rho
-        )
-        objective = _check_finite_scalar(terms.total, "objective", n)
-        trace.append(
-            IterationRecord(
-                n,
-                objective,
-                terms.data_fidelity,
-                terms.sparse_term,
-                terms.nuclear_term,
-                rel_change,
-                split_gap=float(np.sqrt(_norm2(x - t))),
+    with _trace_on_failure(trace):
+        for n in range(1, cfg.iterations + 1):
+            prev = x
+            r = x - cfg.eta2 * (_ifft2c_arr(resid) + cfg.rho * (x + beta - t))
+            _check_finite(r, "gradient", n)
+            z = _soft_arr(_transform_fwd_arr(r, kind), tau)
+            x = _transform_adj_arr(z, kind)
+            _check_finite(x, "sparse", n)
+            sparse = cfg.lambda1 * float(np.abs(z).sum())
+            rel_change = _rel_change(x, prev)
+            # Free every volume the low-rank step does not need before it allocates.
+            del resid, r, z, prev, t
+            svt_in = x + beta if cfg.t_step_input == "x_plus_beta" else x
+            t, s_new = _low_rank_arr(svt_in, cfg)
+            del svt_in
+            _check_finite(t, "low-rank", n)
+            beta = beta + cfg.eta1 * (x - t)
+            _check_finite(beta, "multiplier", n)
+            resid = _fft2c_arr(x) * m3 - ym
+            terms, gap2 = _lagrangian(
+                0.5 * _norm2(resid), sparse, cfg.lambda2 * float(s_new.sum()), x, t, beta, cfg.rho
             )
-        )
-        if callback is not None:
-            callback(n, DynamicImage(x), t=DynamicImage(t), beta=DynamicImage(beta))
+            objective = _check_finite_scalar(terms.total, "objective", n)
+            trace.append(
+                IterationRecord(
+                    n,
+                    objective,
+                    terms.data_fidelity,
+                    terms.sparse_term,
+                    terms.nuclear_term,
+                    rel_change,
+                    split_gap=float(np.sqrt(gap2)),
+                )
+            )
+            if callback is not None:
+                callback(n, DynamicImage(x), t=DynamicImage(t), beta=DynamicImage(beta))
     return _finish(x, trace, started, cfg, reference)
 
 
@@ -359,38 +376,39 @@ def solve_ista_lr(
     tau = cfg.lambda1 * cfg.eta2
     resid = _fft2c_arr(x) * m3 - ym
     trace = []
-    for n in range(1, cfg.iterations + 1):
-        prev = x
-        r = x - cfg.eta2 * _ifft2c_arr(resid)
-        # Free volumes as soon as they are used: the SVD holds the peak memory.
-        del resid
-        _check_finite(r, "gradient", n)
-        if cfg.placement == "L1":
-            r = _low_rank_arr(r, cfg)[0]
-            _check_finite(r, "low-rank", n)
-        x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
-        _check_finite(x, "sparse", n)
-        del r
-        if cfg.placement == "L2":
-            x = _low_rank_arr(x, cfg)[0]
-            _check_finite(x, "low-rank", n)
-        x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
-        _check_finite(x, "data-consistency", n)
-        if cfg.placement == "L3":
-            x, s_new = _low_rank_arr(x, cfg)
-            _check_finite(x, "low-rank", n)
-            nuclear = cfg.lambda2 * float(s_new.sum())
-        else:
-            nuclear = cfg.lambda2 * _nuclear_arr(x)
-        resid = _fft2c_arr(x) * m3 - ym
-        fid = 0.5 * _norm2(resid)
-        sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
-        objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
-        trace.append(
-            IterationRecord(n, objective, fid, sparse, nuclear, _rel_change(x, prev))
-        )
-        if callback is not None:
-            callback(n, DynamicImage(x))
+    with _trace_on_failure(trace):
+        for n in range(1, cfg.iterations + 1):
+            prev = x
+            r = x - cfg.eta2 * _ifft2c_arr(resid)
+            # Free volumes as soon as they are used, before the low-rank step allocates.
+            del resid
+            _check_finite(r, "gradient", n)
+            if cfg.placement == "L1":
+                r = _low_rank_arr(r, cfg)[0]
+                _check_finite(r, "low-rank", n)
+            x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
+            _check_finite(x, "sparse", n)
+            del r
+            if cfg.placement == "L2":
+                x = _low_rank_arr(x, cfg)[0]
+                _check_finite(x, "low-rank", n)
+            x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
+            _check_finite(x, "data-consistency", n)
+            if cfg.placement == "L3":
+                x, s_new = _low_rank_arr(x, cfg)
+                _check_finite(x, "low-rank", n)
+                nuclear = cfg.lambda2 * float(s_new.sum())
+            else:
+                nuclear = cfg.lambda2 * _nuclear_arr(x)
+            resid = _fft2c_arr(x) * m3 - ym
+            fid = 0.5 * _norm2(resid)
+            sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
+            objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
+            trace.append(
+                IterationRecord(n, objective, fid, sparse, nuclear, _rel_change(x, prev))
+            )
+            if callback is not None:
+                callback(n, DynamicImage(x))
     return _finish(x, trace, started, cfg, reference)
 
 

@@ -45,10 +45,15 @@ def svd_oracle(matrix):
     return scipy.linalg.svd(matrix, full_matrices=True, lapack_driver="gesvd")
 
 
-def svt_oracle_soft(matrix, threshold):
-    """Reference soft singular-value thresholding built on the independent SVD."""
+def svt_oracle_soft(matrix, threshold, p=1.0):
+    """Reference soft singular-value thresholding built on the independent SVD.
+
+    Each singular value s becomes ``max(s - threshold * s**(p-1), 0)``.
+    """
     u, s, vh = svd_oracle(matrix)
-    s_new = np.maximum(s - threshold, 0.0)
+    with np.errstate(divide="ignore"):
+        shrink = np.where(s > 0, threshold * s ** (p - 1.0), 0.0)
+    s_new = np.maximum(s - shrink, 0.0)
     k = min(matrix.shape)
     return (u[:, :k] * s_new) @ vh[:k, :]
 

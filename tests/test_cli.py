@@ -131,6 +131,21 @@ class TestReconCommand:
         ])
         assert rc == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_failure_keeps_completed_trace(self, tmp_path, capsys):
+        _, mask, ksp = make_inputs(tmp_path, nx=32, ny=32, nt=8, accel=4.0)
+        trace = tmp_path / "t.ndjson"
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "slr", "--eta2", "50",
+            "--iters", "200", "--out", str(tmp_path / "rec"), "--trace", str(trace),
+        ])
+        assert rc == 4
+        failed_at = int(capsys.readouterr().err.rstrip().rpartition(" ")[2])
+        assert failed_at > 1
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["iteration"] for r in records] == list(range(1, failed_at))
+        assert not (tmp_path / "rec.dat").exists()
+
     def test_corrupt_ksp_file_exit_code(self, tmp_path):
         _, mask, ksp = make_inputs(tmp_path)
         raw = (tmp_path / "y.dat").read_bytes()

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dynlr import (
     ConfigError,
@@ -15,9 +18,10 @@ from dynlr import (
     transform_adjoint,
     transform_forward,
 )
+from dynlr import prox
 from dynlr.core import CasoratiView
 
-from conftest import rand_image, rel_err, svt_oracle_hard, svt_oracle_soft
+from conftest import rand_image, rand_volume, rel_err, svt_oracle_hard, svt_oracle_soft
 
 
 def rank1_image(rng, shape, sigma=5.0):
@@ -232,3 +236,95 @@ class TestNuclearNorm:
     def test_at_least_frobenius(self, rng):
         x = rand_image(rng, (16, 16, 4))
         assert nuclear_norm(x) >= np.linalg.norm(x.data) - 1e-10
+
+
+# Scales beyond about 1e154 overflow the Gram matrix and scales below about
+# 1e-146 underflow it, so every scale but 1 takes the SVD fallback.
+SCALES = [1.0, 1e-160, 1e-170, 1e170]
+
+
+@st.composite
+def spectra(draw):
+    """Shape, a descending spectrum of at most min(nx*ny, nt) values, and a seed.
+
+    Consecutive singular values differ by a ratio in [0.4, 0.8], so the SVT is
+    well conditioned and the oracle comparison well posed.  Ranks below
+    ``min(nx*ny, nt)`` give rank-deficient Casorati matrices.
+    """
+    nx = draw(st.integers(1, 7))
+    ny = draw(st.integers(1, 7))
+    nt = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(nx * ny, nt)))
+    ratio = draw(st.floats(0.4, 0.8))
+    s_max = draw(st.floats(1.0, 10.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (nx, ny, nt), s_max * ratio ** np.arange(rank), seed
+
+
+def casorati_with_spectrum(shape, s, seed):
+    """Casorati matrix of the given volume shape with singular values ``s``."""
+    nx, ny, nt = shape
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rand_volume(rng, (nx * ny, s.size)))
+    v, _ = np.linalg.qr(rand_volume(rng, (nt, s.size)))
+    return (u * s) @ v.conj().T
+
+
+def svt_without_warnings(op, x, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return op(x, *args)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ODD_AND_WIDE = [((1, 1, 8), np.array([3.0]), 0), ((3, 1, 7), np.array([4.0, 2.0, 1.0]), 1)]
+
+
+class TestSvtProperties:
+    """Both SVTs against the independent SVD oracle, in units rescaled by ``scale``."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @PROPERTY_SETTINGS
+    @given(case=spectra(), k_frac=st.floats(0.0, 1.0))
+    @example(case=ODD_AND_WIDE[0], k_frac=1.0)
+    @example(case=ODD_AND_WIDE[1], k_frac=0.5)
+    def test_learned_svt_matches_oracle_and_bounds_rank(self, scale, case, k_frac):
+        shape, s, seed = case
+        m = casorati_with_spectrum(shape, s, seed)
+        k = max(1, round(k_frac * shape[2]))
+        x = from_casorati(CasoratiView(scale * m), shape)
+        out = to_casorati(svt_without_warnings(learned_svt, x, k)).matrix / scale
+        assert np.abs(out - svt_oracle_hard(m, k)).max() < 1e-8
+        s_out = np.linalg.svd(out, compute_uv=False)
+        assert np.all(s_out[k:] < 1e-8 * s_out[0])
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @PROPERTY_SETTINGS
+    @given(case=spectra(), frac=st.floats(0.0, 0.9), p=st.floats(0.25, 1.0))
+    @example(case=ODD_AND_WIDE[0], frac=0.5, p=1.0)
+    @example(case=ODD_AND_WIDE[1], frac=0.3, p=0.5)
+    def test_ist_svt_matches_oracle(self, scale, case, frac, p):
+        shape, s, seed = case
+        m = casorati_with_spectrum(shape, s, seed)
+        # Threshold tau on the unscaled matrix; scaling by c needs tau * c**(2 - p).
+        tau = frac * s[0] ** (2.0 - p)
+        x = from_casorati(CasoratiView(scale * m), shape)
+        out = svt_without_warnings(ist_svt, x, tau * scale ** (2.0 - p), 1.0, p)
+        out = to_casorati(out).matrix / scale
+        assert np.abs(out - svt_oracle_soft(m, tau, p)).max() < 1e-8
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 4), (2, 1, 9), (7, 7, 3)])
+    def test_all_zero_volume_gives_zero(self, shape):
+        x = DynamicImage(np.zeros(shape, dtype=complex))
+        assert np.all(svt_without_warnings(learned_svt, x, 1).data == 0)
+        assert np.all(svt_without_warnings(ist_svt, x, 0.5, 1.0, 0.5).data == 0)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_svd_runs_only_as_the_fallback(self, rng, monkeypatch, scale):
+        calls = []
+        svd = prox._casorati_svd
+        monkeypatch.setattr(prox, "_casorati_svd", lambda arr: calls.append(arr) or svd(arr))
+        x = DynamicImage(scale * rand_image(rng, (6, 5, 4)).data)
+        learned_svt(x, 2)
+        ist_svt(x, 0.1 * scale, 1.0, 1.0)
+        assert len(calls) == (0 if scale == 1.0 else 2)

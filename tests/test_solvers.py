@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dynlr
 from dynlr import (
     ConfigError,
     DynamicImage,
@@ -239,6 +246,16 @@ class TestSlr:
         assert err.value.iteration is not None
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_error_carries_completed_records(self):
+        _, y = small_problem()
+        cfg = SolverConfig(rho=1e4, eta2=1e4, rank_k=2, iterations=50)
+        with pytest.raises(NumericError) as err:
+            solve_slr(y, cfg)
+        records = err.value.trace
+        assert [r.iteration for r in records] == list(range(1, err.value.iteration))
+        assert all(np.isfinite(r.objective) for r in records)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_guard_names_gradient_step(self):
         _, y = small_problem()
         cfg = SolverConfig(rho=10.0, eta2=1.5e308, rank_k=2, iterations=5)
@@ -314,6 +331,8 @@ class TestTraceTermsMatchRecomputation:
             self.assert_sparse_term(record, x, cfg)
             self.assert_close(record.objective, terms.total)
             assert record.data_fidelity == terms.data_fidelity
+            gap = x.data - t.data
+            assert record.split_gap == np.sqrt(np.sum(gap.real**2 + gap.imag**2))
 
     @pytest.mark.parametrize("lr_mode", ["hard", "soft"])
     def test_ista_lr_l3(self, lr_mode):
@@ -330,7 +349,45 @@ class TestTraceTermsMatchRecomputation:
             self.assert_close(record.objective, record.data_fidelity + record.sparse_term + nuclear)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the final-image SHA-256 of four low-rank solves on the 64x64x16
+# standard instance (phantom seed 21, mask seed 13, 8x).
+_LOW_RANK_IMAGE_HASHES = """
+import hashlib, json
+from dynlr import default_config, encode, make_phantom, make_vd_mask, run_solver
+
+img = make_phantom(64, 64, 16, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+y = encode(img, make_vd_mask(64, 16, 8.0, seed=13))
+runs = [
+    ("slr", {"lr_mode": "hard"}),
+    ("slr", {"lr_mode": "soft"}),
+    ("ista-lr", {"placement": "L1", "lr_mode": "soft"}),
+    ("ista-lr", {"placement": "L3", "lr_mode": "soft"}),
+]
+images = [run_solver(name, y, default_config(y, rank_k=2, iterations=20, **kw)).image for name, kw in runs]
+print(json.dumps([hashlib.sha256(im.data.tobytes()).hexdigest() for im in images]))
+"""
+
+
+def low_rank_image_hashes(blas_threads):
+    """Run the four solves in a fresh interpreter; ``None`` leaves BLAS at its default."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
+    src = str(Path(dynlr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOW_RANK_IMAGE_HASHES],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout)
+
+
 class TestDeterminismAndDiagnostics:
+    def test_final_images_independent_of_blas_threads(self):
+        assert low_rank_image_hashes(1) == low_rank_image_hashes(None)
+
     def test_bit_identical_reruns(self):
         img, y = small_problem()
         cfg = default_config(y, iterations=8, rank_k=2)
