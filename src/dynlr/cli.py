@@ -11,6 +11,7 @@ format error, 4 numeric failure during a solve.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -140,18 +141,9 @@ def _flag_overrides(args) -> dict:
         overrides["placement"] = args.placement.upper()
     if args.iters is not None:
         overrides["iterations"] = args.iters
-    for flag, field in [
-        ("lambda1", "lambda1"),
-        ("lambda2", "lambda2"),
-        ("rho", "rho"),
-        ("eta1", "eta1"),
-        ("eta2", "eta2"),
-        ("rank_k", "rank_k"),
-        ("p", "p"),
-        ("lr_mode", "lr_mode"),
-        ("transform", "transform"),
-    ]:
-        value = getattr(args, flag)
+    same_name = ("lambda1", "lambda2", "rho", "eta1", "eta2", "rank_k", "p", "lr_mode", "transform")
+    for field in same_name:
+        value = getattr(args, field)
         if value is not None:
             overrides[field] = value
     if args.dc is not None:
@@ -240,20 +232,7 @@ def cmd_encode(args):
 def _write_trace(path, records):
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "iteration": rec.iteration,
-                        "objective": rec.objective,
-                        "data_fidelity": rec.data_fidelity,
-                        "sparse_term": rec.sparse_term,
-                        "nuclear_term": rec.nuclear_term,
-                        "rel_change": rec.rel_change,
-                        "split_gap": rec.split_gap,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
 
 
 def cmd_recon(args):

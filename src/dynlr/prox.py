@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DynamicImage, TRANSFORM_KINDS, to_casorati
+from .core import ConfigError, DynamicImage, TRANSFORM_KINDS
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -117,17 +117,18 @@ def soft_threshold(z: DynamicImage, tau: float) -> DynamicImage:
 _GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
-def _casorati_svd(arr3d):
+def _casorati(arr3d):
+    """The C-order ``(nx*ny) x nt`` view of a volume, free for a C-contiguous one.
+
+    It is a row permutation of the x-fastest Casorati matrix, so it has the
+    same singular values, and SVT commutes with the permutation.
+    """
     nx, ny, nt = arr3d.shape
-    m = arr3d.reshape(nx * ny, nt, order="F")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
+    return arr3d.reshape(nx * ny, nt)
 
 
-def _recompose(u, s, vh, shape):
-    m = (u * s) @ vh
-    nx, ny, nt = shape
-    return m.reshape((nx, ny, nt), order="F")
+def _casorati_svd(arr3d):
+    return np.linalg.svd(_casorati(arr3d), full_matrices=False)
 
 
 def _svt_arr(arr3d, shrink):
@@ -137,17 +138,14 @@ def _svt_arr(arr3d, shrink):
     order.  The matrix is tall and skinny, so the SVT is computed from its
     ``nt x nt`` Gram matrix ``G = M^H M = V diag(sigma**2) V^H`` as
     ``M V diag(g) V^H``, with gain ``g = shrink(sigma) / sigma`` (0 where
-    sigma is 0).  ``M`` is the free C-order view of the volume, a row
-    permutation of the x-fastest Casorati matrix, and SVT commutes with row
-    permutations.  Unlike the LAPACK SVD, this route gives the same bits at
-    1 and 2 BLAS threads.
+    sigma is 0), where ``M`` is :func:`_casorati` of the volume.  Unlike the
+    LAPACK SVD, this route gives the same bits at 1 and 2 BLAS threads.
 
     When ``G`` or its trace overflows (entries above about 1e154) or ``G``
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
     of the Casorati matrix is used instead.
     """
-    nx, ny, nt = arr3d.shape
-    m = arr3d.reshape(nx * ny, nt)
+    m = _casorati(arr3d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         gram = m.conj().T @ m
         diag = gram.diagonal().real
@@ -162,7 +160,7 @@ def _svt_arr(arr3d, shrink):
         return (m @ ((v * gain) @ v.conj().T)).reshape(arr3d.shape), s_new
     u, s, vh = _casorati_svd(arr3d)
     s_new = shrink(s)
-    return _recompose(u, s_new, vh, arr3d.shape), s_new
+    return ((u * s_new) @ vh).reshape(arr3d.shape), s_new
 
 
 def _svt_soft_arr(arr3d, lambda2, rho, p):
@@ -234,9 +232,7 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
 
 
 def _nuclear_arr(arr3d):
-    nx, ny, nt = arr3d.shape
-    m = arr3d.reshape(nx * ny, nt, order="F")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(np.linalg.svd(_casorati(arr3d), compute_uv=False).sum())
 
 
 def nuclear_norm(x: DynamicImage) -> float:
@@ -249,8 +245,7 @@ def casorati_rank(x: DynamicImage, rel_tol: float = 1e-12) -> int:
 
     Singular values below ``rel_tol`` times the largest one count as zero.
     """
-    nx, ny, nt = x.shape
-    s = np.linalg.svd(to_casorati(x).matrix, compute_uv=False)
+    s = np.linalg.svd(_casorati(x.data), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
     return int((s > rel_tol * s[0]).sum())

@@ -4,6 +4,7 @@ Three solvers share the same measurement operators and proximal steps:
 
 * :func:`solve_ista_sparse` - proximal gradient iteration for the
   sparse-only model, with a k-space data-consistency step each iteration.
+  It is the :func:`solve_ista_lr` loop without the low-rank module.
 * :func:`solve_slr` - the four-step augmented-Lagrangian iteration for the
   joint sparse + low-rank model: gradient step with multiplier coupling,
   sparse thresholding, singular-value thresholding, multiplier update.
@@ -15,7 +16,9 @@ Three solvers share the same measurement operators and proximal steps:
 
 All solvers start from the zero-filled reconstruction, are fully
 deterministic, and fail loudly with a step-named error if an iterate stops
-being finite.
+being finite.  Numpy's overflow and invalid-value warnings are off for the
+whole solve loop, callbacks included: the finite checks report a failure
+instead, naming the step that caused it.
 """
 
 import itertools
@@ -124,9 +127,13 @@ def _check_finite_scalar(value, step, iteration):
 
 @contextmanager
 def _trace_on_failure(trace):
-    """Let the records completed before a :class:`NumericError` travel with it."""
+    """Run a solve loop without numpy floating-point warnings.
+
+    The records completed before a :class:`NumericError` travel with it.
+    """
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except NumericError as exc:
         exc.trace = tuple(trace)
         raise
@@ -150,6 +157,20 @@ def _low_rank_arr(arr, cfg: SolverConfig):
     if cfg.lr_mode == "hard":
         return _svt_hard_arr(arr, cfg.rank_k)
     return _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p)
+
+
+def _low_rank_step(arr, cfg: SolverConfig, n):
+    """:func:`_low_rank_arr` with the finite check of iteration ``n``."""
+    out, s_new = _low_rank_arr(arr, cfg)
+    _check_finite(out, "low-rank", n)
+    return out, s_new
+
+
+def _zero_filled(y: KSpaceData):
+    """The mask broadcast over x, the masked k-space, and the zero-filled image."""
+    m3 = y.mask.entries[None, :, :].astype(np.float64)
+    ym = y.data * m3
+    return m3, ym, _ifft2c_arr(ym)
 
 
 def _rel_change(curr, prev):
@@ -201,8 +222,7 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     of the zero-filled reconstruction; the step size is 1 (the encoding
     operator has unit norm).  Keyword overrides replace individual fields.
     """
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
-    peak = float(np.abs(_ifft2c_arr(y.data * m3)).max())
+    peak = float(np.abs(_zero_filled(y)[2]).max())
     lam = 1e-3 * peak
     cfg = SolverConfig(
         lambda1=lam,
@@ -249,34 +269,7 @@ def solve_ista_sparse(
     step.  ``lambda2``, ``rho`` and the low-rank fields are ignored.
     """
     cfg.validate()
-    started = time.perf_counter()
-    kind = cfg.transform
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
-    sampled = y.mask.entries.astype(bool)
-    ym = y.data * m3
-    x = _ifft2c_arr(ym)
-    tau = cfg.lambda1 * cfg.eta2
-    resid = _fft2c_arr(x) * m3 - ym
-    trace = []
-    with _trace_on_failure(trace):
-        for n in range(1, cfg.iterations + 1):
-            prev = x
-            r = x - cfg.eta2 * _ifft2c_arr(resid)
-            _check_finite(r, "gradient", n)
-            x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
-            _check_finite(x, "sparse", n)
-            x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
-            _check_finite(x, "data-consistency", n)
-            resid = _fft2c_arr(x) * m3 - ym
-            fid = 0.5 * _norm2(resid)
-            sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
-            objective = _check_finite_scalar(fid + sparse, "objective", n)
-            trace.append(
-                IterationRecord(n, objective, fid, sparse, 0.0, _rel_change(x, prev))
-            )
-            if callback is not None:
-                callback(n, DynamicImage(x))
-    return _finish(x, trace, started, cfg, reference)
+    return _solve_ista(y, cfg, None, reference, callback)
 
 
 def solve_slr(
@@ -304,9 +297,7 @@ def solve_slr(
     _validate_lr_config(cfg, y.shape[2])
     started = time.perf_counter()
     kind = cfg.transform
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
-    ym = y.data * m3
-    x = _ifft2c_arr(ym)
+    m3, ym, x = _zero_filled(y)
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
@@ -324,10 +315,7 @@ def solve_slr(
             rel_change = _rel_change(x, prev)
             # Free every volume the low-rank step does not need before it allocates.
             del resid, r, z, prev, t
-            svt_in = x + beta if cfg.t_step_input == "x_plus_beta" else x
-            t, s_new = _low_rank_arr(svt_in, cfg)
-            del svt_in
-            _check_finite(t, "low-rank", n)
+            t, s_new = _low_rank_step(x + beta if cfg.t_step_input == "x_plus_beta" else x, cfg, n)
             beta = beta + cfg.eta1 * (x - t)
             _check_finite(beta, "multiplier", n)
             resid = _fft2c_arr(x) * m3 - ym
@@ -367,12 +355,15 @@ def solve_ista_lr(
     coefficients again, so only L1/L2 leave the output exactly consistent.
     """
     _validate_lr_config(cfg, y.shape[2])
+    return _solve_ista(y, cfg, cfg.placement, reference, callback)
+
+
+def _solve_ista(y, cfg, placement, reference, callback):
+    """The sparse iteration, with the low-rank module at ``placement`` (None: without it)."""
     started = time.perf_counter()
     kind = cfg.transform
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
+    m3, ym, x = _zero_filled(y)
     sampled = y.mask.entries.astype(bool)
-    ym = y.data * m3
-    x = _ifft2c_arr(ym)
     tau = cfg.lambda1 * cfg.eta2
     resid = _fft2c_arr(x) * m3 - ym
     trace = []
@@ -383,20 +374,19 @@ def solve_ista_lr(
             # Free volumes as soon as they are used, before the low-rank step allocates.
             del resid
             _check_finite(r, "gradient", n)
-            if cfg.placement == "L1":
-                r = _low_rank_arr(r, cfg)[0]
-                _check_finite(r, "low-rank", n)
+            if placement == "L1":
+                r = _low_rank_step(r, cfg, n)[0]
             x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
             _check_finite(x, "sparse", n)
             del r
-            if cfg.placement == "L2":
-                x = _low_rank_arr(x, cfg)[0]
-                _check_finite(x, "low-rank", n)
+            if placement == "L2":
+                x = _low_rank_step(x, cfg, n)[0]
             x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
             _check_finite(x, "data-consistency", n)
-            if cfg.placement == "L3":
-                x, s_new = _low_rank_arr(x, cfg)
-                _check_finite(x, "low-rank", n)
+            if placement is None:
+                nuclear = 0.0
+            elif placement == "L3":
+                x, s_new = _low_rank_step(x, cfg, n)
                 nuclear = cfg.lambda2 * float(s_new.sum())
             else:
                 nuclear = cfg.lambda2 * _nuclear_arr(x)
@@ -419,6 +409,12 @@ _SOLVERS = {
 }
 
 
+def _solver(name: str):
+    if name not in _SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}; valid solvers: {', '.join(SOLVER_NAMES)}")
+    return _SOLVERS[name]
+
+
 def run_solver(
     name: str,
     y: KSpaceData,
@@ -427,9 +423,7 @@ def run_solver(
     callback=None,
 ) -> ReconReport:
     """Dispatch to a solver by CLI name ("ista", "slr", "ista-lr")."""
-    if name not in _SOLVERS:
-        raise ConfigError(f"unknown solver {name!r}; valid solvers: {', '.join(SOLVER_NAMES)}")
-    return _SOLVERS[name](y, cfg, reference=reference, callback=callback)
+    return _solver(name)(y, cfg, reference=reference, callback=callback)
 
 
 def tune_hyperparams(
@@ -462,8 +456,7 @@ def tune_hyperparams(
         Configuration supplying the fields not searched over; defaults to
         :func:`default_config`.
     """
-    if solver not in _SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}; valid solvers: {', '.join(SOLVER_NAMES)}")
+    _solver(solver)
     if reference.shape != y.shape:
         raise DimensionError(
             f"reference shape {reference.shape} does not match k-space shape {y.shape}"

@@ -131,7 +131,7 @@ class TestReconCommand:
         ])
         assert rc == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_numeric_failure_keeps_completed_trace(self, tmp_path, capsys):
         _, mask, ksp = make_inputs(tmp_path, nx=32, ny=32, nt=8, accel=4.0)
         trace = tmp_path / "t.ndjson"
@@ -140,7 +140,9 @@ class TestReconCommand:
             "--iters", "200", "--out", str(tmp_path / "rec"), "--trace", str(trace),
         ])
         assert rc == 4
-        failed_at = int(capsys.readouterr().err.rstrip().rpartition(" ")[2])
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite objective value at iteration ")
+        failed_at = int(err.rstrip().rpartition(" ")[2])
         assert failed_at > 1
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert [r["iteration"] for r in records] == list(range(1, failed_at))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,14 @@ class TestIstaSparse:
         assert all(np.isfinite(r.objective) for r in report.trace)
         assert all(r.split_gap is None for r in report.trace)
 
+    def test_low_rank_fields_are_ignored(self):
+        _, y = small_problem()
+        cfg = default_config(y, iterations=5)
+        unused = cfg.replaced(rank_k=y.shape[2] + 3, lr_mode="soft", rho=0.0, placement="L1", lambda2=5.0)
+        a, b = solve_ista_sparse(y, cfg), solve_ista_sparse(y, unused)
+        assert np.array_equal(a.image.data, b.image.data)
+        assert a.trace == b.trace
+
     def test_metrics_only_with_reference(self):
         img, y = small_problem()
         assert solve_ista_sparse(y, default_config(y)).metrics is None
@@ -263,6 +272,21 @@ class TestSlr:
             solve_slr(y, cfg)
         assert err.value.step == "gradient"
         assert err.value.iteration == 1
+
+    @pytest.mark.parametrize(
+        "cfg, step, iteration",
+        [
+            (SolverConfig(rho=1e4, eta2=1e4, rank_k=2, iterations=50), "objective", 21),
+            (SolverConfig(rho=10.0, eta2=1.5e308, rank_k=2, iterations=5), "gradient", 1),
+        ],
+    )
+    def test_numeric_failure_raises_without_numpy_warnings(self, cfg, step, iteration):
+        _, y = small_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                solve_slr(y, cfg)
+        assert (err.value.step, err.value.iteration) == (step, iteration)
 
 
 class TestIstaLr:
