@@ -17,6 +17,9 @@ import math
 import sys
 
 from .core import (
+    LR_MODES,
+    PLACEMENTS,
+    TRANSFORM_KINDS,
     ConfigError,
     DataError,
     KSpaceData,
@@ -34,19 +37,14 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_INT_FIELDS = {"rank_k", "iterations"}
-_STR_FIELDS = {"placement", "dc_mode", "lr_mode", "transform", "t_step_input"}
-
 
 def _parse_field_value(name, token):
-    if name not in SolverConfig.field_names():
+    """Convert ``token`` with the type (int, float or str) of SolverConfig field ``name``."""
+    types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+    if name not in types:
         raise ConfigError(f"unknown config field {name!r}")
-    if name in _STR_FIELDS:
-        return token
     try:
-        if name in _INT_FIELDS:
-            return int(token)
-        return float(token)
+        return types[name](token)
     except ValueError as exc:
         raise ConfigError(f"bad value {token!r} for config field {name!r}") from exc
 
@@ -59,6 +57,8 @@ def read_config_file(path) -> dict:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not ASCII: {exc}") from exc
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,7 +117,9 @@ def _parse_dc(flag):
 def _add_solver_flags(parser):
     parser.add_argument("--solver", required=True, choices=SOLVER_NAMES)
     parser.add_argument("--config", help="key=value config file applied before explicit flags")
-    parser.add_argument("--placement", choices=["l1", "l2", "l3"], help="low-rank module placement")
+    parser.add_argument(
+        "--placement", choices=[p.lower() for p in PLACEMENTS], help="low-rank module placement"
+    )
     parser.add_argument("--iters", type=int, help="number of iterations")
     parser.add_argument("--lambda1", type=float, help="sparse regularization weight")
     parser.add_argument("--lambda2", type=float, help="low-rank regularization weight")
@@ -126,13 +128,9 @@ def _add_solver_flags(parser):
     parser.add_argument("--eta2", type=float, help="gradient step size")
     parser.add_argument("--rank-k", type=int, help="retained rank of the hard thresholding step")
     parser.add_argument("--p", type=float, help="singular-value shrinkage exponent in (0, 1]")
-    parser.add_argument("--lr-mode", choices=["hard", "soft"], help="low-rank thresholding mode")
+    parser.add_argument("--lr-mode", choices=LR_MODES, help="low-rank thresholding mode")
     parser.add_argument("--dc", help="data consistency: replace or weighted:NU")
-    parser.add_argument(
-        "--transform",
-        choices=["temporal_fourier", "temporal_haar"],
-        help="temporal sparsifying transform",
-    )
+    parser.add_argument("--transform", choices=TRANSFORM_KINDS, help="temporal sparsifying transform")
 
 
 def _flag_overrides(args) -> dict:

@@ -50,6 +50,8 @@ def _parse_header(base):
             lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
     except OSError as exc:
         raise FormatError(f"cannot read header {hdr_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"header {hdr_path} is not ASCII: {exc}") from exc
     if len(lines) < 3:
         raise FormatError(f"header {hdr_path} is truncated")
     if lines[0] != MAGIC:

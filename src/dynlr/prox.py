@@ -12,6 +12,7 @@ matrix would overflow or underflow.  Unlike the SVD, the Gram route gives
 the same bits at 1 and 2 BLAS threads.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,10 @@ class SparseTransform:
 
     ``temporal_fourier`` is the discrete Fourier transform over t (bin 0 is
     the temporal DC component); ``temporal_haar`` is the orthonormal Haar
-    wavelet transform, which requires nt to be a power of two.  Both satisfy
-    ``adjoint(forward(x)) == x`` and preserve the L2 norm.
+    wavelet transform, a real ``nt x nt`` matrix (coarsest coefficient first,
+    nt a power of two) applied to the C-order Casorati view, with the same
+    bits at any BLAS thread count.  Both satisfy ``adjoint(forward(x)) == x``
+    and preserve the L2 norm.
     """
 
     kind: str = "temporal_fourier"
@@ -44,44 +47,42 @@ def _require_power_of_two(nt):
         raise ConfigError(f"temporal_haar requires nt to be a power of two, got nt = {nt}")
 
 
-def _haar_forward_arr(arr):
-    _require_power_of_two(arr.shape[2])
-    out = arr.astype(np.complex128, copy=True)
-    n = arr.shape[2]
-    while n > 1:
-        a = out[:, :, 0:n:2]
-        b = out[:, :, 1:n:2]
-        s = (a + b) * _INV_SQRT2
-        d = (a - b) * _INV_SQRT2
-        out[:, :, : n // 2] = s
-        out[:, :, n // 2 : n] = d
-        n //= 2
-    return out
+def _casorati(arr3d):
+    """The C-order ``(nx*ny) x nt`` view of a volume, free for a C-contiguous one.
+
+    It is a row permutation of the x-fastest Casorati matrix, so it has the
+    same singular values, and SVT and the Haar matrix commute with it.
+    """
+    nx, ny, nt = arr3d.shape
+    return arr3d.reshape(nx * ny, nt)
 
 
-def _haar_adjoint_arr(arr):
-    _require_power_of_two(arr.shape[2])
-    out = arr.astype(np.complex128, copy=True)
-    n = 2
-    while n <= arr.shape[2]:
-        s = out[:, :, : n // 2].copy()
-        d = out[:, :, n // 2 : n].copy()
-        out[:, :, 0:n:2] = (s + d) * _INV_SQRT2
-        out[:, :, 1:n:2] = (s - d) * _INV_SQRT2
-        n *= 2
-    return out
+@functools.cache
+def _haar_matrix(nt):
+    """The real orthonormal ``nt x nt`` Haar matrix, coarsest row first; read-only.
+
+    ``H_2n = [H_n kron (1, 1); I_n kron (1, -1)] / sqrt(2)``, ``H_1 = [[1]]``.
+    """
+    _require_power_of_two(nt)
+    if nt == 1:
+        h = np.ones((1, 1))
+    else:
+        half = _haar_matrix(nt // 2)
+        h = np.vstack([np.kron(half, [1.0, 1.0]), np.kron(np.eye(nt // 2), [1.0, -1.0])]) * _INV_SQRT2
+    h.setflags(write=False)
+    return h
 
 
 def _transform_fwd_arr(arr, kind):
     if kind == "temporal_fourier":
         return np.fft.fft(arr, axis=2, norm="ortho")
-    return _haar_forward_arr(arr)
+    return (_casorati(arr) @ _haar_matrix(arr.shape[2]).T).reshape(arr.shape)
 
 
 def _transform_adj_arr(arr, kind):
     if kind == "temporal_fourier":
         return np.fft.ifft(arr, axis=2, norm="ortho")
-    return _haar_adjoint_arr(arr)
+    return (_casorati(arr) @ _haar_matrix(arr.shape[2])).reshape(arr.shape)
 
 
 def transform_forward(x: DynamicImage, d: SparseTransform) -> DynamicImage:
@@ -115,16 +116,6 @@ def soft_threshold(z: DynamicImage, tau: float) -> DynamicImage:
 # products and no longer carries full relative precision: entries of 1e-160
 # already give a 2e-4 relative error against the SVD.
 _GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-
-
-def _casorati(arr3d):
-    """The C-order ``(nx*ny) x nt`` view of a volume, free for a C-contiguous one.
-
-    It is a row permutation of the x-fastest Casorati matrix, so it has the
-    same singular values, and SVT commutes with the permutation.
-    """
-    nx, ny, nt = arr3d.shape
-    return arr3d.reshape(nx * ny, nt)
 
 
 def _casorati_svd(arr3d):

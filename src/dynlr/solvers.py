@@ -239,6 +239,14 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     return cfg.validate()
 
 
+def _check_reference(reference, y: KSpaceData):
+    """Raise DimensionError if a given ``reference`` does not match the k-space shape."""
+    if reference is not None and reference.shape != y.shape:
+        raise DimensionError(
+            f"reference shape {reference.shape} does not match k-space shape {y.shape}"
+        )
+
+
 def _finish(x_arr, trace, started, cfg, reference):
     image = DynamicImage(x_arr)
     report_metrics = None
@@ -295,6 +303,7 @@ def solve_slr(
     invoked as ``callback(n, x, t=..., beta=...)`` after each iteration.
     """
     _validate_lr_config(cfg, y.shape[2])
+    _check_reference(reference, y)
     started = time.perf_counter()
     kind = cfg.transform
     m3, ym, x = _zero_filled(y)
@@ -360,6 +369,7 @@ def solve_ista_lr(
 
 def _solve_ista(y, cfg, placement, reference, callback):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it)."""
+    _check_reference(reference, y)
     started = time.perf_counter()
     kind = cfg.transform
     m3, ym, x = _zero_filled(y)
@@ -457,10 +467,7 @@ def tune_hyperparams(
         :func:`default_config`.
     """
     _solver(solver)
-    if reference.shape != y.shape:
-        raise DimensionError(
-            f"reference shape {reference.shape} does not match k-space shape {y.shape}"
-        )
+    _check_reference(reference, y)
     if not search_space:
         raise ConfigError("empty search space")
     keys = list(search_space)

@@ -170,6 +170,19 @@ class TestReconCommand:
         ]) == 0
         assert (tmp_path / "ra.dat").read_bytes() == (tmp_path / "rb.dat").read_bytes()
 
+    def test_non_ascii_config_file_is_usage_error(self, tmp_path, capsys):
+        _, mask, ksp = make_inputs(tmp_path)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_bytes(b"iterations=2\n# caf\xe9\n")
+        with pytest.raises(ConfigError):
+            read_config_file(str(cfg_path))
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "ista",
+            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_identical_files(self, tmp_path, capsys):
@@ -212,6 +225,13 @@ class TestEvalCommand:
         assert run_cli(["phantom", "--nx", "16", "--ny", "16", "--nt", "16", "--kind", "beating_rings", "--out", other]) == 0
         rc = run_cli(["eval", "--ref", phantom, "--rec", other])
         assert rc == 3
+
+    def test_non_ascii_header_is_format_error(self, tmp_path, capsys):
+        phantom, _, _ = make_inputs(tmp_path)
+        (tmp_path / "p.hdr").write_bytes(b"DYNLR1\xff\ndims 16 16 8\ndtype c64le\n")
+        rc = run_cli(["eval", "--ref", phantom, "--rec", phantom])
+        assert rc == 3
+        assert "not ASCII" in capsys.readouterr().err
 
 
 class TestTuneCommand:

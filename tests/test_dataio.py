@@ -99,6 +99,12 @@ class TestCorruptFiles:
         with pytest.raises(FormatError):
             read_cplx(base)
 
+    def test_non_ascii_header(self, rng, tmp_path):
+        base = self._write_valid(rng, tmp_path)
+        (tmp_path / "v.hdr").write_bytes(b"DYNLR1\ndims 4 4 4\xff\ndtype c64le\n")
+        with pytest.raises(FormatError):
+            read_cplx(base)
+
 
 class TestMaskIo:
     def test_round_trip(self, tmp_path):

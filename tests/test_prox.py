@@ -87,6 +87,37 @@ class TestSparseTransform:
         assert np.allclose(z.data[0, 0, :], single.data[0, 0, :], atol=1e-13)
 
 
+class TestHaarMatrix:
+    def test_pinned_entries(self):
+        r = 1.0 / np.sqrt(2.0)
+        expected = np.array([
+            [0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.5, -0.5, -0.5],
+            [r, -r, 0.0, 0.0],
+            [0.0, 0.0, r, -r],
+        ])
+        assert np.abs(prox._haar_matrix(4) - expected).max() < 1e-15
+        assert np.array_equal(prox._haar_matrix(1), [[1.0]])
+
+    @pytest.mark.parametrize("nt", [1, 2, 4, 8, 16, 32, 64])
+    def test_orthonormal(self, nt):
+        h = prox._haar_matrix(nt)
+        assert h.shape == (nt, nt) and h.dtype == np.float64
+        assert np.abs(h @ h.T - np.eye(nt)).max() < 1e-14
+
+    def test_cached_read_only(self):
+        h = prox._haar_matrix(8)
+        assert prox._haar_matrix(8) is h
+        assert not h.flags.writeable
+
+    def test_forward_rows_are_matrix_rows(self, rng):
+        # coefficient j of a voxel is row j of the matrix applied to its time series
+        x = rand_image(rng, (3, 5, 8))
+        z = transform_forward(x, SparseTransform("temporal_haar"))
+        expected = np.einsum("jt,xyt->xyj", prox._haar_matrix(8), x.data)
+        assert np.abs(z.data - expected).max() < 1e-13 * np.abs(expected).max()
+
+
 class TestSoftThreshold:
     def test_real_scalar_shrinkage(self):
         x = DynamicImage(np.full((1, 1, 1), 0.5 + 0j))

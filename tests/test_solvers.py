@@ -11,6 +11,7 @@ import pytest
 import dynlr
 from dynlr import (
     ConfigError,
+    DimensionError,
     DynamicImage,
     KSpaceData,
     NumericError,
@@ -388,6 +389,7 @@ runs = [
     ("slr", {"lr_mode": "soft"}),
     ("ista-lr", {"placement": "L1", "lr_mode": "soft"}),
     ("ista-lr", {"placement": "L3", "lr_mode": "soft"}),
+    ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar"}),
 ]
 images = [run_solver(name, y, default_config(y, rank_k=2, iterations=20, **kw)).image for name, kw in runs]
 print(json.dumps([hashlib.sha256(im.data.tobytes()).hexdigest() for im in images]))
@@ -395,7 +397,7 @@ print(json.dumps([hashlib.sha256(im.data.tobytes()).hexdigest() for im in images
 
 
 def low_rank_image_hashes(blas_threads):
-    """Run the four solves in a fresh interpreter; ``None`` leaves BLAS at its default."""
+    """Run the five solves in a fresh interpreter; ``None`` leaves BLAS at its default."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
@@ -409,6 +411,16 @@ def low_rank_image_hashes(blas_threads):
 
 
 class TestDeterminismAndDiagnostics:
+    @pytest.mark.parametrize("solver", ["ista", "slr", "ista-lr"])
+    def test_mismatched_reference_fails_before_first_iteration(self, solver):
+        img, y = small_problem()
+        wrong = DynamicImage(img.data[: img.nx // 2])
+        calls = []
+        with pytest.raises(DimensionError, match="reference shape"):
+            run_solver(solver, y, default_config(y, iterations=2, rank_k=2), reference=wrong,
+                       callback=lambda n, x, **_: calls.append(n))
+        assert calls == []
+
     def test_final_images_independent_of_blas_threads(self):
         assert low_rank_image_hashes(1) == low_rank_image_hashes(None)
 
