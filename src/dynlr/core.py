@@ -59,6 +59,11 @@ def _as_locked_complex(data, ndim, name):
     return arr
 
 
+def _new_volume(like):
+    """A new C-contiguous complex array of the shape of ``like``, for kernels that write with ``out=``."""
+    return np.empty(like.shape, dtype=np.complex128)
+
+
 @dataclass(frozen=True, eq=False)
 class DynamicImage:
     """Complex space-time volume, shape ``(nx, ny, nt)``, indexed ``[x, y, t]``."""

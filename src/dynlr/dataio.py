@@ -30,15 +30,23 @@ def _base_path(path):
 
 
 def write_cplx(path, volume) -> None:
-    """Write a complex volume to ``<path>.hdr`` / ``<path>.dat``."""
+    """Write a complex volume to ``<path>.hdr`` / ``<path>.dat``.
+
+    A volume that is not finite at complex64 precision (a part above about
+    3.4e38 in magnitude, or NaN or infinity) raises FormatError before
+    either file is opened, since no reader would accept the file.
+    """
     data = volume.data if isinstance(volume, DynamicImage) else np.asarray(volume)
     if data.ndim != 3:
         raise FormatError(f"can only write 3-dimensional volumes, got shape {data.shape}")
     nx, ny, nt = data.shape
+    with np.errstate(over="ignore"):
+        flat = data.ravel(order="F").astype("<c8")
+    if not np.isfinite(flat).all():
+        raise FormatError("volume has values that are not finite at complex64 precision")
     base = _base_path(path)
     with open(base + ".hdr", "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC}\ndims {nx} {ny} {nt}\ndtype c64le\n")
-    flat = data.ravel(order="F").astype("<c8")
     with open(base + ".dat", "wb") as fd:
         fd.write(flat.tobytes())
 

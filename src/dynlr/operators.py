@@ -7,6 +7,8 @@ operator norm of ``A`` is 1 and the adjoint of ``A`` is ``F^H P``, which
 keeps gradient step sizes near 1 stable without spectral estimation.
 """
 
+import itertools
+
 import numpy as np
 
 from .core import (
@@ -15,21 +17,51 @@ from .core import (
     DynamicImage,
     KSpaceData,
     SamplingMask,
+    _new_volume,
 )
 
 _SPATIAL_AXES = (0, 1)
 
 
+def _roll_into(out, arr, inverse=False):
+    """Write ``fftshift(arr)`` (``ifftshift`` if ``inverse``) over x and y into ``out``.
+
+    The shift is an exact permutation, done as four block copies; ``out``
+    must not overlap ``arr``.
+    """
+    halves = []
+    for n in arr.shape[:2]:
+        s = (n - n // 2 if inverse else n // 2) % n
+        halves.append(((slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))))
+    for (out_x, arr_x), (out_y, arr_y) in itertools.product(*halves):
+        out[out_x, out_y] = arr[arr_x, arr_y]
+    return out
+
+
+def _fft2c_into(out, arr, work):
+    """Centered unitary FFT of ``arr`` into ``out`` through the scratch volume ``work``.
+
+    ``out`` may be ``arr``; ``work`` must be a third C-contiguous volume.
+    """
+    _roll_into(work, arr, inverse=True)
+    np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    return _roll_into(out, work)
+
+
+def _ifft2c_into(out, arr, work):
+    """Exact inverse of :func:`_fft2c_into`, with the same buffer rules."""
+    _roll_into(work, arr, inverse=True)
+    # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it.
+    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    return _roll_into(out, work)
+
+
 def _fft2c_arr(arr):
-    shifted = np.fft.ifftshift(arr, axes=_SPATIAL_AXES)
-    k = np.fft.fft2(shifted, axes=_SPATIAL_AXES, norm="ortho")
-    return np.fft.fftshift(k, axes=_SPATIAL_AXES)
+    return _fft2c_into(_new_volume(arr), arr, _new_volume(arr))
 
 
 def _ifft2c_arr(arr):
-    shifted = np.fft.ifftshift(arr, axes=_SPATIAL_AXES)
-    img = np.fft.ifft2(shifted, axes=_SPATIAL_AXES, norm="ortho")
-    return np.fft.fftshift(img, axes=_SPATIAL_AXES)
+    return _ifft2c_into(_new_volume(arr), arr, _new_volume(arr))
 
 
 def fft2c(img: DynamicImage) -> DynamicImage:
@@ -70,20 +102,24 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     return DynamicImage(_ifft2c_arr(masked))
 
 
-def _dc_arr(pred_arr, acq_arr, sampled, mode, nu):
-    """Data-consistency kernel on raw arrays; ``sampled`` is a (ny, nt) bool mask."""
-    k = _fft2c_arr(pred_arr)
+def _dc_into(out, pred_arr, acq_sampled, sampled, mode, nu, work):
+    """Data consistency of ``pred_arr`` into ``out`` (which may be ``pred_arr``).
+
+    ``sampled`` is a (ny, nt) bool mask and ``acq_sampled`` is
+    ``acq[:, sampled]`` of the acquired k-space; ``work`` is a scratch volume.
+    """
+    k = _fft2c_into(out, pred_arr, work)
     if mode == "replace":
-        k[:, sampled] = acq_arr[:, sampled]
+        k[:, sampled] = acq_sampled
     elif mode == "weighted":
         if nu is None:
             raise ConfigError("weighted data consistency requires nu")
         if not nu >= 0:
             raise ConfigError(f"nu must be >= 0, got {nu}")
-        k[:, sampled] = (k[:, sampled] + nu * acq_arr[:, sampled]) / (1.0 + nu)
+        k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
     else:
         raise ConfigError(f"unknown data-consistency mode {mode!r}")
-    return _ifft2c_arr(k)
+    return _ifft2c_into(out, k, work)
 
 
 def data_consistency(
@@ -106,4 +142,6 @@ def data_consistency(
             f"prediction shape {pred.shape} does not match acquired shape {acquired.shape}"
         )
     sampled = acquired.mask.entries.astype(bool)
-    return DynamicImage(_dc_arr(pred.data, acquired.data, sampled, mode, nu))
+    x = pred.data
+    acq_sampled = acquired.data[:, sampled]
+    return DynamicImage(_dc_into(_new_volume(x), x, acq_sampled, sampled, mode, nu, _new_volume(x)))

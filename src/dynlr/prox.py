@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DynamicImage, TRANSFORM_KINDS
+from .core import ConfigError, DynamicImage, TRANSFORM_KINDS, _new_volume
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -73,16 +73,28 @@ def _haar_matrix(nt):
     return h
 
 
-def _transform_fwd_arr(arr, kind):
+def _transform_fwd_into(out, arr, kind):
+    """The forward transform of ``arr`` into ``out``, a C-contiguous volume other than ``arr``."""
     if kind == "temporal_fourier":
-        return np.fft.fft(arr, axis=2, norm="ortho")
-    return (_casorati(arr) @ _haar_matrix(arr.shape[2]).T).reshape(arr.shape)
+        return np.fft.fft(arr, axis=2, norm="ortho", out=out)
+    np.matmul(_casorati(arr), _haar_matrix(arr.shape[2]).T, out=_casorati(out))
+    return out
+
+
+def _transform_adj_into(out, arr, kind):
+    """The adjoint transform of ``arr`` into ``out``, as :func:`_transform_fwd_into`."""
+    if kind == "temporal_fourier":
+        return np.fft.ifft(arr, axis=2, norm="ortho", out=out)
+    np.matmul(_casorati(arr), _haar_matrix(arr.shape[2]), out=_casorati(out))
+    return out
+
+
+def _transform_fwd_arr(arr, kind):
+    return _transform_fwd_into(_new_volume(arr), arr, kind)
 
 
 def _transform_adj_arr(arr, kind):
-    if kind == "temporal_fourier":
-        return np.fft.ifft(arr, axis=2, norm="ortho")
-    return (_casorati(arr) @ _haar_matrix(arr.shape[2])).reshape(arr.shape)
+    return _transform_adj_into(_new_volume(arr), arr, kind)
 
 
 def transform_forward(x: DynamicImage, d: SparseTransform) -> DynamicImage:
@@ -95,10 +107,17 @@ def transform_adjoint(z: DynamicImage, d: SparseTransform) -> DynamicImage:
     return DynamicImage(_transform_adj_arr(z.data, d.kind))
 
 
+def _soft_into(arr, tau, mag, scale):
+    """Soft-threshold ``arr`` in place; ``mag`` and ``scale`` are real scratch volumes."""
+    np.abs(arr, out=mag)
+    np.maximum(np.subtract(mag, tau, out=scale), 0.0, out=scale)
+    # Where mag is 0 (or NaN) scale is left as it is, the same bits as dividing by 1.
+    np.divide(scale, mag, out=scale, where=mag > 0)
+    return np.multiply(arr, scale, out=arr)
+
+
 def _soft_arr(arr, tau):
-    mag = np.abs(arr)
-    scale = np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0)
-    return arr * scale
+    return _soft_into(arr.copy(order="K"), tau, *np.empty((2,) + arr.shape))
 
 
 def soft_threshold(z: DynamicImage, tau: float) -> DynamicImage:
@@ -122,7 +141,7 @@ def _casorati_svd(arr3d):
     return np.linalg.svd(_casorati(arr3d), full_matrices=False)
 
 
-def _svt_arr(arr3d, shrink):
+def _svt_arr(arr3d, shrink, out=None, work=None):
     """Replace the Casorati singular values by ``shrink(sigma)``.
 
     Returns the volume and ``shrink(sigma)``, with ``sigma`` in descending
@@ -135,26 +154,36 @@ def _svt_arr(arr3d, shrink):
     When ``G`` or its trace overflows (entries above about 1e154) or ``G``
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
     of the Casorati matrix is used instead.
+
+    The result is written into ``out`` and the conjugate of ``M`` into
+    ``work``: C-contiguous complex volumes other than ``arr3d``, or None
+    for new ones.
     """
     m = _casorati(arr3d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = m.conj().T @ m
+        conj = np.conjugate(m, out=None if work is None else _casorati(work))
+        gram = conj.T @ m
         diag = gram.diagonal().real
         # trace(G) = ||M||_F^2 bounds every eigenvalue, so a finite trace keeps sigma finite.
         finite = np.isfinite(gram).all() and np.isfinite(diag.sum())
+    del conj  # a new conjugate is freed before a new output is allocated
+    if out is None:
+        out = _new_volume(arr3d)
     if finite and diag.max() >= _GRAM_UNDERFLOW:
         w, v = np.linalg.eigh(gram)
         sigma = np.sqrt(np.maximum(w[::-1], 0.0))
         v = v[:, ::-1]
         s_new = shrink(sigma)
         gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        return (m @ ((v * gain) @ v.conj().T)).reshape(arr3d.shape), s_new
+        np.matmul(m, (v * gain) @ v.conj().T, out=_casorati(out))
+        return out, s_new
     u, s, vh = _casorati_svd(arr3d)
     s_new = shrink(s)
-    return ((u * s_new) @ vh).reshape(arr3d.shape), s_new
+    np.matmul(u * s_new, vh, out=_casorati(out))
+    return out, s_new
 
 
-def _svt_soft_arr(arr3d, lambda2, rho, p):
+def _svt_soft_arr(arr3d, lambda2, rho, p, out=None, work=None):
     """Soft SVT; returns the volume and its thresholded singular values."""
 
     def shrink(s):
@@ -162,10 +191,10 @@ def _svt_soft_arr(arr3d, lambda2, rho, p):
             shrunk = np.where(s > 0, s - (lambda2 / rho) * s ** (p - 1.0), 0.0)
         return np.maximum(shrunk, 0.0)
 
-    return _svt_arr(arr3d, shrink)
+    return _svt_arr(arr3d, shrink, out, work)
 
 
-def _svt_hard_arr(arr3d, k):
+def _svt_hard_arr(arr3d, k, out=None, work=None):
     """Hard-rank SVT; returns the volume and its kept singular values."""
 
     def truncate(s):
@@ -173,7 +202,7 @@ def _svt_hard_arr(arr3d, k):
         s_new[k:] = 0.0
         return s_new
 
-    return _svt_arr(arr3d, truncate)
+    return _svt_arr(arr3d, truncate, out, work)
 
 
 def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> DynamicImage:

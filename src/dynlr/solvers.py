@@ -35,16 +35,18 @@ from .core import (
     KSpaceData,
     NumericError,
     SolverConfig,
+    _new_volume,
 )
 from .metrics import fits_ssim_window, mse, psnr, ssim
-from .operators import _dc_arr, _fft2c_arr, _ifft2c_arr
+from .operators import _dc_into, _fft2c_into, _ifft2c_arr, _ifft2c_into
 from .prox import (
     _nuclear_arr,
-    _soft_arr,
+    _soft_into,
     _svt_hard_arr,
     _svt_soft_arr,
-    _transform_adj_arr,
+    _transform_adj_into,
     _transform_fwd_arr,
+    _transform_fwd_into,
 )
 
 SOLVER_NAMES = ("ista", "slr", "ista-lr")
@@ -102,8 +104,11 @@ class ObjectiveBreakdown:
     penalty_term: float
 
 
-def _norm2(arr) -> float:
-    return float(np.sum(arr.real**2 + arr.imag**2))
+def _norm2(arr, pair=None) -> float:
+    """``sum(re*re + im*im)`` of ``arr``; ``pair`` holds two real scratch volumes, or is None."""
+    re2, im2 = (None, None) if pair is None else pair
+    re2 = np.multiply(arr.real, arr.real, out=re2)
+    return float(np.add(re2, np.multiply(arr.imag, arr.imag, out=im2), out=re2).sum())
 
 
 def _check_finite(arr, step, iteration):
@@ -139,31 +144,31 @@ def _trace_on_failure(trace):
         raise
 
 
-def _lagrangian(fid, sparse, nuclear, x, t, beta, rho):
+def _lagrangian(fid, sparse, nuclear, x, t, beta, rho, diff=None, pair=None):
     """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others.
 
-    Returns the :class:`ObjectiveBreakdown` and ``||t - x||^2``.
+    Returns the :class:`ObjectiveBreakdown` and ``||t - x||^2``.  ``diff``
+    receives ``t - x`` and ``pair`` serves :func:`_norm2`; None allocates.
     """
-    diff = t - x
-    gap2 = _norm2(diff)
+    diff = np.subtract(t, x, out=diff)
+    gap2 = _norm2(diff, pair)
     multiplier = -rho * float(np.real(np.vdot(beta, diff)))
     penalty = 0.5 * rho * gap2
     total = fid + sparse + nuclear + multiplier + penalty
     return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty), gap2
 
 
-def _low_rank_arr(arr, cfg: SolverConfig):
-    """The configured SVT of ``arr``, and the singular values of its output."""
+def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
+    """The configured SVT of ``arr`` into ``out``, checked as the low-rank step of iteration ``n``.
+
+    Returns the singular values of the output.  ``work`` is scratch.
+    """
     if cfg.lr_mode == "hard":
-        return _svt_hard_arr(arr, cfg.rank_k)
-    return _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p)
-
-
-def _low_rank_step(arr, cfg: SolverConfig, n):
-    """:func:`_low_rank_arr` with the finite check of iteration ``n``."""
-    out, s_new = _low_rank_arr(arr, cfg)
+        s_new = _svt_hard_arr(arr, cfg.rank_k, out, work)[1]
+    else:
+        s_new = _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p, out, work)[1]
     _check_finite(out, "low-rank", n)
-    return out, s_new
+    return s_new
 
 
 def _zero_filled(y: KSpaceData):
@@ -173,11 +178,24 @@ def _zero_filled(y: KSpaceData):
     return m3, ym, _ifft2c_arr(ym)
 
 
-def _rel_change(curr, prev):
-    denom = np.sqrt(_norm2(prev))
+def _rel_change(curr, prev, diff, pair):
+    denom = np.sqrt(_norm2(prev, pair))
     if denom == 0:
         denom = 1.0
-    return float(np.sqrt(_norm2(curr - prev)) / denom)
+    return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
+
+
+def _masked_residual(out, x, m3, ym, work):
+    """``F x * mask - y * mask`` into ``out``, through the scratch volume ``work``."""
+    _fft2c_into(out, x, work)
+    np.multiply(out, m3, out=out)
+    return np.subtract(out, ym, out=out)
+
+
+def _sparse_step(arr, tau, kind, z, pair):
+    """Replace ``arr`` by ``D^H soft(D arr, tau)``; ``z`` keeps the thresholded coefficients."""
+    _soft_into(_transform_fwd_into(z, arr, kind), tau, *pair)
+    return _transform_adj_into(arr, z, kind)
 
 
 def _validate_lr_config(cfg: SolverConfig, nt: int):
@@ -208,7 +226,7 @@ def objective_slr(
         )
     cfg.validate()
     m3 = y.mask.entries[None, :, :].astype(np.float64)
-    resid = _fft2c_arr(x.data) * m3 - y.data * m3
+    resid = _masked_residual(_new_volume(x.data), x.data, m3, y.data * m3, _new_volume(x.data))
     fid = 0.5 * _norm2(resid)
     sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
     nuclear = cfg.lambda2 * _nuclear_arr(t.data)
@@ -309,27 +327,40 @@ def solve_slr(
     m3, ym, x = _zero_filled(y)
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
+    # r holds the gradient step, then the new x; work is scratch for every step.
+    resid, r, work = (_new_volume(x) for _ in range(3))
+    pair = np.empty((2,) + x.shape)
     tau = cfg.lambda1 * cfg.eta2
-    resid = _fft2c_arr(x) * m3 - ym
+    _masked_residual(resid, x, m3, ym, work)
     trace = []
     with _trace_on_failure(trace):
         for n in range(1, cfg.iterations + 1):
-            prev = x
-            r = x - cfg.eta2 * (_ifft2c_arr(resid) + cfg.rho * (x + beta - t))
+            # r = x - eta2 * (A^H resid + rho * (x + beta - t))
+            _ifft2c_into(resid, resid, work)
+            np.add(x, beta, out=r)
+            np.subtract(r, t, out=r)
+            np.multiply(r, cfg.rho, out=r)
+            np.add(resid, r, out=r)
+            np.multiply(r, cfg.eta2, out=r)
+            np.subtract(x, r, out=r)
             _check_finite(r, "gradient", n)
-            z = _soft_arr(_transform_fwd_arr(r, kind), tau)
-            x = _transform_adj_arr(z, kind)
-            _check_finite(x, "sparse", n)
-            sparse = cfg.lambda1 * float(np.abs(z).sum())
-            rel_change = _rel_change(x, prev)
-            # Free every volume the low-rank step does not need before it allocates.
-            del resid, r, z, prev, t
-            t, s_new = _low_rank_step(x + beta if cfg.t_step_input == "x_plus_beta" else x, cfg, n)
-            beta = beta + cfg.eta1 * (x - t)
+            _sparse_step(r, tau, kind, work, pair)
+            _check_finite(r, "sparse", n)
+            sparse = cfg.lambda1 * float(np.abs(work, out=pair[0]).sum())
+            rel_change = _rel_change(r, x, work, pair)
+            x, r = r, x
+            if cfg.t_step_input == "x_plus_beta":
+                s_new = _low_rank_step(np.add(x, beta, out=r), cfg, n, t, work)
+            else:
+                s_new = _low_rank_step(x, cfg, n, t, work)
+            # beta += eta1 * (x - t)
+            np.multiply(np.subtract(x, t, out=r), cfg.eta1, out=r)
+            np.add(beta, r, out=beta)
             _check_finite(beta, "multiplier", n)
-            resid = _fft2c_arr(x) * m3 - ym
+            _masked_residual(resid, x, m3, ym, work)
             terms, gap2 = _lagrangian(
-                0.5 * _norm2(resid), sparse, cfg.lambda2 * float(s_new.sum()), x, t, beta, cfg.rho
+                0.5 * _norm2(resid, pair), sparse, cfg.lambda2 * float(s_new.sum()),
+                x, t, beta, cfg.rho, r, pair,
             )
             objective = _check_finite_scalar(terms.total, "objective", n)
             trace.append(
@@ -345,6 +376,7 @@ def solve_slr(
             )
             if callback is not None:
                 callback(n, DynamicImage(x), t=DynamicImage(t), beta=DynamicImage(beta))
+    del resid, r, work, pair  # freed before the report copies x
     return _finish(x, trace, started, cfg, reference)
 
 
@@ -374,41 +406,47 @@ def _solve_ista(y, cfg, placement, reference, callback):
     kind = cfg.transform
     m3, ym, x = _zero_filled(y)
     sampled = y.mask.entries.astype(bool)
+    acq_sampled = y.data[:, sampled]
+    # r holds the gradient step, then the new x; the low-rank step writes into
+    # resid, which is free until the residual of the new x, and swaps it with r.
+    resid, r, work = (_new_volume(x) for _ in range(3))
+    pair = np.empty((2,) + x.shape)
     tau = cfg.lambda1 * cfg.eta2
-    resid = _fft2c_arr(x) * m3 - ym
+    _masked_residual(resid, x, m3, ym, work)
     trace = []
     with _trace_on_failure(trace):
         for n in range(1, cfg.iterations + 1):
-            prev = x
-            r = x - cfg.eta2 * _ifft2c_arr(resid)
-            # Free volumes as soon as they are used, before the low-rank step allocates.
-            del resid
+            _ifft2c_into(r, resid, work)
+            np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
             _check_finite(r, "gradient", n)
             if placement == "L1":
-                r = _low_rank_step(r, cfg, n)[0]
-            x = _transform_adj_arr(_soft_arr(_transform_fwd_arr(r, kind), tau), kind)
-            _check_finite(x, "sparse", n)
-            del r
+                _low_rank_step(r, cfg, n, resid, work)
+                r, resid = resid, r
+            _sparse_step(r, tau, kind, work, pair)
+            _check_finite(r, "sparse", n)
             if placement == "L2":
-                x = _low_rank_step(x, cfg, n)[0]
-            x = _dc_arr(x, y.data, sampled, cfg.dc_mode, cfg.dc_nu)
-            _check_finite(x, "data-consistency", n)
+                _low_rank_step(r, cfg, n, resid, work)
+                r, resid = resid, r
+            _dc_into(r, r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, work)
+            _check_finite(r, "data-consistency", n)
             if placement is None:
                 nuclear = 0.0
             elif placement == "L3":
-                x, s_new = _low_rank_step(x, cfg, n)
-                nuclear = cfg.lambda2 * float(s_new.sum())
+                nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, work).sum())
+                r, resid = resid, r
             else:
-                nuclear = cfg.lambda2 * _nuclear_arr(x)
-            resid = _fft2c_arr(x) * m3 - ym
-            fid = 0.5 * _norm2(resid)
-            sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x, kind)).sum())
+                nuclear = cfg.lambda2 * _nuclear_arr(r)
+            _masked_residual(resid, r, m3, ym, work)
+            fid = 0.5 * _norm2(resid, pair)
+            coeffs = _transform_fwd_into(work, r, kind)
+            sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
             objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
-            trace.append(
-                IterationRecord(n, objective, fid, sparse, nuclear, _rel_change(x, prev))
-            )
+            rel_change = _rel_change(r, x, work, pair)
+            x, r = r, x
+            trace.append(IterationRecord(n, objective, fid, sparse, nuclear, rel_change))
             if callback is not None:
                 callback(n, DynamicImage(x))
+    del resid, r, work, pair  # freed before the report copies x
     return _finish(x, trace, started, cfg, reference)
 
 

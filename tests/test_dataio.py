@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,16 @@ class TestCorruptFiles:
         (tmp_path / "v.hdr").write_bytes(b"DYNLR1\ndims 4 4 4\xff\ndtype c64le\n")
         with pytest.raises(FormatError):
             read_cplx(base)
+
+
+    def test_volume_beyond_complex64_is_rejected_before_writing(self, tmp_path):
+        data = np.ones((2, 3, 2), dtype=complex)
+        data[1, 2, 1] = 1e39 - 2j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="complex64"):
+                write_cplx(str(tmp_path / "v"), DynamicImage(data))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMaskIo:

@@ -47,6 +47,18 @@ class TestFFT:
         assert rel_err(ifft2c(fft2c(img)).data, img.data) < 1e-10
         assert rel_err(fft2c(ifft2c(img)).data, img.data) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(8, 6, 2), (7, 5, 3), (1, 4, 2), (3, 1, 1)])
+    def test_same_bits_as_numpy_shifted_fft(self, rng, shape):
+        # The shifts are block copies into a scratch volume; they must be the
+        # exact permutations np.fft.fftshift/ifftshift make, odd sizes included.
+        img = rand_image(rng, shape)
+        axes = (0, 1)
+        shifted = np.fft.ifftshift(img.data, axes=axes)
+        fwd = np.fft.fftshift(np.fft.fft2(shifted, axes=axes, norm="ortho"), axes=axes)
+        inv = np.fft.fftshift(np.fft.ifft2(shifted, axes=axes, norm="ortho"), axes=axes)
+        assert np.array_equal(fft2c(img).data, fwd)
+        assert np.array_equal(ifft2c(img).data, inv)
+
     def test_frames_transform_independently(self, rng):
         img = rand_image(rng, (8, 8, 3))
         k = fft2c(img)

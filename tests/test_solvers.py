@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,11 +20,14 @@ from dynlr import (
     SolverConfig,
     SparseTransform,
     casorati_rank,
+    data_consistency,
     default_config,
     encode,
     encode_adjoint,
     ifft2c,
     fft2c,
+    ist_svt,
+    learned_svt,
     make_phantom,
     make_vd_mask,
     nuclear_norm,
@@ -32,7 +36,9 @@ from dynlr import (
     run_solver,
     solve_ista_lr,
     solve_ista_sparse,
+    soft_threshold,
     solve_slr,
+    transform_adjoint,
     transform_forward,
     tune_hyperparams,
 )
@@ -515,3 +521,133 @@ class TestTuner:
         _, y = small_problem()
         with pytest.raises(Exception):
             tune_hyperparams(y, rand_image(rng, (8, 8, 2)), {"lambda1": [0.1]}, "ista")
+
+
+def norm2(arr):
+    return np.sum(arr.real**2 + arr.imag**2)
+
+
+def oracle_iteration(solver, y, cfg, x, t=None, beta=None):
+    """The iteration after state ``(x, t, beta)``, one public operator per step.
+
+    The steps follow the order the solvers document.  Returns the next state
+    and the trace terms that public functions recompute exactly: all but the
+    nuclear term of a low-rank step, which comes from its Gram eigenvalues.
+    """
+    transform = SparseTransform(cfg.transform)
+    placement = cfg.placement if solver == "ista-lr" else None
+
+    def low_rank(v):
+        if cfg.lr_mode == "hard":
+            return learned_svt(v, cfg.rank_k)
+        return ist_svt(v, cfg.lambda2, cfg.rho, cfg.p)
+
+    grad = encode_adjoint(KSpaceData(encode(x, y.mask).data - y.data, y.mask)).data
+    if solver == "slr":
+        grad = grad + cfg.rho * (x.data + beta.data - t.data)
+    r = DynamicImage(x.data - cfg.eta2 * grad)
+    if placement == "L1":
+        r = low_rank(r)
+    z = soft_threshold(transform_forward(r, transform), cfg.lambda1 * cfg.eta2)
+    x_new = transform_adjoint(z, transform)
+    terms = {}
+    if solver == "slr":
+        v = x_new.data + beta.data if cfg.t_step_input == "x_plus_beta" else x_new.data
+        t_new = low_rank(DynamicImage(v))
+        beta_new = DynamicImage(beta.data + cfg.eta1 * (x_new.data - t_new.data))
+        state = (x_new, t_new, beta_new)
+        terms["split_gap"] = np.sqrt(norm2(x_new.data - t_new.data))
+    else:
+        if placement == "L2":
+            x_new = low_rank(x_new)
+        x_new = data_consistency(x_new, y, cfg.dc_mode, cfg.dc_nu)
+        if placement == "L3":
+            x_new = low_rank(x_new)
+        state = (x_new,)
+        z = transform_forward(x_new, transform)
+        if placement in (None, "L1", "L2"):
+            terms["nuclear_term"] = 0.0 if placement is None else cfg.lambda2 * nuclear_norm(x_new)
+    resid = encode(x_new, y.mask).data - y.data * y.mask.entries[None, :, :]
+    terms["data_fidelity"] = 0.5 * norm2(resid)
+    terms["sparse_term"] = cfg.lambda1 * float(np.abs(z.data).sum())
+    terms["rel_change"] = np.sqrt(norm2(x_new.data - x.data)) / np.sqrt(norm2(x.data))
+    return state, terms
+
+
+_ORACLE_RUNS = [
+    ("ista", {}),
+    ("ista", {"transform": "temporal_haar", "dc_mode": "weighted", "dc_nu": 4.0}),
+    ("slr", {"lr_mode": "hard"}),
+    ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}),
+    ("slr", {"lr_mode": "hard", "t_step_input": "x"}),
+] + [
+    ("ista-lr", {"placement": placement, "lr_mode": "hard"}) for placement in ("L1", "L2", "L3")
+] + [
+    ("ista-lr", {"placement": placement, "lr_mode": "soft", "dc_mode": "weighted", "dc_nu": 4.0})
+    for placement in ("L1", "L2", "L3")
+]
+
+
+class TestIterationOracle:
+    """Each iteration equals its recomputation through the public operators, bit for bit.
+
+    The loops write into a fixed set of buffers; the public operators
+    allocate their results.  Both must give the same images and trace terms.
+    """
+
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
+    @pytest.mark.parametrize(
+        "solver, overrides", _ORACLE_RUNS,
+        ids=["-".join([s, *map(str, kw.values())]) for s, kw in _ORACLE_RUNS],
+    )
+    def test_next_iterate_bitwise(self, shape, solver, overrides):
+        nx, ny, nt = shape
+        img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        y = encode(img, make_vd_mask(ny, nt, 4.0, seed=13))
+        cfg = default_config(y, rank_k=2, iterations=4, **overrides)
+        zero = DynamicImage(np.zeros(shape, dtype=complex))
+        states = [(encode_adjoint(y), zero, zero) if solver == "slr" else (encode_adjoint(y),)]
+        report = run_solver(
+            solver, y, cfg, callback=lambda n, x, **tb: states.append((x, *tb.values()))
+        )
+        assert len(states) == len(report.trace) + 1 == 5
+        for before, after, record in zip(states, states[1:], report.trace):
+            expected, terms = oracle_iteration(solver, y, cfg, *before)
+            for ours, oracle in zip(after, expected, strict=True):
+                assert np.array_equal(ours.data, oracle.data)
+            assert {name: getattr(record, name) for name in terms} == terms
+
+
+class TestLoopMemory:
+    """The loops reuse one set of volumes instead of allocating new ones per step.
+
+    The bounds are the tracemalloc peaks, in volumes of the k-space, that
+    the loops had while every step allocated its result: 7.02 for the
+    sparse loop and 10.01 for ``slr``.  The buffered loops peak near 6.3-6.5
+    and 8.1.
+    """
+
+    @pytest.mark.parametrize(
+        "solver, overrides, bound",
+        [
+            ("ista", {}, 7.1),
+            ("ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
+                         "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
+            ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
+                         "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
+            ("slr", {"lr_mode": "hard"}, 10.1),
+            ("slr", {"lr_mode": "soft"}, 10.1),
+        ],
+    )
+    def test_peak_traced_memory_in_volumes(self, solver, overrides, bound):
+        img = make_phantom(64, 64, 16, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        y = encode(img, make_vd_mask(64, 16, 8.0, seed=13))
+        cfg = default_config(y, rank_k=2, iterations=5, **overrides)
+        run_solver(solver, y, cfg)  # fills the caches, such as the Haar matrix
+        tracemalloc.start()
+        try:
+            run_solver(solver, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / y.data.nbytes <= bound
