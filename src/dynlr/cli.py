@@ -27,7 +27,7 @@ from .core import (
     SolverConfig,
 )
 from .dataio import read_cplx, read_mask, write_cplx, write_mask
-from .metrics import fits_ssim_window, mse, mse_per_element, psnr, ssim
+from .metrics import fits_ssim_window, mse, psnr, ssim
 from .operators import encode
 from .sim import DEFAULT_SIGMA_FRAC, PHANTOM_KINDS, make_phantom, make_vd_mask
 from .solvers import SOLVER_NAMES, default_config, run_solver, tune_hyperparams
@@ -165,12 +165,10 @@ def _build_config(args, y: KSpaceData) -> SolverConfig:
     return default_config(y, **overrides)
 
 
-def _metric_lines(ref, rec, as_json):
-    """Metric report; SSIM is null (``n/a``) for frames smaller than its window."""
-    raw = mse(ref, rec)
-    scaled = mse_per_element(ref, rec) * 1e5
-    p = psnr(ref, rec)
-    s = ssim(ref, rec) if fits_ssim_window(ref) else None
+def _metric_lines(scores, size, as_json):
+    """Report of ``ReconReport.metrics``-style scores of ``size`` elements; no ssim is null (n/a)."""
+    raw, p, s = scores["mse"], scores["psnr"], scores.get("ssim")
+    scaled = raw / size * 1e5
     if as_json:
         payload = {
             "mse": raw,
@@ -249,7 +247,7 @@ def cmd_recon(args):
     if args.trace:
         _write_trace(args.trace, report.trace)
     if reference is not None:
-        for line in _metric_lines(reference, report.image, as_json=False):
+        for line in _metric_lines(report.metrics, reference.data.size, as_json=False):
             print(line)
     return EXIT_OK
 
@@ -257,7 +255,10 @@ def cmd_recon(args):
 def cmd_eval(args):
     ref = read_cplx(args.ref)
     rec = read_cplx(args.rec)
-    for line in _metric_lines(ref, rec, as_json=args.json):
+    scores = {"mse": mse(ref, rec), "psnr": psnr(ref, rec)}
+    if fits_ssim_window(ref):
+        scores["ssim"] = ssim(ref, rec)
+    for line in _metric_lines(scores, ref.data.size, as_json=args.json):
         print(line)
     return EXIT_OK
 

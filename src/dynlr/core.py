@@ -213,7 +213,8 @@ class SolverConfig:
     lambda2 : float
         Weight of the low-rank (nuclear norm) regularizer, >= 0.
     rho : float
-        Penalty parameter coupling the image to its low-rank surrogate, >= 0.
+        Penalty parameter coupling the image to its low-rank surrogate, >= 0
+        (> 0 in soft mode, checked by :meth:`validate_for`).
     eta1 : float
         Multiplier update rate, >= 0.
     eta2 : float
@@ -221,7 +222,7 @@ class SolverConfig:
         here the operator norm is 1, so values near 1 are stable.
     rank_k : int
         Number of singular values retained by the hard-rank thresholding
-        step, 1 <= rank_k <= nt.
+        step, >= 1 (and <= nt in hard mode, checked by :meth:`validate_for`).
     p : float
         Exponent of the singular-value shrinkage rule in soft mode, in
         (0, 1].  p = 1 gives the classical constant-threshold shrinkage.
@@ -296,14 +297,19 @@ class SolverConfig:
         return self
 
     def validate_for(self, nt):
-        """Validate, additionally requiring rank_k <= nt for the given data."""
+        """Validate, plus the low-rank rules for ``nt`` frames: rank_k <= nt (hard), rho > 0 (soft)."""
         self.validate()
-        if self.rank_k > nt:
+        if self.lr_mode == "hard" and self.rank_k > nt:
             raise ConfigError(f"rank_k = {self.rank_k} exceeds the number of frames nt = {nt}")
+        if self.lr_mode == "soft" and not self.rho > 0:
+            raise ConfigError("soft low-rank mode requires rho > 0")
         return self
 
     def replaced(self, **changes) -> "SolverConfig":
-        """Return a copy with the given fields changed."""
+        """Return a copy with the given fields changed; ConfigError names unknown fields."""
+        unknown = sorted(set(changes) - set(self.field_names()))
+        if unknown:
+            raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
         return replace(self, **changes)
 
     @classmethod

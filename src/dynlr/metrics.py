@@ -25,6 +25,13 @@ def _check_dims(ref: DynamicImage, rec: DynamicImage):
         raise DimensionError(f"shape mismatch: reference {ref.shape} vs reconstruction {rec.shape}")
 
 
+def _norm2(arr, pair=None) -> float:
+    """``sum(re*re + im*im)`` of ``arr``; ``pair`` holds two real scratch volumes, or is None."""
+    re2, im2 = (None, None) if pair is None else pair
+    re2 = np.multiply(arr.real, arr.real, out=re2)
+    return float(np.add(re2, np.multiply(arr.imag, arr.imag, out=im2), out=re2).sum())
+
+
 def mse(ref: DynamicImage, rec: DynamicImage) -> float:
     """Squared L2 norm of the complex difference, summed over all elements.
 
@@ -32,8 +39,7 @@ def mse(ref: DynamicImage, rec: DynamicImage) -> float:
     count; see :func:`mse_per_element` for the per-element convention.
     """
     _check_dims(ref, rec)
-    diff = ref.data - rec.data
-    return float(np.sum(diff.real**2 + diff.imag**2))
+    return _norm2(ref.data - rec.data)
 
 
 def mse_per_element(ref: DynamicImage, rec: DynamicImage) -> float:

@@ -17,6 +17,7 @@ from .core import (
     DynamicImage,
     KSpaceData,
     SamplingMask,
+    SolverConfig,
     _new_volume,
 )
 
@@ -107,18 +108,13 @@ def _dc_into(out, pred_arr, acq_sampled, sampled, mode, nu, work):
 
     ``sampled`` is a (ny, nt) bool mask and ``acq_sampled`` is
     ``acq[:, sampled]`` of the acquired k-space; ``work`` is a scratch volume.
+    ``mode`` and ``nu`` must have passed :meth:`SolverConfig.validate`.
     """
     k = _fft2c_into(out, pred_arr, work)
     if mode == "replace":
         k[:, sampled] = acq_sampled
-    elif mode == "weighted":
-        if nu is None:
-            raise ConfigError("weighted data consistency requires nu")
-        if not nu >= 0:
-            raise ConfigError(f"nu must be >= 0, got {nu}")
-        k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
     else:
-        raise ConfigError(f"unknown data-consistency mode {mode!r}")
+        k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
     return _ifft2c_into(out, k, work)
 
 
@@ -133,14 +129,18 @@ def data_consistency(
     Unsampled k-space coefficients keep the predicted values.  Sampled
     coefficients are overwritten by the acquired values (``mode="replace"``,
     the noiseless default) or blended as ``(pred + nu*acq) / (1 + nu)``
-    (``mode="weighted"``).  ``nu = 0`` leaves the prediction untouched and
-    ``nu -> inf`` approaches replace mode.  The result is returned in image
-    space.
+    (``mode="weighted"``, which requires ``nu``).  ``nu = 0`` leaves the
+    prediction untouched and a large ``nu`` approaches replace mode; ``mode``
+    and ``nu`` (finite, >= 0) take the ranges of ``SolverConfig.dc_mode`` and
+    ``dc_nu``, checked through it.  The result is returned in image space.
     """
     if pred.shape != acquired.shape:
         raise DimensionError(
             f"prediction shape {pred.shape} does not match acquired shape {acquired.shape}"
         )
+    if mode == "weighted" and nu is None:
+        raise ConfigError("weighted data consistency requires nu")
+    SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
     sampled = acquired.mask.entries.astype(bool)
     x = pred.data
     acq_sampled = acquired.data[:, sampled]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DynamicImage, TRANSFORM_KINDS, _new_volume
+from .core import ConfigError, DynamicImage, SolverConfig, _new_volume
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -38,8 +38,7 @@ class SparseTransform:
     kind: str = "temporal_fourier"
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ConfigError(f"transform kind must be one of {TRANSFORM_KINDS}, got {self.kind!r}")
+        SolverConfig(transform=self.kind).validate()
 
 
 def _require_power_of_two(nt):
@@ -215,25 +214,21 @@ def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> Dyna
     proximal operator of ``(lambda2/rho) * ||.||_*``.  It is computed from
     the Gram matrix of the Casorati matrix (see the module docstring);
     directions whose Gram eigenvalue rounds to zero or below are dropped.
+    The ranges are the soft-mode :class:`SolverConfig`'s, checked through it.
 
     Parameters
     ----------
     x : DynamicImage
         Input volume.
     lambda2 : float
-        Low-rank weight, >= 0.  Zero returns the input unchanged up to
-        floating-point reconstruction error.
+        Low-rank weight, finite and >= 0.  Zero returns the input unchanged
+        up to floating-point reconstruction error.
     rho : float
-        Penalty parameter, > 0.
+        Penalty parameter, finite and > 0.
     p : float
         Shrinkage exponent in (0, 1].
     """
-    if not lambda2 >= 0:
-        raise ConfigError(f"lambda2 must be >= 0, got {lambda2}")
-    if not rho > 0:
-        raise ConfigError(f"rho must be > 0, got {rho}")
-    if not (0 < p <= 1):
-        raise ConfigError(f"p must lie in (0, 1], got {p}")
+    SolverConfig(lambda2=lambda2, rho=rho, p=p, lr_mode="soft").validate_for(x.nt)
     return DynamicImage(_svt_soft_arr(x.data, lambda2, rho, p)[0])
 
 
@@ -244,10 +239,10 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
     are set to zero, so the output has Casorati rank at most ``k``.  The
     operation is idempotent for a fixed ``k``.  The output is the Casorati
     matrix projected onto the top-``k`` eigenvectors of its Gram matrix (see
-    the module docstring).
+    the module docstring).  ``k`` takes the hard-mode range of
+    ``SolverConfig.rank_k``, ``[1, nt]``, checked through it.
     """
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= x.nt):
-        raise ConfigError(f"k must be an integer in [1, nt={x.nt}], got {k}")
+    SolverConfig(rank_k=k).validate_for(x.nt)
     return DynamicImage(_svt_hard_arr(x.data, int(k))[0])
 
 
@@ -263,8 +258,11 @@ def nuclear_norm(x: DynamicImage) -> float:
 def casorati_rank(x: DynamicImage, rel_tol: float = 1e-12) -> int:
     """Numerical rank of the Casorati matrix.
 
-    Singular values below ``rel_tol`` times the largest one count as zero.
+    Singular values at or below ``rel_tol`` times the largest one count as
+    zero; ``rel_tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     s = np.linalg.svd(_casorati(x.data), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0

@@ -37,7 +37,7 @@ from .core import (
     SolverConfig,
     _new_volume,
 )
-from .metrics import fits_ssim_window, mse, psnr, ssim
+from .metrics import _norm2, fits_ssim_window, mse, psnr, ssim
 from .operators import _dc_into, _fft2c_into, _ifft2c_arr, _ifft2c_into
 from .prox import (
     _nuclear_arr,
@@ -102,13 +102,6 @@ class ObjectiveBreakdown:
     nuclear_term: float
     multiplier_term: float
     penalty_term: float
-
-
-def _norm2(arr, pair=None) -> float:
-    """``sum(re*re + im*im)`` of ``arr``; ``pair`` holds two real scratch volumes, or is None."""
-    re2, im2 = (None, None) if pair is None else pair
-    re2 = np.multiply(arr.real, arr.real, out=re2)
-    return float(np.add(re2, np.multiply(arr.imag, arr.imag, out=im2), out=re2).sum())
 
 
 def _check_finite(arr, step, iteration):
@@ -196,15 +189,6 @@ def _sparse_step(arr, tau, kind, z, pair):
     """Replace ``arr`` by ``D^H soft(D arr, tau)``; ``z`` keeps the thresholded coefficients."""
     _soft_into(_transform_fwd_into(z, arr, kind), tau, *pair)
     return _transform_adj_into(arr, z, kind)
-
-
-def _validate_lr_config(cfg: SolverConfig, nt: int):
-    if cfg.lr_mode == "hard":
-        cfg.validate_for(nt)
-    else:
-        cfg.validate()
-        if not cfg.rho > 0:
-            raise ConfigError("soft low-rank mode requires rho > 0")
 
 
 def objective_slr(
@@ -320,7 +304,7 @@ def solve_slr(
     Returns the final sparse-step iterate ``x``.  A callback, if given, is
     invoked as ``callback(n, x, t=..., beta=...)`` after each iteration.
     """
-    _validate_lr_config(cfg, y.shape[2])
+    cfg.validate_for(y.shape[2])
     _check_reference(reference, y)
     started = time.perf_counter()
     kind = cfg.transform
@@ -395,7 +379,7 @@ def solve_ista_lr(
     Placing it after data consistency perturbs the sampled k-space
     coefficients again, so only L1/L2 leave the output exactly consistent.
     """
-    _validate_lr_config(cfg, y.shape[2])
+    cfg.validate_for(y.shape[2])
     return _solve_ista(y, cfg, cfg.placement, reference, callback)
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -359,3 +360,15 @@ class TestSvtProperties:
         learned_svt(x, 2)
         ist_svt(x, 0.1 * scale, 1.0, 1.0)
         assert len(calls) == (0 if scale == 1.0 else 2)
+
+
+class TestCasoratiRank:
+    def test_counts_rank_of_a_rank1_volume(self, rng):
+        x, _, _ = rank1_image(rng, (5, 3, 4))
+        assert casorati_rank(x) == 1
+        assert casorati_rank(x, rel_tol=0.0) >= 1
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_non_finite_or_negative_tolerance(self, rng, rel_tol):
+        with pytest.raises(ConfigError, match="rel_tol"):
+            casorati_rank(rand_image(rng, (5, 3, 4)), rel_tol=rel_tol)
