@@ -59,6 +59,11 @@ def _as_locked_complex(data, ndim, name):
     return arr
 
 
+def _is_count(value):
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _new_volume(like):
     """A new C-contiguous complex array of the shape of ``like``, for kernels that write with ``out=``."""
     return np.empty(like.shape, dtype=np.complex128)
@@ -276,11 +281,11 @@ class SolverConfig:
             raise ConfigError(f"eta1 must be >= 0, got {self.eta1}")
         if not (math.isfinite(self.eta2) and self.eta2 > 0):
             raise ConfigError(f"eta2 must be > 0, got {self.eta2}")
-        if not (isinstance(self.rank_k, (int, np.integer)) and self.rank_k >= 1):
+        if not (_is_count(self.rank_k) and self.rank_k >= 1):
             raise ConfigError(f"rank_k must be a positive integer, got {self.rank_k}")
         if not (0 < self.p <= 1):
             raise ConfigError(f"p must lie in (0, 1], got {self.p}")
-        if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):
+        if not (_is_count(self.iterations) and self.iterations >= 1):
             raise ConfigError(f"iterations must be a positive integer, got {self.iterations}")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")

@@ -39,30 +39,25 @@ def _roll_into(out, arr, inverse=False):
     return out
 
 
-def _fft2c_into(out, arr, work):
+def _fft2c_arr(arr, out=None, work=None):
     """Centered unitary FFT of ``arr`` into ``out`` through the scratch volume ``work``.
 
-    ``out`` may be ``arr``; ``work`` must be a third C-contiguous volume.
+    ``out`` may be ``arr``; ``work`` must be a C-contiguous volume other than
+    both.  None allocates a new volume.
     """
+    work = _new_volume(arr) if work is None else work
     _roll_into(work, arr, inverse=True)
     np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(out, work)
+    return _roll_into(_new_volume(arr) if out is None else out, work)
 
 
-def _ifft2c_into(out, arr, work):
-    """Exact inverse of :func:`_fft2c_into`, with the same buffer rules."""
+def _ifft2c_arr(arr, out=None, work=None):
+    """Exact inverse of :func:`_fft2c_arr`, with the same buffer rules."""
+    work = _new_volume(arr) if work is None else work
     _roll_into(work, arr, inverse=True)
     # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it.
     np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(out, work)
-
-
-def _fft2c_arr(arr):
-    return _fft2c_into(_new_volume(arr), arr, _new_volume(arr))
-
-
-def _ifft2c_arr(arr):
-    return _ifft2c_into(_new_volume(arr), arr, _new_volume(arr))
+    return _roll_into(_new_volume(arr) if out is None else out, work)
 
 
 def fft2c(img: DynamicImage) -> DynamicImage:
@@ -103,19 +98,21 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     return DynamicImage(_ifft2c_arr(masked))
 
 
-def _dc_into(out, pred_arr, acq_sampled, sampled, mode, nu, work):
+def _dc_arr(pred_arr, acq_sampled, sampled, mode, nu, out=None, work=None):
     """Data consistency of ``pred_arr`` into ``out`` (which may be ``pred_arr``).
 
     ``sampled`` is a (ny, nt) bool mask and ``acq_sampled`` is
     ``acq[:, sampled]`` of the acquired k-space; ``work`` is a scratch volume.
-    ``mode`` and ``nu`` must have passed :meth:`SolverConfig.validate`.
+    None allocates a new volume.  ``mode`` and ``nu`` must have passed
+    :meth:`SolverConfig.validate`.
     """
-    k = _fft2c_into(out, pred_arr, work)
+    work = _new_volume(pred_arr) if work is None else work
+    k = _fft2c_arr(pred_arr, out, work)
     if mode == "replace":
         k[:, sampled] = acq_sampled
     else:
         k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
-    return _ifft2c_into(out, k, work)
+    return _ifft2c_arr(k, k, work)
 
 
 def data_consistency(
@@ -142,6 +139,4 @@ def data_consistency(
         raise ConfigError("weighted data consistency requires nu")
     SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
     sampled = acquired.mask.entries.astype(bool)
-    x = pred.data
-    acq_sampled = acquired.data[:, sampled]
-    return DynamicImage(_dc_into(_new_volume(x), x, acq_sampled, sampled, mode, nu, _new_volume(x)))
+    return DynamicImage(_dc_arr(pred.data, acquired.data[:, sampled], sampled, mode, nu))

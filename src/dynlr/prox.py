@@ -72,28 +72,25 @@ def _haar_matrix(nt):
     return h
 
 
-def _transform_fwd_into(out, arr, kind):
-    """The forward transform of ``arr`` into ``out``, a C-contiguous volume other than ``arr``."""
+def _transform_fwd_arr(arr, kind, out=None):
+    """The forward transform of ``arr`` into ``out``, a C-contiguous volume other than ``arr``.
+
+    None allocates a new volume.
+    """
+    out = _new_volume(arr) if out is None else out
     if kind == "temporal_fourier":
         return np.fft.fft(arr, axis=2, norm="ortho", out=out)
     np.matmul(_casorati(arr), _haar_matrix(arr.shape[2]).T, out=_casorati(out))
     return out
 
 
-def _transform_adj_into(out, arr, kind):
-    """The adjoint transform of ``arr`` into ``out``, as :func:`_transform_fwd_into`."""
+def _transform_adj_arr(arr, kind, out=None):
+    """The adjoint transform of ``arr`` into ``out``, as :func:`_transform_fwd_arr`."""
+    out = _new_volume(arr) if out is None else out
     if kind == "temporal_fourier":
         return np.fft.ifft(arr, axis=2, norm="ortho", out=out)
     np.matmul(_casorati(arr), _haar_matrix(arr.shape[2]), out=_casorati(out))
     return out
-
-
-def _transform_fwd_arr(arr, kind):
-    return _transform_fwd_into(_new_volume(arr), arr, kind)
-
-
-def _transform_adj_arr(arr, kind):
-    return _transform_adj_into(_new_volume(arr), arr, kind)
 
 
 def transform_forward(x: DynamicImage, d: SparseTransform) -> DynamicImage:
@@ -106,17 +103,17 @@ def transform_adjoint(z: DynamicImage, d: SparseTransform) -> DynamicImage:
     return DynamicImage(_transform_adj_arr(z.data, d.kind))
 
 
-def _soft_into(arr, tau, mag, scale):
-    """Soft-threshold ``arr`` in place; ``mag`` and ``scale`` are real scratch volumes."""
+def _soft_arr(arr, tau, out=None, pair=None):
+    """Soft-threshold ``arr`` into ``out``, which may be ``arr``.
+
+    ``pair`` holds two real scratch volumes.  None allocates new arrays.
+    """
+    mag, scale = np.empty((2,) + arr.shape) if pair is None else pair
     np.abs(arr, out=mag)
     np.maximum(np.subtract(mag, tau, out=scale), 0.0, out=scale)
     # Where mag is 0 (or NaN) scale is left as it is, the same bits as dividing by 1.
     np.divide(scale, mag, out=scale, where=mag > 0)
-    return np.multiply(arr, scale, out=arr)
-
-
-def _soft_arr(arr, tau):
-    return _soft_into(arr.copy(order="K"), tau, *np.empty((2,) + arr.shape))
+    return np.multiply(arr, scale, out=out)
 
 
 def soft_threshold(z: DynamicImage, tau: float) -> DynamicImage:
@@ -140,13 +137,29 @@ def _casorati_svd(arr3d):
     return np.linalg.svd(_casorati(arr3d), full_matrices=False)
 
 
-def _svt_arr(arr3d, shrink, out=None, work=None):
-    """Replace the Casorati singular values by ``shrink(sigma)``.
+def _shrink(sigma, cfg):
+    """The low-rank rule of ``cfg`` applied to the descending singular values ``sigma``.
 
-    Returns the volume and ``shrink(sigma)``, with ``sigma`` in descending
-    order.  The matrix is tall and skinny, so the SVT is computed from its
-    ``nt x nt`` Gram matrix ``G = M^H M = V diag(sigma**2) V^H`` as
-    ``M V diag(g) V^H``, with gain ``g = shrink(sigma) / sigma`` (0 where
+    Hard mode keeps the top ``rank_k`` values and zeroes the rest; soft mode
+    replaces each by ``max(sigma - (lambda2/rho) * sigma**(p-1), 0)`` (0 at 0).
+    """
+    if cfg.lr_mode == "hard":
+        s_new = sigma.copy()
+        s_new[cfg.rank_k:] = 0.0
+        return s_new
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrunk = np.where(sigma > 0, sigma - (cfg.lambda2 / cfg.rho) * sigma ** (cfg.p - 1.0), 0.0)
+    return np.maximum(shrunk, 0.0)
+
+
+def _svt_arr(arr3d, cfg, out=None, work=None):
+    """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
+
+    ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
+    Returns the volume and the new singular values, in the descending order
+    of ``sigma``.  The matrix is tall and skinny, so the SVT is computed from
+    its ``nt x nt`` Gram matrix ``G = M^H M = V diag(sigma**2) V^H`` as
+    ``M V diag(g) V^H``, with gain ``g = _shrink(sigma) / sigma`` (0 where
     sigma is 0), where ``M`` is :func:`_casorati` of the volume.  Unlike the
     LAPACK SVD, this route gives the same bits at 1 and 2 BLAS threads.
 
@@ -172,36 +185,14 @@ def _svt_arr(arr3d, shrink, out=None, work=None):
         w, v = np.linalg.eigh(gram)
         sigma = np.sqrt(np.maximum(w[::-1], 0.0))
         v = v[:, ::-1]
-        s_new = shrink(sigma)
+        s_new = _shrink(sigma, cfg)
         gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
         np.matmul(m, (v * gain) @ v.conj().T, out=_casorati(out))
         return out, s_new
     u, s, vh = _casorati_svd(arr3d)
-    s_new = shrink(s)
+    s_new = _shrink(s, cfg)
     np.matmul(u * s_new, vh, out=_casorati(out))
     return out, s_new
-
-
-def _svt_soft_arr(arr3d, lambda2, rho, p, out=None, work=None):
-    """Soft SVT; returns the volume and its thresholded singular values."""
-
-    def shrink(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrunk = np.where(s > 0, s - (lambda2 / rho) * s ** (p - 1.0), 0.0)
-        return np.maximum(shrunk, 0.0)
-
-    return _svt_arr(arr3d, shrink, out, work)
-
-
-def _svt_hard_arr(arr3d, k, out=None, work=None):
-    """Hard-rank SVT; returns the volume and its kept singular values."""
-
-    def truncate(s):
-        s_new = s.copy()
-        s_new[k:] = 0.0
-        return s_new
-
-    return _svt_arr(arr3d, truncate, out, work)
 
 
 def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> DynamicImage:
@@ -228,8 +219,8 @@ def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> Dyna
     p : float
         Shrinkage exponent in (0, 1].
     """
-    SolverConfig(lambda2=lambda2, rho=rho, p=p, lr_mode="soft").validate_for(x.nt)
-    return DynamicImage(_svt_soft_arr(x.data, lambda2, rho, p)[0])
+    cfg = SolverConfig(lambda2=lambda2, rho=rho, p=p, lr_mode="soft").validate_for(x.nt)
+    return DynamicImage(_svt_arr(x.data, cfg)[0])
 
 
 def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
@@ -242,8 +233,7 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
     the module docstring).  ``k`` takes the hard-mode range of
     ``SolverConfig.rank_k``, ``[1, nt]``, checked through it.
     """
-    SolverConfig(rank_k=k).validate_for(x.nt)
-    return DynamicImage(_svt_hard_arr(x.data, int(k))[0])
+    return DynamicImage(_svt_arr(x.data, SolverConfig(rank_k=k).validate_for(x.nt))[0])
 
 
 def _nuclear_arr(arr3d):

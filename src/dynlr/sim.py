@@ -22,8 +22,11 @@ def central_lines(ny: int, count: int = 4) -> np.ndarray:
 
     The DC line of the centered k-space sits at index ``ny//2``; the central
     block extends symmetrically with the extra line on the low side when
-    ``count`` is even.
+    ``count`` is even.  ``count`` must lie in ``[0, ny]``, so every index
+    lies in ``[0, ny)``.
     """
+    if not 0 <= count <= ny:
+        raise ConfigError(f"count must lie in [0, ny = {ny}], got {count}")
     start = ny // 2 - count // 2
     return np.arange(start, start + count)
 

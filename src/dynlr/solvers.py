@@ -38,16 +38,8 @@ from .core import (
     _new_volume,
 )
 from .metrics import _norm2, fits_ssim_window, mse, psnr, ssim
-from .operators import _dc_into, _fft2c_into, _ifft2c_arr, _ifft2c_into
-from .prox import (
-    _nuclear_arr,
-    _soft_into,
-    _svt_hard_arr,
-    _svt_soft_arr,
-    _transform_adj_into,
-    _transform_fwd_arr,
-    _transform_fwd_into,
-)
+from .operators import _dc_arr, _fft2c_arr, _ifft2c_arr
+from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
 
 SOLVER_NAMES = ("ista", "slr", "ista-lr")
 
@@ -156,10 +148,7 @@ def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
 
     Returns the singular values of the output.  ``work`` is scratch.
     """
-    if cfg.lr_mode == "hard":
-        s_new = _svt_hard_arr(arr, cfg.rank_k, out, work)[1]
-    else:
-        s_new = _svt_soft_arr(arr, cfg.lambda2, cfg.rho, cfg.p, out, work)[1]
+    s_new = _svt_arr(arr, cfg, out, work)[1]
     _check_finite(out, "low-rank", n)
     return s_new
 
@@ -180,15 +169,15 @@ def _rel_change(curr, prev, diff, pair):
 
 def _masked_residual(out, x, m3, ym, work):
     """``F x * mask - y * mask`` into ``out``, through the scratch volume ``work``."""
-    _fft2c_into(out, x, work)
+    _fft2c_arr(x, out, work)
     np.multiply(out, m3, out=out)
     return np.subtract(out, ym, out=out)
 
 
 def _sparse_step(arr, tau, kind, z, pair):
     """Replace ``arr`` by ``D^H soft(D arr, tau)``; ``z`` keeps the thresholded coefficients."""
-    _soft_into(_transform_fwd_into(z, arr, kind), tau, *pair)
-    return _transform_adj_into(arr, z, kind)
+    _soft_arr(_transform_fwd_arr(arr, kind, z), tau, z, pair)
+    return _transform_adj_arr(z, kind, arr)
 
 
 def objective_slr(
@@ -226,16 +215,7 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     """
     peak = float(np.abs(_zero_filled(y)[2]).max())
     lam = 1e-3 * peak
-    cfg = SolverConfig(
-        lambda1=lam,
-        lambda2=lam,
-        rho=0.1,
-        eta1=1.0,
-        eta2=1.0,
-        rank_k=min(4, y.shape[2]),
-        p=1.0,
-        iterations=8,
-    )
+    cfg = SolverConfig(lambda1=lam, lambda2=lam, rank_k=min(4, y.shape[2]))
     if overrides:
         cfg = cfg.replaced(**overrides)
     return cfg.validate()
@@ -320,7 +300,7 @@ def solve_slr(
     with _trace_on_failure(trace):
         for n in range(1, cfg.iterations + 1):
             # r = x - eta2 * (A^H resid + rho * (x + beta - t))
-            _ifft2c_into(resid, resid, work)
+            _ifft2c_arr(resid, resid, work)
             np.add(x, beta, out=r)
             np.subtract(r, t, out=r)
             np.multiply(r, cfg.rho, out=r)
@@ -400,7 +380,7 @@ def _solve_ista(y, cfg, placement, reference, callback):
     trace = []
     with _trace_on_failure(trace):
         for n in range(1, cfg.iterations + 1):
-            _ifft2c_into(r, resid, work)
+            _ifft2c_arr(resid, r, work)
             np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
             _check_finite(r, "gradient", n)
             if placement == "L1":
@@ -411,7 +391,7 @@ def _solve_ista(y, cfg, placement, reference, callback):
             if placement == "L2":
                 _low_rank_step(r, cfg, n, resid, work)
                 r, resid = resid, r
-            _dc_into(r, r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, work)
+            _dc_arr(r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work)
             _check_finite(r, "data-consistency", n)
             if placement is None:
                 nuclear = 0.0
@@ -422,7 +402,7 @@ def _solve_ista(y, cfg, placement, reference, callback):
                 nuclear = cfg.lambda2 * _nuclear_arr(r)
             _masked_residual(resid, r, m3, ym, work)
             fid = 0.5 * _norm2(resid, pair)
-            coeffs = _transform_fwd_into(work, r, kind)
+            coeffs = _transform_fwd_arr(r, kind, work)
             sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
             objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
             rel_change = _rel_change(r, x, work, pair)

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,3 +80,13 @@ def rel_err(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def _children_import_this_checkout(monkeypatch):
+    """Put this checkout's ``src`` first on the PYTHONPATH that subprocesses inherit."""
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [_SRC, inherited])))

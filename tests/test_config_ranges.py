@@ -19,6 +19,7 @@ from dynlr import (
     default_config,
     ist_svt,
     learned_svt,
+    solve_ista_sparse,
     tune_hyperparams,
 )
 
@@ -41,6 +42,10 @@ KERNELS = {
     ),
     "dc_nu/replace": (lambda v: {"dc_nu": v}, lambda x, y, v: data_consistency(x, y, "replace", v)),
     "transform": (lambda v: {"transform": v}, lambda x, y, v: SparseTransform(v)),
+    "iterations": (
+        lambda v: {"iterations": v},
+        lambda x, y, v: solve_ista_sparse(y, SolverConfig(iterations=v)),
+    ),
 }
 
 # (parameter, value, accepted)
@@ -67,6 +72,7 @@ TABLE = [
     ("rank_k", NT, True),
     ("rank_k", NT + 1, False),
     ("rank_k", 2.0, False),
+    ("rank_k", True, False),
     ("rank_k", INF, False),
     ("rank_k", NAN, False),
     ("dc_mode", "replace", True),
@@ -84,6 +90,10 @@ TABLE = [
     ("transform", "temporal_fourier", True),
     ("transform", "temporal_haar", True),
     ("transform", "spatial_wavelet", False),
+    ("iterations", 1, True),
+    ("iterations", np.int64(2), True),
+    ("iterations", 0, False),
+    ("iterations", True, False),
 ]
 
 

@@ -24,6 +24,19 @@ class TestCentralLines:
     def test_odd_ny(self):
         assert list(central_lines(9)) == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("ny", [1, 2, 3, 8, 9])
+    def test_every_count_up_to_ny_stays_inside(self, ny):
+        for count in range(ny + 1):
+            lines = central_lines(ny, count)
+            assert lines.size == count
+            assert np.all((lines >= 0) & (lines < ny))
+        assert list(central_lines(ny, ny)) == list(range(ny))
+
+    @pytest.mark.parametrize("ny, count", [(8, 20), (2, 4), (8, 9), (8, -1)])
+    def test_count_outside_zero_to_ny_is_config_error(self, ny, count):
+        with pytest.raises(ConfigError, match="count"):
+            central_lines(ny, count)
+
 
 class TestMakeVdMask:
     def test_acceleration_one_samples_everything(self):

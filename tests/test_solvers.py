@@ -651,3 +651,51 @@ class TestLoopMemory:
         finally:
             tracemalloc.stop()
         assert peak / y.data.nbytes <= bound
+
+
+_TRANSFORMS = ("temporal_fourier", "temporal_haar")
+_WEIGHTED = {"dc_mode": "weighted", "dc_nu": 4.0}
+_EQUIVARIANCE_RUNS = [
+    ("ista", {"transform": kind, **dc}) for kind in _TRANSFORMS for dc in ({}, _WEIGHTED)
+] + [
+    ("slr", {"transform": kind, "lr_mode": mode}) for kind in _TRANSFORMS for mode in ("hard", "soft")
+] + [
+    ("ista-lr", {"transform": kind, "lr_mode": mode, "placement": placement, **_WEIGHTED})
+    for kind in _TRANSFORMS
+    for mode in ("hard", "soft")
+    for placement in ("L1", "L3")
+]
+
+
+class TestSolverEquivariance:
+    """A circular spatial shift and a global phase commute with every solver.
+
+    The shift is a phase ramp in k-space that the mask leaves alone, and
+    every step (gradient, temporal transform and soft threshold, SVT of the
+    row-permuted Casorati matrix, data consistency) commutes with both maps,
+    so ``solve(encode(op(x))) == op(solve(encode(x)))`` up to rounding.
+    """
+
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
+    @pytest.mark.parametrize(
+        "solver, overrides", _EQUIVARIANCE_RUNS,
+        ids=["-".join([s, *map(str, kw.values())]) for s, kw in _EQUIVARIANCE_RUNS],
+    )
+    def test_shift_and_phase_commute_with_solve(self, shape, solver, overrides):
+        nx, ny, nt = shape
+        img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        mask = make_vd_mask(ny, nt, 4.0, seed=13)
+        cfg = default_config(encode(img, mask), rank_k=2, iterations=20, **overrides)
+
+        def solve(x):
+            return run_solver(solver, encode(DynamicImage(x), mask), cfg).image.data
+
+        base = solve(img.data)
+        ops = {
+            "shift": lambda a: np.roll(a, (5, 3), axis=(0, 1)),
+            "phase": lambda a: a * np.exp(0.7j),
+        }
+        for name, op in ops.items():
+            expected = op(base)
+            err = np.abs(solve(op(img.data)) - expected).max() / np.abs(expected).max()
+            assert err <= 1e-11, name
