@@ -27,7 +27,8 @@ from .core import (
     SolverConfig,
 )
 from .dataio import read_cplx, read_mask, write_cplx, write_mask
-from .metrics import fits_ssim_window, mse, psnr, ssim
+# psnr stays a module attribute, so that callers can wrap every layer by name.
+from .metrics import _psnr_from_mse, fits_ssim_window, mse, psnr, ssim  # noqa: F401
 from .operators import encode
 from .sim import DEFAULT_SIGMA_FRAC, PHANTOM_KINDS, make_phantom, make_vd_mask
 from .solvers import SOLVER_NAMES, default_config, run_solver, tune_hyperparams
@@ -255,7 +256,8 @@ def cmd_recon(args):
 def cmd_eval(args):
     ref = read_cplx(args.ref)
     rec = read_cplx(args.rec)
-    scores = {"mse": mse(ref, rec), "psnr": psnr(ref, rec)}
+    err2 = mse(ref, rec)
+    scores = {"mse": err2, "psnr": _psnr_from_mse(ref, err2)}
     if fits_ssim_window(ref):
         scores["ssim"] = ssim(ref, rec)
     for line in _metric_lines(scores, ref.data.size, as_json=args.json):

@@ -47,21 +47,25 @@ def mse_per_element(ref: DynamicImage, rec: DynamicImage) -> float:
     return mse(ref, rec) / ref.data.size
 
 
+def _psnr_from_mse(ref: DynamicImage, err2: float) -> float:
+    """PSNR of a reconstruction whose :func:`mse` against ``ref`` is ``err2``."""
+    peak = float(np.abs(ref.data).max())
+    if peak == 0:
+        raise DataError("PSNR undefined for an all-zero reference")
+    err = math.sqrt(err2)
+    if err == 0:
+        return math.inf
+    n = ref.data.size
+    return 20.0 * math.log10(peak * math.sqrt(n) / err)
+
+
 def psnr(ref: DynamicImage, rec: DynamicImage) -> float:
     """Peak signal-to-noise ratio in dB.
 
     ``20 * log10(max|ref| * sqrt(N) / ||ref - rec||_2)`` with N the total
     element count.  Returns ``math.inf`` when the volumes are identical.
     """
-    _check_dims(ref, rec)
-    peak = float(np.abs(ref.data).max())
-    if peak == 0:
-        raise DataError("PSNR undefined for an all-zero reference")
-    err = math.sqrt(mse(ref, rec))
-    if err == 0:
-        return math.inf
-    n = ref.data.size
-    return 20.0 * math.log10(peak * math.sqrt(n) / err)
+    return _psnr_from_mse(ref, mse(ref, rec))
 
 
 def fits_ssim_window(img: DynamicImage) -> bool:

@@ -98,21 +98,23 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     return DynamicImage(_ifft2c_arr(masked))
 
 
-def _dc_arr(pred_arr, acq_sampled, sampled, mode, nu, out=None, work=None):
+def _dc_arr(pred_arr, acq_sampled, sampled, mode, nu, out=None, work=None, kspace=None):
     """Data consistency of ``pred_arr`` into ``out`` (which may be ``pred_arr``).
 
     ``sampled`` is a (ny, nt) bool mask and ``acq_sampled`` is
     ``acq[:, sampled]`` of the acquired k-space; ``work`` is a scratch volume.
-    None allocates a new volume.  ``mode`` and ``nu`` must have passed
-    :meth:`SolverConfig.validate`.
+    The rule is applied in k-space, which ``kspace`` keeps if given (it must
+    be a volume other than ``pred_arr`` and ``out``); otherwise ``out`` holds
+    it until the inverse transform.  None allocates a new volume.  ``mode``
+    and ``nu`` must have passed :meth:`SolverConfig.validate`.
     """
     work = _new_volume(pred_arr) if work is None else work
-    k = _fft2c_arr(pred_arr, out, work)
+    k = _fft2c_arr(pred_arr, out if kspace is None else kspace, work)
     if mode == "replace":
         k[:, sampled] = acq_sampled
     else:
         k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
-    return _ifft2c_arr(k, k, work)
+    return _ifft2c_arr(k, k if kspace is None else out, work)
 
 
 def data_consistency(

@@ -9,12 +9,18 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .core import ConfigError, DynamicImage, SamplingMask
+from .core import ConfigError, DynamicImage, SamplingMask, _is_count
 
 PHANTOM_KINDS = ("beating_rings", "rank_r_sparse")
 
 # Default width of the Gaussian line-density profile, as a fraction of ny.
 DEFAULT_SIGMA_FRAC = 0.15
+
+
+def _check_count(name, value, low=0):
+    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if not (_is_count(value) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def central_lines(ny: int, count: int = 4) -> np.ndarray:
@@ -25,8 +31,9 @@ def central_lines(ny: int, count: int = 4) -> np.ndarray:
     ``count`` is even.  ``count`` must lie in ``[0, ny]``, so every index
     lies in ``[0, ny)``.
     """
-    if not 0 <= count <= ny:
-        raise ConfigError(f"count must lie in [0, ny = {ny}], got {count}")
+    _check_count("ny", ny)
+    if not (_is_count(count) and 0 <= count <= ny):
+        raise ConfigError(f"count must be an integer in [0, ny = {ny}], got {count!r}")
     start = ny // 2 - count // 2
     return np.arange(start, start + count)
 
@@ -65,10 +72,9 @@ def make_vd_mask(
         Draw an independent line set per frame (default).  If False, one
         pattern is drawn and repeated for every frame.
     """
-    if ny < 8:
-        raise ConfigError(f"ny must be >= 8, got {ny}")
-    if nt < 1:
-        raise ConfigError(f"nt must be >= 1, got {nt}")
+    _check_count("ny", ny, 8)
+    _check_count("nt", nt, 1)
+    _check_count("seed", seed)
     if not acceleration >= 1:
         raise ConfigError(f"acceleration must be >= 1, got {acceleration}")
     if not sigma_frac > 0:
@@ -120,10 +126,9 @@ def _phase_ramp(nx, ny):
 
 
 def _rank_r_sparse(rng, nx, ny, nt, rank, sparsity):
-    if not 1 <= rank <= nt:
+    if not (_is_count(rank) and 1 <= rank <= nt):
         raise ConfigError(f"rank must lie in [1, nt={nt}], got {rank}")
-    if sparsity < 1:
-        raise ConfigError(f"sparsity must be >= 1, got {sparsity}")
+    _check_count("sparsity", sparsity, 1)
     if rank * sparsity > nt:
         raise ConfigError(
             f"rank * sparsity = {rank * sparsity} exceeds nt = {nt}; "
@@ -190,8 +195,9 @@ def make_phantom(
     """
     if kind not in PHANTOM_KINDS:
         raise ConfigError(f"unknown phantom kind {kind!r}; valid kinds: {', '.join(PHANTOM_KINDS)}")
-    if min(nx, ny, nt) < 8:
-        raise ConfigError(f"phantom dims must all be >= 8, got ({nx}, {ny}, {nt})")
+    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
+        _check_count(name, n, 8)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     if kind == "beating_rings":
         vol = _beating_rings(nx, ny, nt)

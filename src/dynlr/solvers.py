@@ -37,7 +37,7 @@ from .core import (
     SolverConfig,
     _new_volume,
 )
-from .metrics import _norm2, fits_ssim_window, mse, psnr, ssim
+from .metrics import _norm2, _psnr_from_mse, fits_ssim_window, mse, psnr, ssim
 from .operators import _dc_arr, _fft2c_arr, _ifft2c_arr
 from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
 
@@ -56,7 +56,10 @@ class IterationRecord:
 
     The terms reuse what the iteration already computed.  ``data_fidelity``
     comes from the masked k-space residual that the next gradient step also
-    uses.  For the four-step solver, ``sparse_term`` is the l1 norm of the
+    uses.  In the sparse loop (``ista``, and ``ista-lr`` at L1/L2) that
+    residual comes from the k-space of the data-consistency step, with no
+    further FFT, and in replace mode ``data_fidelity`` is exactly 0.  For the
+    four-step solver, ``sparse_term`` is the l1 norm of the
     soft-thresholded coefficients ``x`` was built from, and ``nuclear_term``
     sums the singular values the low-rank step kept for ``t``; at placement
     L3 ``nuclear_term`` likewise comes from the low-rank step that produced
@@ -97,7 +100,12 @@ class ObjectiveBreakdown:
 
 
 def _check_finite(arr, step, iteration):
-    if not np.isfinite(arr).all():
+    """Raise NumericError unless the C-contiguous complex ``arr`` is finite.
+
+    The test runs on the real view of the same memory, which holds both
+    parts and makes no complex pass.
+    """
+    if not np.isfinite(arr.view(arr.real.dtype)).all():
         raise NumericError(
             f"non-finite values after the {step} step at iteration {iteration}",
             step=step,
@@ -167,11 +175,15 @@ def _rel_change(curr, prev, diff, pair):
     return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
 
 
+def _sampled_residual(k, m3, ym):
+    """Replace the k-space ``k`` by its residual ``k * mask - y * mask``."""
+    np.multiply(k, m3, out=k)
+    return np.subtract(k, ym, out=k)
+
+
 def _masked_residual(out, x, m3, ym, work):
     """``F x * mask - y * mask`` into ``out``, through the scratch volume ``work``."""
-    _fft2c_arr(x, out, work)
-    np.multiply(out, m3, out=out)
-    return np.subtract(out, ym, out=out)
+    return _sampled_residual(_fft2c_arr(x, out, work), m3, ym)
 
 
 def _sparse_step(arr, tau, kind, z, pair):
@@ -233,7 +245,8 @@ def _finish(x_arr, trace, started, cfg, reference):
     image = DynamicImage(x_arr)
     report_metrics = None
     if reference is not None:
-        report_metrics = {"mse": mse(reference, image), "psnr": psnr(reference, image)}
+        err2 = mse(reference, image)
+        report_metrics = {"mse": err2, "psnr": _psnr_from_mse(reference, err2)}
         if fits_ssim_window(reference):
             report_metrics["ssim"] = ssim(reference, image)
     return ReconReport(
@@ -257,6 +270,14 @@ def solve_ista_sparse(
     gradient step on the data term, soft-thresholds in the transform domain
     with threshold ``lambda1 * eta2``, and finishes with a data-consistency
     step.  ``lambda2``, ``rho`` and the low-rank fields are ignored.
+
+    The data-consistency step transforms the iterate to k-space, applies
+    the rule of :func:`~dynlr.operators.data_consistency` there (one shared
+    kernel), and transforms back.  It keeps that k-space ``k``: the next
+    gradient step is ``x - eta2 * F^H (k * mask - y * mask)``, and the first
+    uses ``k = y * mask``.  In replace mode this residual is exactly 0, so
+    the gradient step is the identity and the image depends on ``eta2``
+    only through the threshold.
     """
     cfg.validate()
     return _solve_ista(y, cfg, None, reference, callback)
@@ -358,31 +379,49 @@ def solve_ista_lr(
     the sparse step and data consistency, "L3" after data consistency.
     Placing it after data consistency perturbs the sampled k-space
     coefficients again, so only L1/L2 leave the output exactly consistent.
+
+    At L1 and L2 the gradient step uses the k-space kept by the previous
+    data-consistency step, as in :func:`solve_ista_sparse`, and in replace
+    mode it is the identity.  At L3 the gradient step transforms the
+    previous iterate: ``x - eta2 * A^H (A x - y)``.
     """
     cfg.validate_for(y.shape[2])
     return _solve_ista(y, cfg, cfg.placement, reference, callback)
 
 
 def _solve_ista(y, cfg, placement, reference, callback):
-    """The sparse iteration, with the low-rank module at ``placement`` (None: without it)."""
+    """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
+
+    Unless a low-rank step follows data consistency (L3), the DC step keeps
+    its k-space in ``resid``, as :func:`solve_ista_sparse` describes.
+    """
     _check_reference(reference, y)
     started = time.perf_counter()
     kind = cfg.transform
     m3, ym, x = _zero_filled(y)
     sampled = y.mask.entries.astype(bool)
     acq_sampled = y.data[:, sampled]
-    # r holds the gradient step, then the new x; the low-rank step writes into
-    # resid, which is free until the residual of the new x, and swaps it with r.
+    keeps_kspace = placement != "L3"
+    # r holds the gradient step, then the new x; resid holds the residual that
+    # drives the gradient step.  It is free from there until data consistency,
+    # so the low-rank steps before it write into resid and swap it with r.
     resid, r, work = (_new_volume(x) for _ in range(3))
     pair = np.empty((2,) + x.shape)
     tau = cfg.lambda1 * cfg.eta2
-    _masked_residual(resid, x, m3, ym, work)
+    if keeps_kspace:
+        np.copyto(resid, ym)
+        _sampled_residual(resid, m3, ym)
+    else:
+        _masked_residual(resid, x, m3, ym, work)
     trace = []
     with _trace_on_failure(trace):
         for n in range(1, cfg.iterations + 1):
-            _ifft2c_arr(resid, r, work)
-            np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
-            _check_finite(r, "gradient", n)
+            if keeps_kspace and cfg.dc_mode == "replace":
+                np.copyto(r, x)  # the gradient of a residual that is exactly 0
+            else:
+                _ifft2c_arr(resid, r, work)
+                np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
+                _check_finite(r, "gradient", n)
             if placement == "L1":
                 _low_rank_step(r, cfg, n, resid, work)
                 r, resid = resid, r
@@ -391,7 +430,10 @@ def _solve_ista(y, cfg, placement, reference, callback):
             if placement == "L2":
                 _low_rank_step(r, cfg, n, resid, work)
                 r, resid = resid, r
-            _dc_arr(r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work)
+            _dc_arr(
+                r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work,
+                kspace=resid if keeps_kspace else None,
+            )
             _check_finite(r, "data-consistency", n)
             if placement is None:
                 nuclear = 0.0
@@ -400,7 +442,10 @@ def _solve_ista(y, cfg, placement, reference, callback):
                 r, resid = resid, r
             else:
                 nuclear = cfg.lambda2 * _nuclear_arr(r)
-            _masked_residual(resid, r, m3, ym, work)
+            if keeps_kspace:
+                _sampled_residual(resid, m3, ym)
+            else:
+                _masked_residual(resid, r, m3, ym, work)
             fid = 0.5 * _norm2(resid, pair)
             coeffs = _transform_fwd_arr(r, kind, work)
             sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())

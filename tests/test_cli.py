@@ -74,6 +74,19 @@ class TestPhantomCommand:
         err = capsys.readouterr().err
         assert "beating_rings" in err and "rank_r_sparse" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["phantom", "--nx", "8", "--ny", "8", "--nt", "8", "--seed", "-1"],
+            ["phantom", "--nx", "8", "--ny", "8", "--nt", "8", "--kind", "rank_r_sparse", "--seed", "-1"],
+            ["mask", "--ny", "8", "--nt", "8", "--accel", "2", "--seed", "-1"],
+        ],
+        ids=["phantom", "phantom-rank-r-sparse", "mask"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, args):
+        assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_full_size_generation_under_five_seconds(self, tmp_path):
         start = time.perf_counter()
         rc = run_cli(["phantom", "--nx", "192", "--ny", "192", "--nt", "16", "--kind", "beating_rings", "--out", str(tmp_path / "p")])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlr import (
     ConfigError,
@@ -216,3 +217,25 @@ class TestDataConsistency:
         acquired = rand_kspace(rng, (8, 8, 2))
         with pytest.raises(DimensionError):
             data_consistency(pred, acquired)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4)),
+        weighted=st.booleans(),
+        nu=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_is_the_kspace_rule_between_the_public_transforms(self, shape, weighted, nu, seed):
+        """``data_consistency`` is ``ifft2c(rule(fft2c(x)))``, bit for bit, odd sizes included."""
+        rng = np.random.default_rng(seed)
+        pred = rand_image(rng, shape)
+        acquired = rand_kspace(rng, shape)
+        mode = "weighted" if weighted else "replace"
+        out = data_consistency(pred, acquired, mode, nu if weighted else None)
+        k = fft2c(pred).data.copy()
+        sampled = acquired.mask.entries.astype(bool)
+        if weighted:
+            k[:, sampled] = (k[:, sampled] + nu * acquired.data[:, sampled]) / (1.0 + nu)
+        else:
+            k[:, sampled] = acquired.data[:, sampled]
+        assert np.array_equal(out.data, ifft2c(DynamicImage(k)).data)

@@ -32,10 +32,48 @@ class TestCentralLines:
             assert np.all((lines >= 0) & (lines < ny))
         assert list(central_lines(ny, ny)) == list(range(ny))
 
-    @pytest.mark.parametrize("ny, count", [(8, 20), (2, 4), (8, 9), (8, -1)])
+    @pytest.mark.parametrize("ny, count", [(8, 20), (2, 4), (8, 9), (8, -1), (8, 2.5), (8, True)])
     def test_count_outside_zero_to_ny_is_config_error(self, ny, count):
         with pytest.raises(ConfigError, match="count"):
             central_lines(ny, count)
+
+
+_BAD_INTEGER_CALLS = [
+    ("central_lines-ny-float", lambda: central_lines(8.0, 2)),
+    ("vd_mask-nt-float", lambda: make_vd_mask(16, 4.0, 2)),
+    ("vd_mask-ny-float", lambda: make_vd_mask(16.0, 4, 2)),
+    ("vd_mask-ny-bool", lambda: make_vd_mask(True, 4, 1)),
+    ("vd_mask-seed-negative", lambda: make_vd_mask(8, 8, 2, seed=-1)),
+    ("vd_mask-seed-float", lambda: make_vd_mask(8, 8, 2, seed=1.5)),
+    ("phantom-nx-float", lambda: make_phantom(8.0, 8, 8)),
+    ("phantom-nt-float", lambda: make_phantom(8, 8, 8.0, kind="rank_r_sparse")),
+    ("phantom-ny-bool", lambda: make_phantom(8, True, 8)),
+    ("phantom-seed-negative", lambda: make_phantom(8, 8, 8, seed=-1)),
+    ("phantom-seed-negative-rank", lambda: make_phantom(8, 8, 8, kind="rank_r_sparse", seed=-1)),
+    ("phantom-seed-float", lambda: make_phantom(8, 8, 8, seed=2.0)),
+    ("phantom-rank-float", lambda: make_phantom(8, 8, 8, kind="rank_r_sparse", rank=2.5)),
+    ("phantom-rank-bool", lambda: make_phantom(8, 8, 8, kind="rank_r_sparse", rank=True)),
+    ("phantom-sparsity-float", lambda: make_phantom(8, 8, 8, kind="rank_r_sparse", sparsity=1.5)),
+]
+
+
+class TestIntegerArguments:
+    """Every integer argument of the generators is an integer (not a bool) in range, or a ConfigError."""
+
+    @pytest.mark.parametrize(
+        "call", [c for _, c in _BAD_INTEGER_CALLS], ids=[name for name, _ in _BAD_INTEGER_CALLS]
+    )
+    def test_bad_value_is_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        n, seed = np.int64(8), np.int64(3)
+        assert list(central_lines(n, np.int64(2))) == [3, 4]
+        assert np.array_equal(make_vd_mask(n, n, 2, seed=seed).entries, make_vd_mask(8, 8, 2, seed=3).entries)
+        a = make_phantom(n, n, n, kind="rank_r_sparse", seed=seed, rank=np.int64(2), sparsity=np.int64(2))
+        b = make_phantom(8, 8, 8, kind="rank_r_sparse", seed=3, rank=2, sparsity=2)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestMakeVdMask:

@@ -42,6 +42,7 @@ from dynlr import (
     transform_forward,
     tune_hyperparams,
 )
+from dynlr.solvers import _check_finite
 
 from conftest import rand_image, rand_kspace, rel_err
 
@@ -296,6 +297,61 @@ class TestSlr:
         assert (err.value.step, err.value.iteration) == (step, iteration)
 
 
+class TestFiniteCheck:
+    """The finite check sees a non-finite value in either part of a complex volume."""
+
+    @pytest.mark.parametrize(
+        "bad", [complex(0.0, np.nan), complex(np.inf, 0.0), complex(-np.inf, 1.0), complex(np.nan, 0.0),
+                complex(1.0, -np.inf)],
+        ids=["nan-imag", "inf-real", "neg-inf-real", "nan-real", "neg-inf-imag"],
+    )
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
+    def test_one_bad_part_raises_naming_step_and_iteration(self, shape, bad):
+        arr = np.ones(shape, dtype=complex)
+        arr[shape[0] // 2, -1, -1] = bad
+        with pytest.raises(NumericError) as err:
+            _check_finite(arr, "sparse", 7)
+        assert (err.value.step, err.value.iteration) == ("sparse", 7)
+
+
+class TestSparseLoopKeepsKspace:
+    """The sparse loop takes its residual from the k-space of its data-consistency step.
+
+    In replace mode that residual is exactly 0, so the gradient step is the
+    identity; weighted data consistency keeps a nonzero residual.
+    """
+
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
+    @pytest.mark.parametrize("transform", ["temporal_fourier", "temporal_haar"])
+    @pytest.mark.parametrize(
+        "solver, overrides",
+        [("ista", {}), ("ista-lr", {"placement": "L1"}), ("ista-lr", {"placement": "L2"})],
+        ids=["ista", "ista-lr-L1", "ista-lr-L2"],
+    )
+    def test_replace_mode_fidelity_is_exactly_zero(self, shape, transform, solver, overrides):
+        nx, ny, nt = shape
+        img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        y = encode(img, make_vd_mask(ny, nt, 4.0, seed=13))
+        cfg = default_config(y, rank_k=2, iterations=8, transform=transform, **overrides)
+        report = run_solver(solver, y, cfg)
+        assert [r.data_fidelity for r in report.trace] == [0.0] * 8
+        weighted = run_solver(solver, y, cfg.replaced(dc_mode="weighted", dc_nu=4.0))
+        assert all(r.data_fidelity > 0 for r in weighted.trace)
+
+    @pytest.mark.parametrize("transform", ["temporal_fourier", "temporal_haar"])
+    def test_replace_mode_ista_depends_on_eta2_only_through_the_threshold(self, transform):
+        img = make_phantom(64, 64, 16, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        y = encode(img, make_vd_mask(64, 16, 4.0, seed=13))
+        cfg = default_config(y, iterations=20, transform=transform)
+        lam = cfg.lambda1
+        images = [
+            solve_ista_sparse(y, cfg.replaced(lambda1=lam1, eta2=eta2)).image.data
+            for lam1, eta2 in [(lam, 1.0), (2 * lam, 0.5), (lam / 4, 4.0)]
+        ]
+        assert np.array_equal(images[0], images[1])
+        assert np.array_equal(images[0], images[2])
+
+
 class TestIstaLr:
     @pytest.mark.parametrize("placement", ["L1", "L2", "L3"])
     def test_full_rank_module_matches_plain_ista(self, placement):
@@ -527,23 +583,45 @@ def norm2(arr):
     return np.sum(arr.real**2 + arr.imag**2)
 
 
-def oracle_iteration(solver, y, cfg, x, t=None, beta=None):
-    """The iteration after state ``(x, t, beta)``, one public operator per step.
+def dc_rule(k, y, mode, nu):
+    """A copy of the k-space ``k`` with the data-consistency rule applied."""
+    k = k.copy()
+    sampled = y.mask.entries.astype(bool)
+    if mode == "replace":
+        k[:, sampled] = y.data[:, sampled]
+    else:
+        k[:, sampled] = (k[:, sampled] + nu * y.data[:, sampled]) / (1.0 + nu)
+    return k
 
-    The steps follow the order the solvers document.  Returns the next state
-    and the trace terms that public functions recompute exactly: all but the
-    nuclear term of a low-rank step, which comes from its Gram eigenvalues.
+
+def oracle_iteration(solver, y, cfg, state, k):
+    """The iteration after ``state``, one public operator per step.
+
+    ``state`` is ``(x, t, beta)`` for slr and ``(x,)`` otherwise.  ``k`` is
+    the k-space the sparse loop keeps from its data-consistency step (``y *
+    mask`` before the first iteration), or None where the gradient step
+    transforms ``x`` afresh.  The steps follow the order the solvers
+    document.  Returns the next state and ``k``, and the trace terms that
+    public functions recompute exactly: all but the nuclear term of a
+    low-rank step, which comes from its Gram eigenvalues.
     """
+    x = state[0]
     transform = SparseTransform(cfg.transform)
     placement = cfg.placement if solver == "ista-lr" else None
+    m3 = y.mask.entries[None, :, :].astype(float)
+    ym = y.data * m3
 
     def low_rank(v):
         if cfg.lr_mode == "hard":
             return learned_svt(v, cfg.rank_k)
         return ist_svt(v, cfg.lambda2, cfg.rho, cfg.p)
 
-    grad = encode_adjoint(KSpaceData(encode(x, y.mask).data - y.data, y.mask)).data
+    if k is None:
+        grad = encode_adjoint(KSpaceData(encode(x, y.mask).data - y.data, y.mask)).data
+    else:
+        grad = ifft2c(DynamicImage(k * m3 - ym)).data
     if solver == "slr":
+        t, beta = state[1:]
         grad = grad + cfg.rho * (x.data + beta.data - t.data)
     r = DynamicImage(x.data - cfg.eta2 * grad)
     if placement == "L1":
@@ -560,18 +638,22 @@ def oracle_iteration(solver, y, cfg, x, t=None, beta=None):
     else:
         if placement == "L2":
             x_new = low_rank(x_new)
-        x_new = data_consistency(x_new, y, cfg.dc_mode, cfg.dc_nu)
+        if k is None:
+            x_new = data_consistency(x_new, y, cfg.dc_mode, cfg.dc_nu)
+        else:
+            k = dc_rule(fft2c(x_new).data, y, cfg.dc_mode, cfg.dc_nu)
+            x_new = ifft2c(DynamicImage(k))
         if placement == "L3":
             x_new = low_rank(x_new)
         state = (x_new,)
         z = transform_forward(x_new, transform)
         if placement in (None, "L1", "L2"):
             terms["nuclear_term"] = 0.0 if placement is None else cfg.lambda2 * nuclear_norm(x_new)
-    resid = encode(x_new, y.mask).data - y.data * y.mask.entries[None, :, :]
+    resid = encode(x_new, y.mask).data - ym if k is None else k * m3 - ym
     terms["data_fidelity"] = 0.5 * norm2(resid)
     terms["sparse_term"] = cfg.lambda1 * float(np.abs(z.data).sum())
     terms["rel_change"] = np.sqrt(norm2(x_new.data - x.data)) / np.sqrt(norm2(x.data))
-    return state, terms
+    return state, k, terms
 
 
 _ORACLE_RUNS = [
@@ -611,8 +693,13 @@ class TestIterationOracle:
             solver, y, cfg, callback=lambda n, x, **tb: states.append((x, *tb.values()))
         )
         assert len(states) == len(report.trace) + 1 == 5
-        for before, after, record in zip(states, states[1:], report.trace):
-            expected, terms = oracle_iteration(solver, y, cfg, *before)
+        # The oracle runs from the zero-filled start on its own states; the
+        # sparse loop, unless at L3, starts from the k-space y * mask.
+        expected = states[0]
+        keeps_kspace = solver == "ista" or (solver == "ista-lr" and cfg.placement != "L3")
+        k = y.data * y.mask.entries[None, :, :].astype(float) if keeps_kspace else None
+        for after, record in zip(states[1:], report.trace):
+            expected, k, terms = oracle_iteration(solver, y, cfg, expected, k)
             for ours, oracle in zip(after, expected, strict=True):
                 assert np.array_equal(ours.data, oracle.data)
             assert {name: getattr(record, name) for name in terms} == terms
