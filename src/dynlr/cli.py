@@ -31,7 +31,8 @@ from .dataio import read_cplx, read_mask, write_cplx, write_mask
 from .metrics import _psnr_from_mse, fits_ssim_window, mse, psnr, ssim  # noqa: F401
 from .operators import encode
 from .sim import DEFAULT_SIGMA_FRAC, PHANTOM_KINDS, make_phantom, make_vd_mask
-from .solvers import SOLVER_NAMES, default_config, run_solver, tune_hyperparams
+# tune_hyperparams stays a module attribute, like psnr; cmd_tune calls _tune for the score.
+from .solvers import SOLVER_NAMES, _tune, default_config, run_solver, tune_hyperparams  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,11 +271,10 @@ def cmd_tune(args):
     reference = read_cplx(args.ref)
     space = parse_grid_spec(args.grid)
     base = _build_config(args, y)
-    best = tune_hyperparams(y, reference, space, args.solver, base=base)
+    best, score = _tune(y, reference, space, args.solver, base=base)
     write_config_file(args.out, best)
-    report = run_solver(args.solver, y, best, reference=reference)
     print(f"wrote {args.out}")
-    print(f"best psnr: {report.metrics['psnr']:.4f}")
+    print(f"best psnr: {score:.4f}")
     return EXIT_OK
 
 

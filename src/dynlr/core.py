@@ -64,6 +64,11 @@ def _is_count(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for a Python or numpy integer or float; a bool is not a real number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _new_volume(like):
     """A new C-contiguous complex array of the shape of ``like``, for kernels that write with ``out=``."""
     return np.empty(like.shape, dtype=np.complex128)
@@ -211,6 +216,9 @@ TRANSFORM_KINDS = ("temporal_fourier", "temporal_haar")
 class SolverConfig:
     """Hyper-parameters shared by the iterative solvers.
 
+    A float field takes a Python or numpy integer or float, not a bool; an
+    int field takes an integer, not a bool.
+
     Attributes
     ----------
     lambda1 : float
@@ -271,6 +279,9 @@ class SolverConfig:
 
     def validate(self):
         """Raise ConfigError if any field is outside its allowed range."""
+        for f in fields(self):
+            if f.type is float and not _is_real(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be a real number, got {getattr(self, f.name)!r}")
         if not (math.isfinite(self.lambda1) and self.lambda1 >= 0):
             raise ConfigError(f"lambda1 must be >= 0, got {self.lambda1}")
         if not (math.isfinite(self.lambda2) and self.lambda2 >= 0):

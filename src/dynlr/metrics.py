@@ -10,7 +10,6 @@ applied as two 1D passes.
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .core import DataError, DimensionError, DynamicImage
 
@@ -81,6 +80,9 @@ def _gaussian_kernel(size, sigma):
 
 def _window_mean(frame, g):
     """Correlate ``frame`` with the window ``outer(g, g)``, edges extended."""
+    # Imported here: scipy.ndimage is most of the time of `import dynlr`.
+    from scipy.ndimage import correlate1d
+
     rows = correlate1d(frame, g, axis=0, mode="nearest")
     return correlate1d(rows, g, axis=1, mode="nearest")
 

@@ -7,7 +7,6 @@ reproducible down to the bit.
 import math
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .core import ConfigError, DynamicImage, SamplingMask, _is_count
 
@@ -109,6 +108,9 @@ def make_vd_mask(
 
 def _smooth_complex_field(rng, nx, ny):
     """Smooth zero-centered complex random field with peak magnitude 1."""
+    # Imported here: scipy.ndimage is most of the time of `import dynlr`.
+    from scipy.ndimage import gaussian_filter
+
     raw = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
     sigma = max(min(nx, ny) / 8.0, 1.0)
     smooth = gaussian_filter(raw.real, sigma) + 1j * gaussian_filter(raw.imag, sigma)

@@ -22,6 +22,8 @@ instead, naming the step that caused it.
 """
 
 import itertools
+import multiprocessing
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -497,6 +499,22 @@ def tune_hyperparams(
     achieving the best PSNR wins, so the result is deterministic for a
     given search order.  Grid points that diverge numerically are skipped;
     if every point diverges the numeric error of the last one is raised.
+    Any other error is raised from the earliest grid point that has one.
+
+    The grid runs as trajectories: points that differ only in
+    ``iterations`` share one solve of the longest of them, and each shorter
+    point is scored at its iteration from the solve's callback.  The solvers
+    are deterministic, so a shorter point gets the same bits as a solve of
+    its own, and a point reached before its trajectory diverges is scored.
+    The trajectories run on ``min(usable CPUs, trajectories)`` worker
+    processes, dealt round-robin in grid order, or in this process when
+    that is 1.  Each worker is a fresh ``spawn`` interpreter with one BLAS
+    thread (the low-rank images have the same bits at any BLAS thread
+    count), so the result does not depend on the worker count.  Starting
+    the workers costs a fixed fraction of a second per call, which only a
+    grid of short solves notices.  As with any ``spawn`` process, a script
+    that calls this at top level needs an ``if __name__ == "__main__":``
+    guard.  A worker that dies ends the call with an ``EOFError``.
 
     Parameters
     ----------
@@ -513,6 +531,11 @@ def tune_hyperparams(
         Configuration supplying the fields not searched over; defaults to
         :func:`default_config`.
     """
+    return _tune(y, reference, search_space, solver, base)[0]
+
+
+def _tune(y, reference, search_space, solver, base):
+    """:func:`tune_hyperparams`, returning the winning config and its PSNR."""
     _solver(solver)
     _check_reference(reference, y)
     if not search_space:
@@ -523,20 +546,147 @@ def tune_hyperparams(
         raise ConfigError("search space contains an empty value list")
     if base is None:
         base = default_config(y)
-    best_cfg = None
-    best_psnr = -np.inf
-    last_error = None
-    for combo in itertools.product(*value_lists):
-        cfg = base.replaced(**dict(zip(keys, combo)))
+    grid = list(itertools.product(*(range(len(v)) for v in value_lists)))
+    configs = [
+        base.replaced(**{k: v[j] for k, v, j in zip(keys, value_lists, combo)}) for combo in grid
+    ]
+    # Each point's outcome: its PSNR, or the exception its solve would raise.
+    outcomes = [None] * len(configs)
+    trajectories = {}  # grid points keyed by their indices off the iterations axis
+    for i, (combo, cfg) in enumerate(zip(grid, configs)):
         try:
-            report = run_solver(solver, y, cfg)
-        except NumericError as exc:
-            last_error = exc
+            cfg.validate()
+        except ConfigError as exc:
+            outcomes[i] = exc
             continue
-        score = psnr(reference, report.image)
-        if best_cfg is None or score > best_psnr:
-            best_cfg = cfg
-            best_psnr = score
-    if best_cfg is None:
+        key = tuple(j for k, j in zip(keys, combo) if k != "iterations")
+        trajectories.setdefault(key, []).append(i)
+    jobs = []
+    for points in trajectories.values():
+        longest = max(points, key=lambda i: configs[i].iterations)
+        jobs.append((configs[longest], sorted({configs[i].iterations for i in points})))
+    for points, (scores, error) in zip(
+        trajectories.values(), _run_trajectories(solver, y, reference, jobs)
+    ):
+        for i in points:
+            outcomes[i] = scores.get(configs[i].iterations, error)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception) and not isinstance(outcome, NumericError):
+            raise outcome
+    best = last_error = None
+    for cfg, outcome in zip(configs, outcomes):
+        if isinstance(outcome, NumericError):
+            last_error = outcome
+        elif best is None or outcome > best[1]:
+            best = (cfg, outcome)
+    if best is None:
         raise last_error
-    return best_cfg
+    return best
+
+
+def _run_trajectory(solver, y, reference, cfg, stops):
+    """Solve ``cfg`` once and score its iterate at each of the sorted ``stops``.
+
+    The last stop is ``cfg.iterations``.  Returns ``(scores, error)``:
+    ``scores`` maps each stop reached to its PSNR against ``reference``, and
+    ``error`` is the exception that ended the solve, or None.
+    """
+    scores = {}
+    early = set(stops[:-1])
+
+    def score_stop(n, x, **_):
+        if n in early:
+            scores[n] = psnr(reference, x)
+
+    try:
+        report = run_solver(solver, y, cfg, callback=score_stop if early else None)
+    except Exception as exc:  # the caller ranks it with the other grid points
+        return scores, exc
+    scores[cfg.iterations] = psnr(reference, report.image)
+    return scores, None
+
+
+def _tune_worker(tasks, results):
+    """Read ``(solver, y, reference, jobs)`` from ``tasks``; send the :func:`_run_trajectory` results."""
+    with tasks, results:
+        solver, y, reference, jobs = tasks.recv()
+        results.send([_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs])
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread-count variables to 1 in ``os.environ``; restore them on exit.
+
+    A process spawned inside the block reads them when it loads BLAS.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    try:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_trajectories(solver, y, reference, jobs):
+    """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order.
+
+    Runs in this process when one worker would do, or when this process is
+    itself a daemonic worker, which cannot start processes.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if workers <= 1 or multiprocessing.current_process().daemon:
+        return [_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs]
+    ctx = multiprocessing.get_context("spawn")
+    procs, pipes = [], []
+    try:
+        for _ in range(workers):
+            tasks_r, tasks_w = ctx.Pipe(duplex=False)
+            results_r, results_w = ctx.Pipe(duplex=False)
+            pipes.append((tasks_w, results_r))
+            proc = ctx.Process(target=_tune_worker, args=(tasks_r, results_w), daemon=True)
+            try:
+                with _one_blas_thread():
+                    proc.start()
+            finally:
+                # The worker now holds the only other ends, so its death shows here.
+                tasks_r.close()
+                results_w.close()
+            procs.append(proc)
+        # The inputs go through the pipes once every worker has started, not
+        # through start().  start() writes its payload before it lets go of
+        # the child's end, so a payload above the pipe buffer would make it
+        # wait until the child has started up (the workers would start one
+        # after another), and forever if the child died starting.
+        for w, (tasks_w, _) in enumerate(pipes):
+            try:
+                tasks_w.send((solver, y, reference, jobs[w::workers]))
+            except BrokenPipeError:
+                pass  # the worker is gone, and reading its result raises EOFError
+        shares = [results_r.recv() for _, results_r in pipes]
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for tasks_w, results_r in pipes:
+            tasks_w.close()
+            results_r.close()
+        for proc in procs:
+            proc.join()
+    results = [None] * len(jobs)
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results

@@ -20,6 +20,7 @@ from dynlr import (
     ist_svt,
     learned_svt,
     solve_ista_sparse,
+    solve_slr,
     tune_hyperparams,
 )
 
@@ -45,6 +46,15 @@ KERNELS = {
     "iterations": (
         lambda v: {"iterations": v},
         lambda x, y, v: solve_ista_sparse(y, SolverConfig(iterations=v)),
+    ),
+    "lambda1": (
+        lambda v: {"lambda1": v},
+        lambda x, y, v: solve_ista_sparse(y, SolverConfig(lambda1=v, iterations=1)),
+    ),
+    "eta1": (lambda v: {"eta1": v}, lambda x, y, v: solve_slr(y, SolverConfig(eta1=v, iterations=1))),
+    "eta2": (
+        lambda v: {"eta2": v},
+        lambda x, y, v: solve_ista_sparse(y, SolverConfig(eta2=v, iterations=1)),
     ),
 }
 
@@ -94,6 +104,26 @@ TABLE = [
     ("iterations", np.int64(2), True),
     ("iterations", 0, False),
     ("iterations", True, False),
+    # A float field takes a real number that is not a bool.
+    ("lambda1", 0.5, True),
+    ("lambda1", 1, True),
+    ("lambda1", np.float32(0.5), True),
+    ("lambda1", True, False),
+    ("lambda1", "0.1", False),
+    ("lambda1", None, False),
+    ("lambda2", True, False),
+    ("lambda2", np.bool_(True), False),
+    ("rho", True, False),
+    ("rho", 1 + 0j, False),
+    ("eta1", 0, True),
+    ("eta1", True, False),
+    ("eta2", np.int64(1), True),
+    ("eta2", True, False),
+    ("eta2", 1 + 0j, False),
+    ("p", True, False),
+    ("p", None, False),
+    ("dc_nu/weighted", True, False),
+    ("dc_nu/weighted", "1", False),
 ]
 
 
