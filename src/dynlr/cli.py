@@ -27,12 +27,12 @@ from .core import (
     SolverConfig,
 )
 from .dataio import read_cplx, read_mask, write_cplx, write_mask
-# psnr stays a module attribute, so that callers can wrap every layer by name.
-from .metrics import _psnr_from_mse, fits_ssim_window, mse, psnr, ssim  # noqa: F401
+# psnr and ssim stay module attributes, so that callers can wrap every layer by name.
+from .metrics import psnr, ssim  # noqa: F401
 from .operators import encode
 from .sim import DEFAULT_SIGMA_FRAC, PHANTOM_KINDS, make_phantom, make_vd_mask
 # tune_hyperparams stays a module attribute, like psnr; cmd_tune calls _tune for the score.
-from .solvers import SOLVER_NAMES, _tune, default_config, run_solver, tune_hyperparams  # noqa: F401
+from .solvers import SOLVER_NAMES, _scores, _tune, default_config, run_solver, tune_hyperparams  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,13 +40,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+# SolverConfig field name -> its type (int, float or str), for reading and writing.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+
+
 def _parse_field_value(name, token):
-    """Convert ``token`` with the type (int, float or str) of SolverConfig field ``name``."""
-    types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-    if name not in types:
+    """Convert ``token`` with the type of SolverConfig field ``name``."""
+    if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config field {name!r}")
     try:
-        return types[name](token)
+        return _FIELD_TYPES[name](token)
     except ValueError as exc:
         raise ConfigError(f"bad value {token!r} for config field {name!r}") from exc
 
@@ -74,13 +77,11 @@ def read_config_file(path) -> dict:
 
 
 def write_config_file(path, cfg: SolverConfig) -> None:
+    """Write ``cfg`` as key=value lines, formatted by field type so that numpy scalars read back."""
     with open(path, "w", encoding="ascii") as fh:
-        for name in SolverConfig.field_names():
+        for name, kind in _FIELD_TYPES.items():
             value = getattr(cfg, name)
-            if isinstance(value, float):
-                fh.write(f"{name}={value!r}\n")
-            else:
-                fh.write(f"{name}={value}\n")
+            fh.write(f"{name}={repr(float(value)) if kind is float else value}\n")
 
 
 def parse_grid_spec(spec: str) -> dict:
@@ -97,6 +98,8 @@ def parse_grid_spec(spec: str) -> dict:
         tokens = [tok.strip() for tok in values.split(",") if tok.strip()]
         if not tokens:
             raise ConfigError(f"grid field {name!r} lists no values")
+        if name in space:
+            raise ConfigError(f"grid field {name!r} is given more than once")
         space[name] = [_parse_field_value(name, tok) for tok in tokens]
     if not space:
         raise ConfigError("empty grid specification")
@@ -257,11 +260,7 @@ def cmd_recon(args):
 def cmd_eval(args):
     ref = read_cplx(args.ref)
     rec = read_cplx(args.rec)
-    err2 = mse(ref, rec)
-    scores = {"mse": err2, "psnr": _psnr_from_mse(ref, err2)}
-    if fits_ssim_window(ref):
-        scores["ssim"] = ssim(ref, rec)
-    for line in _metric_lines(scores, ref.data.size, as_json=args.json):
+    for line in _metric_lines(_scores(ref, rec), ref.data.size, as_json=args.json):
         print(line)
     return EXIT_OK
 

@@ -14,7 +14,8 @@ Three solvers share the same measurement operators and proximal steps:
   inserted at one of three placements relative to the sparse step and the
   data-consistency step.
 
-All solvers start from the zero-filled reconstruction, are fully
+The solvers differ only in their steps; one function, :func:`_solve`,
+runs them all.  All start from the zero-filled reconstruction, are fully
 deterministic, and fail loudly with a step-named error if an iterate stops
 being finite.  Numpy's overflow and invalid-value warnings are off for the
 whole solve loop, callbacks included: the finite checks report a failure
@@ -27,6 +28,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,30 +117,6 @@ def _check_finite(arr, step, iteration):
         )
 
 
-def _check_finite_scalar(value, step, iteration):
-    if not np.isfinite(value):
-        raise NumericError(
-            f"non-finite {step} value at iteration {iteration}",
-            step=step,
-            iteration=iteration,
-        )
-    return float(value)
-
-
-@contextmanager
-def _trace_on_failure(trace):
-    """Run a solve loop without numpy floating-point warnings.
-
-    The records completed before a :class:`NumericError` travel with it.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    except NumericError as exc:
-        exc.trace = tuple(trace)
-        raise
-
-
 def _lagrangian(fid, sparse, nuclear, x, t, beta, rho, diff=None, pair=None):
     """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others.
 
@@ -188,10 +166,10 @@ def _masked_residual(out, x, m3, ym, work):
     return _sampled_residual(_fft2c_arr(x, out, work), m3, ym)
 
 
-def _sparse_step(arr, tau, kind, z, pair):
-    """Replace ``arr`` by ``D^H soft(D arr, tau)``; ``z`` keeps the thresholded coefficients."""
+def _sparse_step(arr, tau, kind, z, pair, n):
+    """``arr = D^H soft(D arr, tau)``, checked at iteration ``n``; ``z`` keeps the coefficients."""
     _soft_arr(_transform_fwd_arr(arr, kind, z), tau, z, pair)
-    return _transform_adj_arr(z, kind, arr)
+    _check_finite(_transform_adj_arr(z, kind, arr), "sparse", n)
 
 
 def objective_slr(
@@ -243,20 +221,53 @@ def _check_reference(reference, y: KSpaceData):
         )
 
 
-def _finish(x_arr, trace, started, cfg, reference):
-    image = DynamicImage(x_arr)
-    report_metrics = None
-    if reference is not None:
-        err2 = mse(reference, image)
-        report_metrics = {"mse": err2, "psnr": _psnr_from_mse(reference, err2)}
-        if fits_ssim_window(reference):
-            report_metrics["ssim"] = ssim(reference, image)
+def _scores(reference, image):
+    """MSE, PSNR and, when the frames fit its window, SSIM of ``image`` against ``reference``."""
+    err2 = mse(reference, image)
+    scores = {"mse": err2, "psnr": _psnr_from_mse(reference, err2)}
+    if fits_ssim_window(reference):
+        scores["ssim"] = ssim(reference, image)
+    return scores
+
+
+def _solve(y, cfg, reference, callback, iterations):
+    """Run the generator ``iterations`` from the zero-filled start, and report.
+
+    ``iterations(y, cfg, *_zero_filled(y), resid, r, work, pair)`` gets three
+    scratch volumes and a real scratch pair.  It yields ``(record, x, state)``
+    after each iteration; ``state`` holds the callback's extra volumes.  The
+    objective's finite check, the trace, the callback and the report are here.
+    """
+    _check_reference(reference, y)
+    started = time.perf_counter()
+    m3, ym, x = _zero_filled(y)
+    resid, r, work = (_new_volume(x) for _ in range(3))
+    pair = np.empty((2,) + x.shape)
+    trace = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for record, x, state in iterations(y, cfg, m3, ym, x, resid, r, work, pair):
+                n = record.iteration
+                if not np.isfinite(record.objective):
+                    raise NumericError(
+                        f"non-finite objective value at iteration {n}", step="objective", iteration=n
+                    )
+                trace.append(record)
+                if callback is not None:
+                    callback(n, DynamicImage(x), **{k: DynamicImage(v) for k, v in state.items()})
+    except NumericError as exc:
+        exc.trace = tuple(trace)
+        raise
+    # Freed before the report copies x.  They are allocated here and not in
+    # the generator: buffers that a generator allocated and freed raised peak RSS.
+    del resid, r, work, pair
+    image = DynamicImage(x)
     return ReconReport(
         image=image,
         trace=tuple(trace),
         seconds=time.perf_counter() - started,
         config=cfg,
-        metrics=report_metrics,
+        metrics=None if reference is None else _scores(reference, image),
     )
 
 
@@ -282,7 +293,7 @@ def solve_ista_sparse(
     only through the threshold.
     """
     cfg.validate()
-    return _solve_ista(y, cfg, None, reference, callback)
+    return _solve(y, cfg, reference, callback, _ista_iterations)
 
 
 def solve_slr(
@@ -308,63 +319,52 @@ def solve_slr(
     invoked as ``callback(n, x, t=..., beta=...)`` after each iteration.
     """
     cfg.validate_for(y.shape[2])
-    _check_reference(reference, y)
-    started = time.perf_counter()
+    return _solve(y, cfg, reference, callback, _slr_iterations)
+
+
+def _slr_iterations(y, cfg, m3, ym, x, resid, r, work, pair):
+    """The iterations of :func:`solve_slr`, for :func:`_solve`.
+
+    ``r`` holds the gradient step, then the new ``x``; ``work`` is scratch
+    for every step.
+    """
     kind = cfg.transform
-    m3, ym, x = _zero_filled(y)
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
-    # r holds the gradient step, then the new x; work is scratch for every step.
-    resid, r, work = (_new_volume(x) for _ in range(3))
-    pair = np.empty((2,) + x.shape)
     tau = cfg.lambda1 * cfg.eta2
     _masked_residual(resid, x, m3, ym, work)
-    trace = []
-    with _trace_on_failure(trace):
-        for n in range(1, cfg.iterations + 1):
-            # r = x - eta2 * (A^H resid + rho * (x + beta - t))
-            _ifft2c_arr(resid, resid, work)
-            np.add(x, beta, out=r)
-            np.subtract(r, t, out=r)
-            np.multiply(r, cfg.rho, out=r)
-            np.add(resid, r, out=r)
-            np.multiply(r, cfg.eta2, out=r)
-            np.subtract(x, r, out=r)
-            _check_finite(r, "gradient", n)
-            _sparse_step(r, tau, kind, work, pair)
-            _check_finite(r, "sparse", n)
-            sparse = cfg.lambda1 * float(np.abs(work, out=pair[0]).sum())
-            rel_change = _rel_change(r, x, work, pair)
-            x, r = r, x
-            if cfg.t_step_input == "x_plus_beta":
-                s_new = _low_rank_step(np.add(x, beta, out=r), cfg, n, t, work)
-            else:
-                s_new = _low_rank_step(x, cfg, n, t, work)
-            # beta += eta1 * (x - t)
-            np.multiply(np.subtract(x, t, out=r), cfg.eta1, out=r)
-            np.add(beta, r, out=beta)
-            _check_finite(beta, "multiplier", n)
-            _masked_residual(resid, x, m3, ym, work)
-            terms, gap2 = _lagrangian(
-                0.5 * _norm2(resid, pair), sparse, cfg.lambda2 * float(s_new.sum()),
-                x, t, beta, cfg.rho, r, pair,
-            )
-            objective = _check_finite_scalar(terms.total, "objective", n)
-            trace.append(
-                IterationRecord(
-                    n,
-                    objective,
-                    terms.data_fidelity,
-                    terms.sparse_term,
-                    terms.nuclear_term,
-                    rel_change,
-                    split_gap=float(np.sqrt(gap2)),
-                )
-            )
-            if callback is not None:
-                callback(n, DynamicImage(x), t=DynamicImage(t), beta=DynamicImage(beta))
-    del resid, r, work, pair  # freed before the report copies x
-    return _finish(x, trace, started, cfg, reference)
+    for n in range(1, cfg.iterations + 1):
+        # r = x - eta2 * (A^H resid + rho * (x + beta - t))
+        _ifft2c_arr(resid, resid, work)
+        np.add(x, beta, out=r)
+        np.subtract(r, t, out=r)
+        np.multiply(r, cfg.rho, out=r)
+        np.add(resid, r, out=r)
+        np.multiply(r, cfg.eta2, out=r)
+        np.subtract(x, r, out=r)
+        _check_finite(r, "gradient", n)
+        _sparse_step(r, tau, kind, work, pair, n)
+        sparse = cfg.lambda1 * float(np.abs(work, out=pair[0]).sum())
+        rel_change = _rel_change(r, x, work, pair)
+        x, r = r, x
+        if cfg.t_step_input == "x_plus_beta":
+            s_new = _low_rank_step(np.add(x, beta, out=r), cfg, n, t, work)
+        else:
+            s_new = _low_rank_step(x, cfg, n, t, work)
+        # beta += eta1 * (x - t)
+        np.multiply(np.subtract(x, t, out=r), cfg.eta1, out=r)
+        np.add(beta, r, out=beta)
+        _check_finite(beta, "multiplier", n)
+        _masked_residual(resid, x, m3, ym, work)
+        terms, gap2 = _lagrangian(
+            0.5 * _norm2(resid, pair), sparse, cfg.lambda2 * float(s_new.sum()),
+            x, t, beta, cfg.rho, r, pair,
+        )
+        record = IterationRecord(
+            n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
+            rel_change, split_gap=float(np.sqrt(gap2)),
+        )
+        yield record, x, {"t": t, "beta": beta}
 
 
 def solve_ista_lr(
@@ -388,77 +388,65 @@ def solve_ista_lr(
     previous iterate: ``x - eta2 * A^H (A x - y)``.
     """
     cfg.validate_for(y.shape[2])
-    return _solve_ista(y, cfg, cfg.placement, reference, callback)
+    return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
 
 
-def _solve_ista(y, cfg, placement, reference, callback):
+def _ista_iterations(y, cfg, m3, ym, x, resid, r, work, pair, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
-    Unless a low-rank step follows data consistency (L3), the DC step keeps
-    its k-space in ``resid``, as :func:`solve_ista_sparse` describes.
+    ``r`` holds the gradient step, then the new ``x``; ``resid`` holds the
+    residual that drives the gradient step.  It is free from there until
+    data consistency, so the low-rank steps before it write into ``resid``
+    and swap it with ``r``.  Unless a low-rank step follows data
+    consistency (L3), the DC step keeps its k-space in ``resid``, as
+    :func:`solve_ista_sparse` describes.
     """
-    _check_reference(reference, y)
-    started = time.perf_counter()
     kind = cfg.transform
-    m3, ym, x = _zero_filled(y)
     sampled = y.mask.entries.astype(bool)
     acq_sampled = y.data[:, sampled]
     keeps_kspace = placement != "L3"
-    # r holds the gradient step, then the new x; resid holds the residual that
-    # drives the gradient step.  It is free from there until data consistency,
-    # so the low-rank steps before it write into resid and swap it with r.
-    resid, r, work = (_new_volume(x) for _ in range(3))
-    pair = np.empty((2,) + x.shape)
     tau = cfg.lambda1 * cfg.eta2
     if keeps_kspace:
         np.copyto(resid, ym)
         _sampled_residual(resid, m3, ym)
     else:
         _masked_residual(resid, x, m3, ym, work)
-    trace = []
-    with _trace_on_failure(trace):
-        for n in range(1, cfg.iterations + 1):
-            if keeps_kspace and cfg.dc_mode == "replace":
-                np.copyto(r, x)  # the gradient of a residual that is exactly 0
-            else:
-                _ifft2c_arr(resid, r, work)
-                np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
-                _check_finite(r, "gradient", n)
-            if placement == "L1":
-                _low_rank_step(r, cfg, n, resid, work)
-                r, resid = resid, r
-            _sparse_step(r, tau, kind, work, pair)
-            _check_finite(r, "sparse", n)
-            if placement == "L2":
-                _low_rank_step(r, cfg, n, resid, work)
-                r, resid = resid, r
-            _dc_arr(
-                r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work,
-                kspace=resid if keeps_kspace else None,
-            )
-            _check_finite(r, "data-consistency", n)
-            if placement is None:
-                nuclear = 0.0
-            elif placement == "L3":
-                nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, work).sum())
-                r, resid = resid, r
-            else:
-                nuclear = cfg.lambda2 * _nuclear_arr(r)
-            if keeps_kspace:
-                _sampled_residual(resid, m3, ym)
-            else:
-                _masked_residual(resid, r, m3, ym, work)
-            fid = 0.5 * _norm2(resid, pair)
-            coeffs = _transform_fwd_arr(r, kind, work)
-            sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
-            objective = _check_finite_scalar(fid + sparse + nuclear, "objective", n)
-            rel_change = _rel_change(r, x, work, pair)
-            x, r = r, x
-            trace.append(IterationRecord(n, objective, fid, sparse, nuclear, rel_change))
-            if callback is not None:
-                callback(n, DynamicImage(x))
-    del resid, r, work, pair  # freed before the report copies x
-    return _finish(x, trace, started, cfg, reference)
+    for n in range(1, cfg.iterations + 1):
+        if keeps_kspace and cfg.dc_mode == "replace":
+            np.copyto(r, x)  # the gradient of a residual that is exactly 0
+        else:
+            _ifft2c_arr(resid, r, work)
+            np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
+            _check_finite(r, "gradient", n)
+        if placement == "L1":
+            _low_rank_step(r, cfg, n, resid, work)
+            r, resid = resid, r
+        _sparse_step(r, tau, kind, work, pair, n)
+        if placement == "L2":
+            _low_rank_step(r, cfg, n, resid, work)
+            r, resid = resid, r
+        _dc_arr(
+            r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work,
+            kspace=resid if keeps_kspace else None,
+        )
+        _check_finite(r, "data-consistency", n)
+        if placement is None:
+            nuclear = 0.0
+        elif placement == "L3":
+            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, work).sum())
+            r, resid = resid, r
+        else:
+            nuclear = cfg.lambda2 * _nuclear_arr(r)
+        if keeps_kspace:
+            _sampled_residual(resid, m3, ym)
+        else:
+            _masked_residual(resid, r, m3, ym, work)
+        fid = 0.5 * _norm2(resid, pair)
+        coeffs = _transform_fwd_arr(r, kind, work)
+        sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
+        rel_change = _rel_change(r, x, work, pair)
+        x, r = r, x
+        yield IterationRecord(n, float(fid + sparse + nuclear), fid, sparse, nuclear, rel_change), x, {}
 
 
 _SOLVERS = {
@@ -589,7 +577,7 @@ def _run_trajectory(solver, y, reference, cfg, stops):
 
     The last stop is ``cfg.iterations``.  Returns ``(scores, error)``:
     ``scores`` maps each stop reached to its PSNR against ``reference``, and
-    ``error`` is the exception that ended the solve, or None.
+    ``error`` is the exception that ended the solve or its scoring, or None.
     """
     scores = {}
     early = set(stops[:-1])
@@ -600,9 +588,9 @@ def _run_trajectory(solver, y, reference, cfg, stops):
 
     try:
         report = run_solver(solver, y, cfg, callback=score_stop if early else None)
-    except Exception as exc:  # the caller ranks it with the other grid points
+        scores[cfg.iterations] = psnr(reference, report.image)
+    except Exception as exc:  # the caller ranks it with the other grid points, scoring errors too
         return scores, exc
-    scores[cfg.iterations] = psnr(reference, report.image)
     return scores, None
 
 

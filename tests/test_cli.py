@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from dynlr import ifft2c, read_cplx, read_mask
+from dynlr import ifft2c, read_cplx, read_mask, write_cplx
 from dynlr.cli import main, parse_grid_spec, read_config_file, write_config_file
 from dynlr.core import ConfigError, SolverConfig
 
@@ -183,6 +183,15 @@ class TestReconCommand:
         ]) == 0
         assert (tmp_path / "ra.dat").read_bytes() == (tmp_path / "rb.dat").read_bytes()
 
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        cfg = SolverConfig(
+            lambda1=np.float64(0.002), rho=np.float32(0.1), eta2=np.float32(0.7),
+            rank_k=np.int64(3), iterations=np.int64(7),
+        )
+        cfg_path = tmp_path / "cfg.txt"
+        write_config_file(cfg_path, cfg)
+        assert SolverConfig(**read_config_file(cfg_path)) == cfg
+
     def test_non_ascii_config_file_is_usage_error(self, tmp_path, capsys):
         _, mask, ksp = make_inputs(tmp_path)
         cfg_path = tmp_path / "cfg.txt"
@@ -279,6 +288,17 @@ class TestTuneCommand:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_all_zero_reference_is_data_error(self, tmp_path, capsys):
+        phantom, mask, ksp = make_inputs(tmp_path)
+        zero = str(tmp_path / "zero")
+        write_cplx(zero, np.zeros(read_cplx(phantom).shape, dtype=complex))
+        rc = run_cli([
+            "tune", "--ksp", ksp, "--mask", mask, "--ref", zero, "--solver", "ista",
+            "--iters", "2", "--grid", "lambda1=0.001,0.01", "--out", str(tmp_path / "cfg.txt"),
+        ])
+        assert rc == 3
+        assert "all-zero reference" in capsys.readouterr().err
+
     def test_reproducible(self, tmp_path):
         phantom, mask, ksp = make_inputs(tmp_path)
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -304,6 +324,17 @@ class TestGridSpecParsing:
     def test_rejects_bad_int(self):
         with pytest.raises(ConfigError):
             parse_grid_spec("rank_k=2.5")
+
+    def test_rejects_repeated_field(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="'lambda1' is given more than once"):
+            parse_grid_spec("lambda1=1e-3; lambda1 =2e-3")
+        phantom, mask, ksp = make_inputs(tmp_path)
+        rc = run_cli([
+            "tune", "--ksp", ksp, "--mask", mask, "--ref", phantom, "--solver", "ista",
+            "--grid", "lambda1=1e-3;lambda1=2e-3", "--out", str(tmp_path / "cfg.txt"),
+        ])
+        assert rc == 2
+        assert "lambda1" in capsys.readouterr().err
 
 
 class TestEntryPoint:

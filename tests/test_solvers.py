@@ -297,6 +297,35 @@ class TestSlr:
         assert (err.value.step, err.value.iteration) == (step, iteration)
 
 
+_SPARSE_DIVERGES = SolverConfig(rank_k=2, iterations=60, eta2=1e6, dc_mode="weighted", dc_nu=0.0)
+_FAILURES = [
+    ("ista", _SPARSE_DIVERGES, "objective", 27),
+    ("ista-lr", _SPARSE_DIVERGES.replaced(placement="L1"), "objective", 27),
+    ("ista-lr", _SPARSE_DIVERGES.replaced(placement="L2"), "objective", 27),
+    ("ista-lr", _SPARSE_DIVERGES.replaced(placement="L3"), "objective", 27),
+    ("slr", SolverConfig(rho=1e4, eta2=1e4, rank_k=2, iterations=50), "objective", 21),
+    ("slr", SolverConfig(rho=10.0, eta2=1.5e308, rank_k=2, iterations=5), "gradient", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, cfg, step, failed_at", _FAILURES,
+    ids=[f"{s}-{c.placement if s == 'ista-lr' else step}" for s, c, step, _ in _FAILURES],
+)
+def test_failure_contract(solver, cfg, step, failed_at):
+    """Every loop raises at the failing step, with the records and callbacks before it, and no warning."""
+    _, y = small_problem()
+    called = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            run_solver(solver, y, cfg, callback=lambda n, x, **_: called.append(n))
+    completed = list(range(1, failed_at))
+    assert (err.value.step, err.value.iteration) == (step, failed_at)
+    assert [r.iteration for r in err.value.trace] == completed
+    assert called == completed
+
+
 class TestFiniteCheck:
     """The finite check sees a non-finite value in either part of a complex volume."""
 
@@ -705,39 +734,49 @@ class TestIterationOracle:
             assert {name: getattr(record, name) for name in terms} == terms
 
 
+_MEMORY_RUNS = [
+    ("ista", {}, 7.1),
+    ("ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
+                 "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
+    ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
+                 "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
+    ("slr", {"lr_mode": "hard"}, 10.1),
+    ("slr", {"lr_mode": "soft"}, 10.1),
+]
+
+
 class TestLoopMemory:
     """The loops reuse one set of volumes instead of allocating new ones per step.
 
     The bounds are the tracemalloc peaks, in volumes of the k-space, that
     the loops had while every step allocated its result: 7.02 for the
     sparse loop and 10.01 for ``slr``.  The buffered loops peak near 6.3-6.5
-    and 8.1.
+    and 8.1, also when the report scores against a reference: the scratch
+    volumes are freed before it.
     """
 
-    @pytest.mark.parametrize(
-        "solver, overrides, bound",
-        [
-            ("ista", {}, 7.1),
-            ("ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
-                         "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
-            ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
-                         "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
-            ("slr", {"lr_mode": "hard"}, 10.1),
-            ("slr", {"lr_mode": "soft"}, 10.1),
-        ],
-    )
-    def test_peak_traced_memory_in_volumes(self, solver, overrides, bound):
+    @staticmethod
+    def peak_volumes(solver, overrides, with_reference):
         img = make_phantom(64, 64, 16, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
         y = encode(img, make_vd_mask(64, 16, 8.0, seed=13))
         cfg = default_config(y, rank_k=2, iterations=5, **overrides)
-        run_solver(solver, y, cfg)  # fills the caches, such as the Haar matrix
+        reference = img if with_reference else None
+        run_solver(solver, y, cfg, reference)  # fills the caches, such as the Haar matrix
         tracemalloc.start()
         try:
-            run_solver(solver, y, cfg)
+            run_solver(solver, y, cfg, reference)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / y.data.nbytes <= bound
+        return peak / y.data.nbytes
+
+    @pytest.mark.parametrize("solver, overrides, bound", _MEMORY_RUNS)
+    def test_peak_traced_memory_in_volumes(self, solver, overrides, bound):
+        assert self.peak_volumes(solver, overrides, with_reference=False) <= bound
+
+    @pytest.mark.parametrize("solver, overrides, bound", _MEMORY_RUNS)
+    def test_peak_traced_memory_through_the_report(self, solver, overrides, bound):
+        assert self.peak_volumes(solver, overrides, with_reference=True) <= bound
 
 
 _TRANSFORMS = ("temporal_fourier", "temporal_haar")

@@ -18,6 +18,8 @@ import pytest
 
 from dynlr import (
     ConfigError,
+    DataError,
+    DynamicImage,
     KSpaceData,
     NumericError,
     SolverConfig,
@@ -145,6 +147,18 @@ def test_config_errors_as_sequential_tuner(problem, workers, space, match):
     with pytest.raises(ConfigError) as err:
         tune_hyperparams(y, img, space, "slr", base=base)
     assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [{"lambda1": [0.0, 1e-3]}, {"lambda1": [0.0, 1e-3], "iterations": [2, 1]}],
+    ids=["final-stops-only", "with-shorter-stops"],
+)
+def test_scoring_error_raised_like_a_solve_error(problem, workers, space):
+    _, y, _ = problem
+    zero = DynamicImage(np.zeros(y.shape, dtype=complex))
+    with pytest.raises(DataError, match="all-zero reference"):
+        tune_hyperparams(y, zero, space, "ista", base=SolverConfig(iterations=2))
 
 
 def test_blas_thread_variables_restored(problem, monkeypatch):
