@@ -67,10 +67,11 @@ def _parse_header(base):
     dim_tokens = lines[1].split()
     if len(dim_tokens) != 4 or dim_tokens[0] != "dims":
         raise FormatError(f"bad dims line {lines[1]!r} in {hdr_path}")
-    try:
-        nx, ny, nt = (int(tok) for tok in dim_tokens[1:])
-    except ValueError as exc:
-        raise FormatError(f"non-integer dims in {hdr_path}") from exc
+    # int() would also take signs, underscores and non-ASCII digits, which
+    # the writer never writes.
+    if not all(tok.isascii() and tok.isdigit() for tok in dim_tokens[1:]):
+        raise FormatError(f"dims {' '.join(dim_tokens[1:])!r} in {hdr_path} are not decimal digits")
+    nx, ny, nt = (int(tok) for tok in dim_tokens[1:])
     if min(nx, ny, nt) < 1:
         raise FormatError(f"non-positive dims {nx} {ny} {nt} in {hdr_path}")
     if lines[2] != "dtype c64le":

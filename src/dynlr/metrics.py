@@ -123,9 +123,8 @@ def ssim(ref: DynamicImage, rec: DynamicImage) -> float:
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
     g = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-    mag_ref = np.abs(ref.data)
-    mag_rec = np.abs(rec.data)
-    values = [
-        _ssim_frame(mag_ref[:, :, t], mag_rec[:, :, t], c1, c2, g) for t in range(ref.nt)
-    ]
+    # Frame-major and C-contiguous, so that each frame is one contiguous block.
+    mag_ref = np.abs(np.moveaxis(ref.data, 2, 0), order="C")
+    mag_rec = np.abs(np.moveaxis(rec.data, 2, 0), order="C")
+    values = [_ssim_frame(mag_ref[t], mag_rec[t], c1, c2, g) for t in range(ref.nt)]
     return float(np.mean(values))

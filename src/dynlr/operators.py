@@ -8,6 +8,7 @@ keeps gradient step sizes near 1 stable without spectral estimation.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,62 @@ def _ifft2c_arr(arr, out=None, work=None):
     return _roll_into(_new_volume(arr) if out is None else out, work)
 
 
+class _Columns(NamedTuple):
+    """Where the S sampled ``(ky, t)`` columns of ``k[:, sampled]`` lie in ``ifftshift(k)``.
+
+    The shift runs over x and y, and both fields follow the order of
+    ``k[:, sampled]``.
+    """
+
+    index: np.ndarray  # (S,) column indices into the (nx, ny * nt) view
+    entries: np.ndarray  # (nx, S) flat indices of every entry, x shift included
+
+
+def _sampled_columns(sampled, nx):
+    """The :class:`_Columns` of the ``(ny, nt)`` bool mask ``sampled`` in volumes ``nx`` wide."""
+    ny, nt = sampled.shape
+    ky, t = np.nonzero(sampled)
+    index = (ky - ny // 2) % ny * nt + t
+    rows = (np.arange(nx) - nx // 2) % nx
+    return _Columns(index, rows[:, None] * (ny * nt) + index)
+
+
+def _sampled_fft2c_arr(arr, cols, out, work):
+    """``_fft2c_arr(arr)[:, sampled]`` into the ``(nx, S)`` array ``out``, with the same bits.
+
+    ``cols`` comes from :func:`_sampled_columns`.  Like ``np.fft.fft2``, the
+    y-axis transform runs first, over the whole volume in ``work``; the
+    x-axis transform and the x shift then run on the S gathered columns
+    only.  ``work`` must be a C-contiguous volume other than ``arr``.
+    """
+    nx = arr.shape[0]
+    _roll_into(work, arr, inverse=True)
+    np.fft.fft(work, axis=1, norm="ortho", out=work)
+    # The gathered block reuses the front of ``work``, whose data it no longer needs.
+    block = work.reshape(-1)[: out.size].reshape(out.shape)
+    np.take(work.reshape(nx, -1), cols.index, axis=1, out=out, mode="clip")
+    np.fft.fft(out, axis=0, norm="ortho", out=block)
+    s = nx // 2
+    out[s:] = block[: nx - s]
+    out[:s] = block[nx - s :]
+    return out
+
+
+def _sampled_ifft2c_arr(c, cols, out, work):
+    """:func:`_ifft2c_arr` of the volume that holds ``c`` at the sampled columns and 0 elsewhere.
+
+    ``c`` is an ``(nx, S)`` array laid out as ``k[:, sampled]`` and ``cols``
+    comes from :func:`_sampled_columns`; the bits are those of the full
+    inverse transform of the zero-filled volume.  ``out`` and ``work`` are
+    volumes of shape ``(nx, ny, nt)``; ``work`` must be C-contiguous and
+    other than ``out``.
+    """
+    work.fill(0)
+    work.reshape(-1)[cols.entries] = c
+    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    return _roll_into(out, work)
+
+
 def fft2c(img: DynamicImage) -> DynamicImage:
     """Centered unitary 2D Fourier transform of every frame.
 
@@ -98,23 +155,31 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     return DynamicImage(_ifft2c_arr(masked))
 
 
-def _dc_arr(pred_arr, acq_sampled, sampled, mode, nu, out=None, work=None, kspace=None):
+def _dc_arr(pred_arr, acq_sampled, cols, mode, nu, out=None, work=None, sampled_out=None):
     """Data consistency of ``pred_arr`` into ``out`` (which may be ``pred_arr``).
 
-    ``sampled`` is a (ny, nt) bool mask and ``acq_sampled`` is
-    ``acq[:, sampled]`` of the acquired k-space; ``work`` is a scratch volume.
-    The rule is applied in k-space, which ``kspace`` keeps if given (it must
-    be a volume other than ``pred_arr`` and ``out``); otherwise ``out`` holds
-    it until the inverse transform.  None allocates a new volume.  ``mode``
-    and ``nu`` must have passed :meth:`SolverConfig.validate`.
+    ``cols`` comes from :func:`_sampled_columns` and ``acq_sampled`` is
+    ``acq[:, sampled]`` of the acquired k-space; ``work`` is a C-contiguous
+    scratch volume.  None allocates a new volume.  The rule is applied to
+    the un-centred k-space in ``work``: the shift after the forward FFT and
+    the one before the inverse FFT cancel, so neither is made.  If given,
+    the ``(nx, S)`` array ``sampled_out`` receives ``k[:, sampled]`` after
+    the rule.  ``mode`` and ``nu`` must have passed
+    :meth:`SolverConfig.validate`.
     """
     work = _new_volume(pred_arr) if work is None else work
-    k = _fft2c_arr(pred_arr, out if kspace is None else kspace, work)
+    _roll_into(work, pred_arr, inverse=True)
+    np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    flat = work.reshape(-1)
     if mode == "replace":
-        k[:, sampled] = acq_sampled
+        new = acq_sampled
     else:
-        k[:, sampled] = (k[:, sampled] + nu * acq_sampled) / (1.0 + nu)
-    return _ifft2c_arr(k, k if kspace is None else out, work)
+        new = (flat[cols.entries] + nu * acq_sampled) / (1.0 + nu)
+    flat[cols.entries] = new
+    if sampled_out is not None:
+        np.copyto(sampled_out, new)
+    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    return _roll_into(_new_volume(pred_arr) if out is None else out, work)
 
 
 def data_consistency(
@@ -141,4 +206,5 @@ def data_consistency(
         raise ConfigError("weighted data consistency requires nu")
     SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
     sampled = acquired.mask.entries.astype(bool)
-    return DynamicImage(_dc_arr(pred.data, acquired.data[:, sampled], sampled, mode, nu))
+    cols = _sampled_columns(sampled, pred.nx)
+    return DynamicImage(_dc_arr(pred.data, acquired.data[:, sampled], cols, mode, nu))

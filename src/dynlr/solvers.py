@@ -42,7 +42,7 @@ from .core import (
     _new_volume,
 )
 from .metrics import _norm2, _psnr_from_mse, fits_ssim_window, mse, psnr, ssim
-from .operators import _dc_arr, _fft2c_arr, _ifft2c_arr
+from .operators import _dc_arr, _sampled_columns, _sampled_fft2c_arr, _sampled_ifft2c_arr
 from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
 
 SOLVER_NAMES = ("ista", "slr", "ista-lr")
@@ -59,8 +59,9 @@ class IterationRecord:
     ``||x_n - t_n||`` and only set by the four-step solver.
 
     The terms reuse what the iteration already computed.  ``data_fidelity``
-    comes from the masked k-space residual that the next gradient step also
-    uses.  In the sparse loop (``ista``, and ``ista-lr`` at L1/L2) that
+    is half the squared norm of the residual ``A x - y`` on the S sampled
+    ``(ky, t)`` columns, an ``(nx, S)`` array that the next gradient step
+    also uses.  In the sparse loop (``ista``, and ``ista-lr`` at L1/L2) that
     residual comes from the k-space of the data-consistency step, with no
     further FFT, and in replace mode ``data_fidelity`` is exactly 0.  For the
     four-step solver, ``sparse_term`` is the l1 norm of the
@@ -117,15 +118,14 @@ def _check_finite(arr, step, iteration):
         )
 
 
-def _lagrangian(fid, sparse, nuclear, x, t, beta, rho, diff=None, pair=None):
-    """Add the multiplier and penalty terms of raw ``x``, ``t``, ``beta`` to the others.
+def _lagrangian(fid, sparse, nuclear, gap, beta, rho, pair=None):
+    """Add the multiplier and penalty terms of raw ``gap = x - t`` and ``beta`` to the others.
 
-    Returns the :class:`ObjectiveBreakdown` and ``||t - x||^2``.  ``diff``
-    receives ``t - x`` and ``pair`` serves :func:`_norm2`; None allocates.
+    Returns the :class:`ObjectiveBreakdown` and ``||x - t||^2``.  ``pair``
+    serves :func:`_norm2`; None allocates.
     """
-    diff = np.subtract(t, x, out=diff)
-    gap2 = _norm2(diff, pair)
-    multiplier = -rho * float(np.real(np.vdot(beta, diff)))
+    gap2 = _norm2(gap, pair)
+    multiplier = rho * float(np.real(np.vdot(beta, gap)))
     penalty = 0.5 * rho * gap2
     total = fid + sparse + nuclear + multiplier + penalty
     return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty), gap2
@@ -141,11 +141,24 @@ def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
     return s_new
 
 
-def _zero_filled(y: KSpaceData):
-    """The mask broadcast over x, the masked k-space, and the zero-filled image."""
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
-    ym = y.data * m3
-    return m3, ym, _ifft2c_arr(ym)
+def _sampled_data(y: KSpaceData):
+    """The column plan of :func:`~dynlr.operators._sampled_columns` and ``y[:, sampled]``.
+
+    The samples are C-contiguous, like the residuals made from them, so that
+    every sum over a residual runs in one order.
+    """
+    sampled = y.mask.entries.astype(bool)
+    return _sampled_columns(sampled, y.shape[0]), np.ascontiguousarray(y.data[:, sampled])
+
+
+def _zero_filled(y: KSpaceData, work=None):
+    """The column plan, the acquired samples, and the zero-filled image.
+
+    ``work`` is a scratch volume; None allocates.
+    """
+    cols, acq = _sampled_data(y)
+    x = _new_volume(y.data)
+    return cols, acq, _sampled_ifft2c_arr(acq, cols, x, _new_volume(x) if work is None else work)
 
 
 def _rel_change(curr, prev, diff, pair):
@@ -155,15 +168,9 @@ def _rel_change(curr, prev, diff, pair):
     return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
 
 
-def _sampled_residual(k, m3, ym):
-    """Replace the k-space ``k`` by its residual ``k * mask - y * mask``."""
-    np.multiply(k, m3, out=k)
-    return np.subtract(k, ym, out=k)
-
-
-def _masked_residual(out, x, m3, ym, work):
-    """``F x * mask - y * mask`` into ``out``, through the scratch volume ``work``."""
-    return _sampled_residual(_fft2c_arr(x, out, work), m3, ym)
+def _residual(out, x, cols, acq, work):
+    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``work`` is scratch."""
+    return np.subtract(_sampled_fft2c_arr(x, cols, out, work), acq, out=out)
 
 
 def _sparse_step(arr, tau, kind, z, pair, n):
@@ -190,12 +197,11 @@ def objective_slr(
             f"inconsistent shapes: x {x.shape}, t {t.shape}, beta {beta.shape}, y {y.shape}"
         )
     cfg.validate()
-    m3 = y.mask.entries[None, :, :].astype(np.float64)
-    resid = _masked_residual(_new_volume(x.data), x.data, m3, y.data * m3, _new_volume(x.data))
-    fid = 0.5 * _norm2(resid)
+    cols, acq = _sampled_data(y)
+    fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq, _new_volume(x.data)))
     sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
     nuclear = cfg.lambda2 * _nuclear_arr(t.data)
-    return _lagrangian(fid, sparse, nuclear, x.data, t.data, beta.data, cfg.rho)[0]
+    return _lagrangian(fid, sparse, nuclear, x.data - t.data, beta.data, cfg.rho)[0]
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -233,20 +239,25 @@ def _scores(reference, image):
 def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    ``iterations(y, cfg, *_zero_filled(y), resid, r, work, pair)`` gets three
-    scratch volumes and a real scratch pair.  It yields ``(record, x, state)``
-    after each iteration; ``state`` holds the callback's extra volumes.  The
-    objective's finite check, the trace, the callback and the report are here.
+    ``iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair)``
+    gets the column plan and acquired samples of :func:`_zero_filled`, the
+    zero-filled ``x``, the ``(nx, S)`` residual buffer ``c``, three scratch
+    volumes, and real scratch pairs of the volume's and of ``c``'s shape.
+    It yields ``(record, x, state)`` after each iteration; ``state`` holds
+    the callback's extra volumes.  The objective's finite check, the trace,
+    the callback and the report are here.
     """
     _check_reference(reference, y)
     started = time.perf_counter()
-    m3, ym, x = _zero_filled(y)
-    resid, r, work = (_new_volume(x) for _ in range(3))
-    pair = np.empty((2,) + x.shape)
+    work = _new_volume(y.data)
+    cols, acq, x = _zero_filled(y, work)
+    resid, r = _new_volume(x), _new_volume(x)
+    c = np.empty_like(acq)
+    pair, c_pair = np.empty((2,) + x.shape), np.empty((2,) + c.shape)
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for record, x, state in iterations(y, cfg, m3, ym, x, resid, r, work, pair):
+            for record, x, state in iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -260,7 +271,7 @@ def _solve(y, cfg, reference, callback, iterations):
         raise
     # Freed before the report copies x.  They are allocated here and not in
     # the generator: buffers that a generator allocated and freed raised peak RSS.
-    del resid, r, work, pair
+    del c, resid, r, work, pair, c_pair
     image = DynamicImage(x)
     return ReconReport(
         image=image,
@@ -286,11 +297,12 @@ def solve_ista_sparse(
 
     The data-consistency step transforms the iterate to k-space, applies
     the rule of :func:`~dynlr.operators.data_consistency` there (one shared
-    kernel), and transforms back.  It keeps that k-space ``k``: the next
-    gradient step is ``x - eta2 * F^H (k * mask - y * mask)``, and the first
-    uses ``k = y * mask``.  In replace mode this residual is exactly 0, so
-    the gradient step is the identity and the image depends on ``eta2``
-    only through the threshold.
+    kernel), and transforms back.  It keeps the sampled columns of that
+    k-space ``k``: the next gradient step is
+    ``x - eta2 * A^H (k[:, sampled] - y[:, sampled])``, and the first uses
+    ``k = y * mask``.  In replace mode this residual is exactly 0, so the
+    gradient step is the identity and the image depends on ``eta2`` only
+    through the threshold.
     """
     cfg.validate()
     return _solve(y, cfg, reference, callback, _ista_iterations)
@@ -315,27 +327,30 @@ def solve_slr(
        ``cfg.lr_mode``
     4. multiplier step: ``beta += eta1 * (x - t)``
 
-    Returns the final sparse-step iterate ``x``.  A callback, if given, is
-    invoked as ``callback(n, x, t=..., beta=...)`` after each iteration.
+    ``A x - y`` is formed on the S sampled ``(ky, t)`` columns only, and
+    ``A^H`` starts from them.  Returns the final sparse-step iterate ``x``.
+    A callback, if given, is invoked as ``callback(n, x, t=..., beta=...)``
+    after each iteration.
     """
     cfg.validate_for(y.shape[2])
     return _solve(y, cfg, reference, callback, _slr_iterations)
 
 
-def _slr_iterations(y, cfg, m3, ym, x, resid, r, work, pair):
+def _slr_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
-    ``r`` holds the gradient step, then the new ``x``; ``work`` is scratch
-    for every step.
+    ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
+    the gradient step, then the new ``x``, then ``x - t``; ``work`` is
+    scratch for every step.
     """
     kind = cfg.transform
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
-    _masked_residual(resid, x, m3, ym, work)
+    _residual(c, x, cols, acq, work)
     for n in range(1, cfg.iterations + 1):
-        # r = x - eta2 * (A^H resid + rho * (x + beta - t))
-        _ifft2c_arr(resid, resid, work)
+        # r = x - eta2 * (A^H c + rho * (x + beta - t))
+        _sampled_ifft2c_arr(c, cols, resid, work)
         np.add(x, beta, out=r)
         np.subtract(r, t, out=r)
         np.multiply(r, cfg.rho, out=r)
@@ -351,14 +366,13 @@ def _slr_iterations(y, cfg, m3, ym, x, resid, r, work, pair):
             s_new = _low_rank_step(np.add(x, beta, out=r), cfg, n, t, work)
         else:
             s_new = _low_rank_step(x, cfg, n, t, work)
-        # beta += eta1 * (x - t)
-        np.multiply(np.subtract(x, t, out=r), cfg.eta1, out=r)
-        np.add(beta, r, out=beta)
+        # beta += eta1 * (x - t), keeping x - t in r for the Lagrangian
+        np.subtract(x, t, out=r)
+        np.add(beta, np.multiply(r, cfg.eta1, out=work), out=beta)
         _check_finite(beta, "multiplier", n)
-        _masked_residual(resid, x, m3, ym, work)
+        _residual(c, x, cols, acq, work)
         terms, gap2 = _lagrangian(
-            0.5 * _norm2(resid, pair), sparse, cfg.lambda2 * float(s_new.sum()),
-            x, t, beta, cfg.rho, r, pair,
+            0.5 * _norm2(c, c_pair), sparse, cfg.lambda2 * float(s_new.sum()), r, beta, cfg.rho, pair
         )
         record = IterationRecord(
             n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
@@ -382,40 +396,37 @@ def solve_ista_lr(
     Placing it after data consistency perturbs the sampled k-space
     coefficients again, so only L1/L2 leave the output exactly consistent.
 
-    At L1 and L2 the gradient step uses the k-space kept by the previous
-    data-consistency step, as in :func:`solve_ista_sparse`, and in replace
+    At L1 and L2 the gradient step uses the sampled columns kept from the
+    previous data-consistency step, as in :func:`solve_ista_sparse`, and in replace
     mode it is the identity.  At L3 the gradient step transforms the
-    previous iterate: ``x - eta2 * A^H (A x - y)``.
+    previous iterate: ``x - eta2 * A^H (A x - y)``, with ``A x - y`` formed
+    on the sampled columns only.
     """
     cfg.validate_for(y.shape[2])
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
 
 
-def _ista_iterations(y, cfg, m3, ym, x, resid, r, work, pair, placement=None):
+def _ista_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
-    ``r`` holds the gradient step, then the new ``x``; ``resid`` holds the
-    residual that drives the gradient step.  It is free from there until
-    data consistency, so the low-rank steps before it write into ``resid``
-    and swap it with ``r``.  Unless a low-rank step follows data
-    consistency (L3), the DC step keeps its k-space in ``resid``, as
-    :func:`solve_ista_sparse` describes.
+    ``c`` holds the sampled residual that drives the gradient step; ``r``
+    holds the gradient step, then the new ``x``.  The low-rank steps write
+    into ``resid`` and swap it with ``r``.  Unless a low-rank step follows
+    data consistency (L3), ``c`` comes from the sampled columns of the DC
+    step's k-space, as :func:`solve_ista_sparse` describes.
     """
     kind = cfg.transform
-    sampled = y.mask.entries.astype(bool)
-    acq_sampled = y.data[:, sampled]
     keeps_kspace = placement != "L3"
     tau = cfg.lambda1 * cfg.eta2
     if keeps_kspace:
-        np.copyto(resid, ym)
-        _sampled_residual(resid, m3, ym)
+        c.fill(0)  # the residual of the k-space y * mask
     else:
-        _masked_residual(resid, x, m3, ym, work)
+        _residual(c, x, cols, acq, work)
     for n in range(1, cfg.iterations + 1):
         if keeps_kspace and cfg.dc_mode == "replace":
             np.copyto(r, x)  # the gradient of a residual that is exactly 0
         else:
-            _ifft2c_arr(resid, r, work)
+            _sampled_ifft2c_arr(c, cols, r, work)
             np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
             _check_finite(r, "gradient", n)
         if placement == "L1":
@@ -426,8 +437,7 @@ def _ista_iterations(y, cfg, m3, ym, x, resid, r, work, pair, placement=None):
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
         _dc_arr(
-            r, acq_sampled, sampled, cfg.dc_mode, cfg.dc_nu, r, work,
-            kspace=resid if keeps_kspace else None,
+            r, acq, cols, cfg.dc_mode, cfg.dc_nu, r, work, sampled_out=c if keeps_kspace else None
         )
         _check_finite(r, "data-consistency", n)
         if placement is None:
@@ -438,10 +448,10 @@ def _ista_iterations(y, cfg, m3, ym, x, resid, r, work, pair, placement=None):
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)
         if keeps_kspace:
-            _sampled_residual(resid, m3, ym)
+            np.subtract(c, acq, out=c)
         else:
-            _masked_residual(resid, r, m3, ym, work)
-        fid = 0.5 * _norm2(resid, pair)
+            _residual(c, r, cols, acq, work)
+        fid = 0.5 * _norm2(c, c_pair)
         coeffs = _transform_fwd_arr(r, kind, work)
         sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
         rel_change = _rel_change(r, x, work, pair)

@@ -255,6 +255,13 @@ class TestEvalCommand:
         assert rc == 3
         assert "not ASCII" in capsys.readouterr().err
 
+    def test_signed_or_underscored_dims_are_format_error(self, tmp_path, capsys):
+        phantom, _, _ = make_inputs(tmp_path)
+        (tmp_path / "p.hdr").write_text("DYNLR1\ndims +16 1_6 8\ndtype c64le\n")
+        rc = run_cli(["eval", "--ref", phantom, "--rec", phantom])
+        assert rc == 3
+        assert "decimal digits" in capsys.readouterr().err
+
 
 class TestTuneCommand:
     def test_single_point_grid_echoes_config(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlr import (
     DynamicImage,
@@ -107,6 +108,38 @@ class TestCorruptFiles:
         with pytest.raises(FormatError):
             read_cplx(base)
 
+
+    @pytest.mark.parametrize("dims", ["+2 2_0 1", "2 20 +1", "2 2_0 1", "2 -20 1", "0x2 20 1"])
+    def test_dims_must_be_plain_decimal_digits(self, tmp_path, dims):
+        """``int()`` reads ``dims +2 2_0 1`` as 2x20x1; the writer never writes such a line."""
+        base = str(tmp_path / "v")
+        write_cplx(base, np.ones((2, 20, 1), dtype=complex))
+        (tmp_path / "v.hdr").write_text(f"DYNLR1\ndims {dims}\ndtype c64le\n")
+        with pytest.raises(FormatError, match="decimal digits"):
+            read_cplx(base)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.one_of(
+            st.lists(
+                st.tuples(st.sampled_from(["", "+", "-", "_"]), st.sampled_from(["1", "01", "0_1", "x1"])),
+                min_size=3, max_size=3,
+            ).map(lambda toks: " ".join(sign + digits for sign, digits in toks)),
+            st.text(st.sampled_from("01+-_ .xe\t\r\x0b\x00"), max_size=12),
+        )
+    )
+    def test_any_dims_line_gives_data_or_format_error(self, tmp_path_factory, dims):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        base = str(tmp_path / "v")
+        write_cplx(base, np.ones((1, 1, 1), dtype=complex))
+        (tmp_path / "v.hdr").write_text(f"DYNLR1\ndims {dims}\ndtype c64le\n")
+        for read, shape_of in ((read_cplx, lambda v: v.shape), (read_mask, lambda m: (1, m.ny, m.nt))):
+            try:
+                shape = shape_of(read(base))
+            except FormatError:
+                continue
+            assert all(tok.isdigit() for tok in dims.split())
+            assert tuple(int(tok) for tok in dims.split()) == shape
 
     def test_volume_beyond_complex64_is_rejected_before_writing(self, tmp_path):
         data = np.ones((2, 3, 2), dtype=complex)

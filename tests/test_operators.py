@@ -15,9 +15,10 @@ from dynlr import (
     ifft2c,
     make_vd_mask,
 )
+from dynlr.operators import _sampled_columns, _sampled_fft2c_arr, _sampled_ifft2c_arr
 from dynlr.sim import central_lines
 
-from conftest import rand_image, rand_kspace, rand_mask, rel_err
+from conftest import rand_image, rand_kspace, rand_mask, rand_volume, rel_err
 
 
 class TestFFT:
@@ -239,3 +240,63 @@ class TestDataConsistency:
         else:
             k[:, sampled] = acquired.data[:, sampled]
         assert np.array_equal(out.data, ifft2c(DynamicImage(k)).data)
+
+
+def _sampled_case(shape, density, blank_frame, seed):
+    """A random volume, and a mask that may leave frames, or everything, unsampled."""
+    nx, ny, nt = shape
+    rng = np.random.default_rng(seed)
+    sampled = rng.random((ny, nt)) < density
+    if blank_frame:
+        sampled[:, rng.integers(nt)] = False
+    return rng, rand_image(rng, shape), sampled
+
+
+_SAMPLED_CASES = dict(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4)),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    blank_frame=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestSampledKernels:
+    """The sampled-column kernels against the public operators, over odd sizes and sparse masks."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_SAMPLED_CASES)
+    def test_forward_is_fft2c_at_the_sampled_columns(self, shape, density, blank_frame, seed):
+        _, img, sampled = _sampled_case(shape, density, blank_frame, seed)
+        out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
+        ours = _sampled_fft2c_arr(img.data, _sampled_columns(sampled, shape[0]), out, np.empty(shape, complex))
+        assert ours.tobytes() == fft2c(img).data[:, sampled].tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_SAMPLED_CASES)
+    def test_adjoint_is_ifft2c_of_the_zero_filled_columns(self, shape, density, blank_frame, seed):
+        rng, _, sampled = _sampled_case(shape, density, blank_frame, seed)
+        c = rand_volume(rng, (shape[0], int(sampled.sum())))
+        full = np.zeros(shape, dtype=complex)
+        full[:, sampled] = c
+        ours = _sampled_ifft2c_arr(
+            c, _sampled_columns(sampled, shape[0]), np.empty(shape, complex), np.empty(shape, complex)
+        )
+        assert ours.tobytes() == ifft2c(DynamicImage(full)).data.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_SAMPLED_CASES)
+    def test_encode_and_its_adjoint_are_adjoint(self, shape, density, blank_frame, seed):
+        rng, img, sampled = _sampled_case(shape, density, blank_frame, seed)
+        mask = SamplingMask(sampled, 1.0)
+        ksp = KSpaceData(rand_volume(rng, shape), mask)
+        lhs = np.vdot(encode(img, mask).data, ksp.data)
+        rhs = np.vdot(img.data, encode_adjoint(ksp).data)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_SAMPLED_CASES)
+    def test_fft2c_is_unitary(self, shape, density, blank_frame, seed):
+        _, img, _ = _sampled_case(shape, density, blank_frame, seed)
+        k = fft2c(img)
+        assert abs(np.linalg.norm(k.data) - np.linalg.norm(img.data)) <= 1e-12 * np.linalg.norm(img.data)
+        assert rel_err(ifft2c(k).data, img.data) <= 1e-13

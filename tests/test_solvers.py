@@ -679,7 +679,8 @@ def oracle_iteration(solver, y, cfg, state, k):
         if placement in (None, "L1", "L2"):
             terms["nuclear_term"] = 0.0 if placement is None else cfg.lambda2 * nuclear_norm(x_new)
     resid = encode(x_new, y.mask).data - ym if k is None else k * m3 - ym
-    terms["data_fidelity"] = 0.5 * norm2(resid)
+    # Only the sampled columns can be nonzero; summed C-contiguous, in the solvers' order.
+    terms["data_fidelity"] = 0.5 * norm2(np.ascontiguousarray(resid[:, y.mask.entries.astype(bool)]))
     terms["sparse_term"] = cfg.lambda1 * float(np.abs(z.data).sum())
     terms["rel_change"] = np.sqrt(norm2(x_new.data - x.data)) / np.sqrt(norm2(x.data))
     return state, k, terms
