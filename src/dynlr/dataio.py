@@ -84,16 +84,17 @@ def read_cplx(path) -> DynamicImage:
     base = _base_path(path)
     nx, ny, nt = _parse_header(base)
     dat_path = base + ".dat"
+    expected = nx * ny * nt
     try:
+        size = os.path.getsize(dat_path)  # before reading, so that a wrong file is never read
+        if size != 8 * expected:
+            raise FormatError(
+                f"data file {dat_path} holds {size} bytes but the header declares "
+                f"{nx}x{ny}x{nt} = {expected} complex values ({8 * expected} bytes)"
+            )
         raw = np.fromfile(dat_path, dtype="<c8")
     except OSError as exc:
         raise FormatError(f"cannot read data file {dat_path}: {exc}") from exc
-    expected = nx * ny * nt
-    if raw.size != expected:
-        raise FormatError(
-            f"data file {dat_path} holds {raw.size} complex values but the header "
-            f"declares {nx}x{ny}x{nt} = {expected}"
-        )
     vol = raw.astype(np.complex128).reshape((nx, ny, nt), order="F")
     return DynamicImage(vol)
 

@@ -5,10 +5,13 @@ The encoding operator is ``A = P F`` where ``F`` is the centered, unitary
 keeps the sampled phase-encode lines.  With the unitary normalization the
 operator norm of ``A`` is 1 and the adjoint of ``A`` is ``F^H P``, which
 keeps gradient step sizes near 1 stable without spectral estimation.
+
+The loops and the public operators apply ``A`` and ``A^H`` on the S sampled
+``(ky, t)`` columns only, and data consistency is the one correction
+``x - w A^H (A x - y)``: ``w = 1`` replaces and ``w = nu / (1 + nu)`` blends.
 """
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,24 +64,26 @@ def _ifft2c_arr(arr, out=None, work=None):
     return _roll_into(_new_volume(arr) if out is None else out, work)
 
 
-class _Columns(NamedTuple):
-    """Where the S sampled ``(ky, t)`` columns of ``k[:, sampled]`` lie in ``ifftshift(k)``.
+def _sampled_columns(sampled, nx):
+    """Where ``k[:, sampled]`` lies in the ``ifftshift`` over y of volumes ``nx`` wide.
 
-    The shift runs over x and y, and both fields follow the order of
+    ``sampled`` is the ``(ny, nt)`` bool mask.  Returns the ``(nx, S)`` flat
+    indices of the S sampled ``(ky, t)`` columns, in the order of
     ``k[:, sampled]``.
     """
-
-    index: np.ndarray  # (S,) column indices into the (nx, ny * nt) view
-    entries: np.ndarray  # (nx, S) flat indices of every entry, x shift included
-
-
-def _sampled_columns(sampled, nx):
-    """The :class:`_Columns` of the ``(ny, nt)`` bool mask ``sampled`` in volumes ``nx`` wide."""
     ny, nt = sampled.shape
     ky, t = np.nonzero(sampled)
-    index = (ky - ny // 2) % ny * nt + t
-    rows = (np.arange(nx) - nx // 2) % nx
-    return _Columns(index, rows[:, None] * (ny * nt) + index)
+    return np.arange(nx)[:, None] * (ny * nt) + (ky - ny // 2) % ny * nt + t
+
+
+def _sampled_data(y: KSpaceData):
+    """The indices of :func:`_sampled_columns` and ``y[:, sampled]``.
+
+    The samples are C-contiguous, like the residuals made from them, so that
+    every sum over a residual runs in one order.
+    """
+    sampled = y.mask.entries.astype(bool)
+    return _sampled_columns(sampled, y.shape[0]), np.ascontiguousarray(y.data[:, sampled])
 
 
 def _sampled_fft2c_arr(arr, cols, out, work):
@@ -94,7 +99,7 @@ def _sampled_fft2c_arr(arr, cols, out, work):
     np.fft.fft(work, axis=1, norm="ortho", out=work)
     # The gathered block reuses the front of ``work``, whose data it no longer needs.
     block = work.reshape(-1)[: out.size].reshape(out.shape)
-    np.take(work.reshape(nx, -1), cols.index, axis=1, out=out, mode="clip")
+    np.take(work.reshape(-1), cols, out=out, mode="clip")
     np.fft.fft(out, axis=0, norm="ortho", out=block)
     s = nx // 2
     out[s:] = block[: nx - s]
@@ -106,15 +111,26 @@ def _sampled_ifft2c_arr(c, cols, out, work):
     """:func:`_ifft2c_arr` of the volume that holds ``c`` at the sampled columns and 0 elsewhere.
 
     ``c`` is an ``(nx, S)`` array laid out as ``k[:, sampled]`` and ``cols``
-    comes from :func:`_sampled_columns`; the bits are those of the full
-    inverse transform of the zero-filled volume.  ``out`` and ``work`` are
-    volumes of shape ``(nx, ny, nt)``; ``work`` must be C-contiguous and
-    other than ``out``.
+    comes from :func:`_sampled_columns`.  The x shift and inverse x-axis
+    FFT run on the S columns only, in the front of ``out``, before the
+    y-axis one (``np.fft.ifft2`` runs y first; the last bits differ).
+    ``out`` and ``work`` are distinct C-contiguous volumes, other than ``c``.
     """
+    nx = c.shape[0]
+    s = nx // 2
+    block = out.reshape(-1)[: c.size].reshape(c.shape)
+    block[: nx - s] = c[s:]
+    block[nx - s :] = c[:s]
+    np.fft.ifft(block, axis=0, norm="ortho", out=block)
     work.fill(0)
-    work.reshape(-1)[cols.entries] = c
-    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
+    work.reshape(-1)[cols] = block
+    np.fft.ifft(work, axis=1, norm="ortho", out=work)
     return _roll_into(out, work)
+
+
+def _residual(out, x, cols, acq, work):
+    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``work`` is scratch."""
+    return np.subtract(_sampled_fft2c_arr(x, cols, out, work), acq, out=out)
 
 
 def fft2c(img: DynamicImage) -> DynamicImage:
@@ -149,37 +165,31 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     """Adjoint measurement ``A^H y``: mask the k-space, then inverse transform.
 
     Satisfies ``<A x, y> == <x, A^H y>`` for every image x and k-space y.
-    Applied to acquired data this is the zero-filled reconstruction.
+    Applied to acquired data this is the zero-filled reconstruction.  It is
+    the solvers' kernel, and matches ``ifft2c`` of the masked k-space to rounding.
     """
-    masked = ksp.data * ksp.mask.entries[None, :, :]
-    return DynamicImage(_ifft2c_arr(masked))
+    cols, acq = _sampled_data(ksp)
+    out, work = _new_volume(ksp.data), _new_volume(ksp.data)
+    return DynamicImage(_sampled_ifft2c_arr(acq, cols, out, work))
 
 
-def _dc_arr(pred_arr, acq_sampled, cols, mode, nu, out=None, work=None, sampled_out=None):
-    """Data consistency of ``pred_arr`` into ``out`` (which may be ``pred_arr``).
+def _dc_weight(mode, nu):
+    """The weight ``w`` of the data-consistency correction: 1, or ``nu / (1 + nu)`` if weighted."""
+    return 1.0 if mode == "replace" else nu / (1.0 + nu)
 
-    ``cols`` comes from :func:`_sampled_columns` and ``acq_sampled`` is
-    ``acq[:, sampled]`` of the acquired k-space; ``work`` is a C-contiguous
-    scratch volume.  None allocates a new volume.  The rule is applied to
-    the un-centred k-space in ``work``: the shift after the forward FFT and
-    the one before the inverse FFT cancel, so neither is made.  If given,
-    the ``(nx, S)`` array ``sampled_out`` receives ``k[:, sampled]`` after
-    the rule.  ``mode`` and ``nu`` must have passed
-    :meth:`SolverConfig.validate`.
+
+def _dc_arr(arr, acq, cols, w, out, c, g, work):
+    """Data consistency ``out = arr - w A^H (A arr - y)``; ``out`` may be ``arr``.
+
+    ``acq`` is ``y[:, sampled]``, ``cols`` comes from :func:`_sampled_columns`
+    and ``w`` from :func:`_dc_weight`.  The ``(nx, S)`` array ``c`` receives
+    the residual ``A arr - y`` and the volume ``g`` its adjoint
+    ``A^H (A arr - y)``; the residual of the output is ``(1 - w) c`` to
+    rounding.  ``g`` and ``work`` are C-contiguous volumes other than each
+    other, than ``arr`` and, unless ``g`` is ``out``, than ``out``.
     """
-    work = _new_volume(pred_arr) if work is None else work
-    _roll_into(work, pred_arr, inverse=True)
-    np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    flat = work.reshape(-1)
-    if mode == "replace":
-        new = acq_sampled
-    else:
-        new = (flat[cols.entries] + nu * acq_sampled) / (1.0 + nu)
-    flat[cols.entries] = new
-    if sampled_out is not None:
-        np.copyto(sampled_out, new)
-    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(_new_volume(pred_arr) if out is None else out, work)
+    _sampled_ifft2c_arr(_residual(c, arr, cols, acq, work), cols, g, work)
+    return np.subtract(arr, g if w == 1.0 else np.multiply(g, w, out=work), out=out)
 
 
 def data_consistency(
@@ -190,13 +200,14 @@ def data_consistency(
 ) -> DynamicImage:
     """Enforce agreement with the acquired k-space samples.
 
-    Unsampled k-space coefficients keep the predicted values.  Sampled
-    coefficients are overwritten by the acquired values (``mode="replace"``,
-    the noiseless default) or blended as ``(pred + nu*acq) / (1 + nu)``
-    (``mode="weighted"``, which requires ``nu``).  ``nu = 0`` leaves the
-    prediction untouched and a large ``nu`` approaches replace mode; ``mode``
-    and ``nu`` (finite, >= 0) take the ranges of ``SolverConfig.dc_mode`` and
-    ``dc_nu``, checked through it.  The result is returned in image space.
+    Returns ``pred - w A^H (A pred - y)``, the DC-CNN layer that the sparse
+    loops share, with ``w = 1`` (``mode="replace"``, the noiseless default)
+    or ``w = nu / (1 + nu)`` (``mode="weighted"``, which requires ``nu``).
+    In k-space, unsampled coefficients keep the predicted values and sampled
+    ones become the acquired values or ``(pred + nu*acq) / (1 + nu)``, to
+    rounding, not bit for bit.  ``nu = 0`` leaves the prediction untouched
+    and a large ``nu`` approaches replace mode; ``mode`` and ``nu`` (finite,
+    >= 0) take the ranges of ``SolverConfig.dc_mode`` and ``dc_nu``.
     """
     if pred.shape != acquired.shape:
         raise DimensionError(
@@ -205,6 +216,7 @@ def data_consistency(
     if mode == "weighted" and nu is None:
         raise ConfigError("weighted data consistency requires nu")
     SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
-    sampled = acquired.mask.entries.astype(bool)
-    cols = _sampled_columns(sampled, pred.nx)
-    return DynamicImage(_dc_arr(pred.data, acquired.data[:, sampled], cols, mode, nu))
+    cols, acq = _sampled_data(acquired)
+    out, work = _new_volume(pred.data), _new_volume(pred.data)
+    w = _dc_weight(mode, nu)
+    return DynamicImage(_dc_arr(pred.data, acq, cols, w, out, np.empty_like(acq), out, work))

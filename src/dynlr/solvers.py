@@ -42,7 +42,9 @@ from .core import (
     _new_volume,
 )
 from .metrics import _norm2, _psnr_from_mse, fits_ssim_window, mse, psnr, ssim
-from .operators import _dc_arr, _sampled_columns, _sampled_fft2c_arr, _sampled_ifft2c_arr
+from .operators import (
+    _dc_arr, _dc_weight, _residual, _sampled_data, _sampled_ifft2c_arr, encode_adjoint,
+)
 from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
 
 SOLVER_NAMES = ("ista", "slr", "ista-lr")
@@ -62,8 +64,9 @@ class IterationRecord:
     is half the squared norm of the residual ``A x - y`` on the S sampled
     ``(ky, t)`` columns, an ``(nx, S)`` array that the next gradient step
     also uses.  In the sparse loop (``ista``, and ``ista-lr`` at L1/L2) that
-    residual comes from the k-space of the data-consistency step, with no
-    further FFT, and in replace mode ``data_fidelity`` is exactly 0.  For the
+    residual is ``(1 - w) c``, where ``c`` is the residual that the
+    data-consistency step ``x = r - w A^H c`` formed for its input ``r``; in
+    replace mode (``w = 1``) ``data_fidelity`` is exactly 0.  For the
     four-step solver, ``sparse_term`` is the l1 norm of the
     soft-thresholded coefficients ``x`` was built from, and ``nuclear_term``
     sums the singular values the low-rank step kept for ``t``; at placement
@@ -141,36 +144,11 @@ def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
     return s_new
 
 
-def _sampled_data(y: KSpaceData):
-    """The column plan of :func:`~dynlr.operators._sampled_columns` and ``y[:, sampled]``.
-
-    The samples are C-contiguous, like the residuals made from them, so that
-    every sum over a residual runs in one order.
-    """
-    sampled = y.mask.entries.astype(bool)
-    return _sampled_columns(sampled, y.shape[0]), np.ascontiguousarray(y.data[:, sampled])
-
-
-def _zero_filled(y: KSpaceData, work=None):
-    """The column plan, the acquired samples, and the zero-filled image.
-
-    ``work`` is a scratch volume; None allocates.
-    """
-    cols, acq = _sampled_data(y)
-    x = _new_volume(y.data)
-    return cols, acq, _sampled_ifft2c_arr(acq, cols, x, _new_volume(x) if work is None else work)
-
-
 def _rel_change(curr, prev, diff, pair):
     denom = np.sqrt(_norm2(prev, pair))
     if denom == 0:
         denom = 1.0
     return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
-
-
-def _residual(out, x, cols, acq, work):
-    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``work`` is scratch."""
-    return np.subtract(_sampled_fft2c_arr(x, cols, out, work), acq, out=out)
 
 
 def _sparse_step(arr, tau, kind, z, pair, n):
@@ -211,7 +189,7 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     of the zero-filled reconstruction; the step size is 1 (the encoding
     operator has unit norm).  Keyword overrides replace individual fields.
     """
-    peak = float(np.abs(_zero_filled(y)[2]).max())
+    peak = float(np.abs(encode_adjoint(y).data).max())
     lam = 1e-3 * peak
     cfg = SolverConfig(lambda1=lam, lambda2=lam, rank_k=min(4, y.shape[2]))
     if overrides:
@@ -240,9 +218,10 @@ def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
     ``iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair)``
-    gets the column plan and acquired samples of :func:`_zero_filled`, the
-    zero-filled ``x``, the ``(nx, S)`` residual buffer ``c``, three scratch
-    volumes, and real scratch pairs of the volume's and of ``c``'s shape.
+    gets the indices and acquired samples of
+    :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
+    ``(nx, S)`` residual buffer ``c``, three scratch volumes, and real
+    scratch pairs of the volume's and of ``c``'s shape.
     It yields ``(record, x, state)`` after each iteration; ``state`` holds
     the callback's extra volumes.  The objective's finite check, the trace,
     the callback and the report are here.
@@ -250,7 +229,8 @@ def _solve(y, cfg, reference, callback, iterations):
     _check_reference(reference, y)
     started = time.perf_counter()
     work = _new_volume(y.data)
-    cols, acq, x = _zero_filled(y, work)
+    cols, acq = _sampled_data(y)
+    x = _sampled_ifft2c_arr(acq, cols, _new_volume(work), work)  # the zero-filled start
     resid, r = _new_volume(x), _new_volume(x)
     c = np.empty_like(acq)
     pair, c_pair = np.empty((2,) + x.shape), np.empty((2,) + c.shape)
@@ -295,13 +275,14 @@ def solve_ista_sparse(
     with threshold ``lambda1 * eta2``, and finishes with a data-consistency
     step.  ``lambda2``, ``rho`` and the low-rank fields are ignored.
 
-    The data-consistency step transforms the iterate to k-space, applies
-    the rule of :func:`~dynlr.operators.data_consistency` there (one shared
-    kernel), and transforms back.  It keeps the sampled columns of that
-    k-space ``k``: the next gradient step is
-    ``x - eta2 * A^H (k[:, sampled] - y[:, sampled])``, and the first uses
-    ``k = y * mask``.  In replace mode this residual is exactly 0, so the
-    gradient step is the identity and the image depends on ``eta2`` only
+    The data-consistency step is the correction ``x = r - w g`` of
+    :func:`~dynlr.operators.data_consistency` (one shared kernel), with
+    ``g = A^H c`` and ``c = A r - y`` on the sampled columns.  The residual
+    of ``x`` is ``(1 - w) c`` and its gradient ``(1 - w) g``, so the next
+    gradient step is ``x - eta2 * (1 - w) * g`` with no further FFT; the
+    zero-filled start counts as consistent, and the first gradient step
+    leaves it as it is.  In replace mode ``w = 1``: the residual is exactly
+    0, the gradient step is a copy, and the image depends on ``eta2`` only
     through the threshold.
     """
     cfg.validate()
@@ -394,13 +375,13 @@ def solve_ista_lr(
     applied at ``cfg.placement``: "L1" before the sparse step, "L2" between
     the sparse step and data consistency, "L3" after data consistency.
     Placing it after data consistency perturbs the sampled k-space
-    coefficients again, so only L1/L2 leave the output exactly consistent.
+    coefficients again, so only L1/L2 leave the output consistent.
 
-    At L1 and L2 the gradient step uses the sampled columns kept from the
-    previous data-consistency step, as in :func:`solve_ista_sparse`, and in replace
-    mode it is the identity.  At L3 the gradient step transforms the
+    At L1 and L2 the gradient step reuses what the data-consistency step
+    formed, as in :func:`solve_ista_sparse`.  At L3 it transforms the
     previous iterate: ``x - eta2 * A^H (A x - y)``, with ``A x - y`` formed
-    on the sampled columns only.
+    on the sampled columns only, so an iteration runs two sampled
+    forward/adjoint pairs.
     """
     cfg.validate_for(y.shape[2])
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
@@ -409,25 +390,29 @@ def solve_ista_lr(
 def _ista_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
-    ``c`` holds the sampled residual that drives the gradient step; ``r``
-    holds the gradient step, then the new ``x``.  The low-rank steps write
-    into ``resid`` and swap it with ``r``.  Unless a low-rank step follows
-    data consistency (L3), ``c`` comes from the sampled columns of the DC
-    step's k-space, as :func:`solve_ista_sparse` describes.
+    ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
+    the gradient step, then the new ``x``.  The low-rank steps write into
+    ``resid`` after the gradient step and swap it with ``r``.  Unless a
+    low-rank step follows data consistency (L3), the gradient step reuses
+    the ``c`` and ``resid`` of that step, as :func:`solve_ista_sparse` says.
     """
     kind = cfg.transform
-    keeps_kspace = placement != "L3"
+    keeps_residual = placement != "L3"
+    w = _dc_weight(cfg.dc_mode, cfg.dc_nu)
+    step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
-    if keeps_kspace:
-        c.fill(0)  # the residual of the k-space y * mask
+    if keeps_residual:
+        c.fill(0)  # the zero-filled start counts as consistent
+        resid.fill(0)
     else:
         _residual(c, x, cols, acq, work)
     for n in range(1, cfg.iterations + 1):
-        if keeps_kspace and cfg.dc_mode == "replace":
+        if step == 0:
             np.copyto(r, x)  # the gradient of a residual that is exactly 0
         else:
-            _sampled_ifft2c_arr(c, cols, r, work)
-            np.subtract(x, np.multiply(r, cfg.eta2, out=r), out=r)
+            if not keeps_residual:
+                _sampled_ifft2c_arr(c, cols, resid, work)
+            np.subtract(x, np.multiply(resid, step, out=r), out=r)
             _check_finite(r, "gradient", n)
         if placement == "L1":
             _low_rank_step(r, cfg, n, resid, work)
@@ -436,9 +421,7 @@ def _ista_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair, plac
         if placement == "L2":
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
-        _dc_arr(
-            r, acq, cols, cfg.dc_mode, cfg.dc_nu, r, work, sampled_out=c if keeps_kspace else None
-        )
+        _dc_arr(r, acq, cols, w, r, c, resid, work)
         _check_finite(r, "data-consistency", n)
         if placement is None:
             nuclear = 0.0
@@ -447,8 +430,8 @@ def _ista_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair, plac
             r, resid = resid, r
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)
-        if keeps_kspace:
-            np.subtract(c, acq, out=c)
+        if keeps_residual:
+            np.multiply(c, 1.0 - w, out=c)
         else:
             _residual(c, r, cols, acq, work)
         fid = 0.5 * _norm2(c, c_pair)

@@ -74,6 +74,17 @@ class TestCorruptFiles:
         with pytest.raises(FormatError):
             read_cplx(base)
 
+    @pytest.mark.parametrize("size", [0, 7, 256, 513, 1024])
+    def test_wrong_size_is_rejected_without_reading(self, rng, tmp_path, monkeypatch, size):
+        base = self._write_valid(rng, tmp_path)
+        raw = (tmp_path / "v.dat").read_bytes()
+        (tmp_path / "v.dat").write_bytes((raw + raw)[:size])
+        reads = []
+        monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: reads.append(args))
+        with pytest.raises(FormatError, match=f"holds {size} bytes .* = 64 complex values"):
+            read_cplx(base)
+        assert reads == []
+
     def test_unknown_magic(self, rng, tmp_path):
         base = self._write_valid(rng, tmp_path)
         (tmp_path / "v.hdr").write_text("NOTDYN\ndims 4 4 4\ndtype c64le\n")

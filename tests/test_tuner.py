@@ -25,6 +25,7 @@ from dynlr import (
     SolverConfig,
     default_config,
     encode,
+    encode_adjoint,
     make_phantom,
     make_vd_mask,
     psnr,
@@ -77,7 +78,7 @@ def workers(request, monkeypatch):
 @pytest.fixture(scope="module")
 def problem():
     img, y = small_problem()
-    return img, y, float(np.abs(solvers._zero_filled(y)[2]).max())
+    return img, y, float(np.abs(encode_adjoint(y).data).max())
 
 
 # Two slr trajectories whose objective overflows, at iteration 21 (rho 1e4) and 22 (rho 5e3).
