@@ -12,6 +12,7 @@ order.  Sampling masks are stored as 0/1-valued volumes with nx = 1.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -71,9 +72,14 @@ def _parse_header(base):
     # the writer never writes.
     if not all(tok.isascii() and tok.isdigit() for tok in dim_tokens[1:]):
         raise FormatError(f"dims {' '.join(dim_tokens[1:])!r} in {hdr_path} are not decimal digits")
-    nx, ny, nt = (int(tok) for tok in dim_tokens[1:])
+    try:
+        nx, ny, nt = (int(tok) for tok in dim_tokens[1:])
+    except ValueError as exc:  # a token above the interpreter's int-string digit limit
+        raise FormatError(f"dims in {hdr_path} have too many decimal digits") from exc
     if min(nx, ny, nt) < 1:
         raise FormatError(f"non-positive dims {nx} {ny} {nt} in {hdr_path}")
+    if 8 * nx * ny * nt > sys.maxsize:  # no file is that large, and the size may not print
+        raise FormatError(f"dims {nx} {ny} {nt} in {hdr_path} declare more than {sys.maxsize} bytes")
     if lines[2] != "dtype c64le":
         raise FormatError(f"unsupported dtype line {lines[2]!r} in {hdr_path}")
     return nx, ny, nt

@@ -43,25 +43,21 @@ def _roll_into(out, arr, inverse=False):
     return out
 
 
-def _fft2c_arr(arr, out=None, work=None):
-    """Centered unitary FFT of ``arr`` into ``out`` through the scratch volume ``work``.
-
-    ``out`` may be ``arr``; ``work`` must be a C-contiguous volume other than
-    both.  None allocates a new volume.
-    """
-    work = _new_volume(arr) if work is None else work
+def _fft2c_arr(arr):
+    """Centered unitary FFT of ``arr`` into a new volume."""
+    work = _new_volume(arr)
     _roll_into(work, arr, inverse=True)
     np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(_new_volume(arr) if out is None else out, work)
+    return _roll_into(_new_volume(arr), work)
 
 
-def _ifft2c_arr(arr, out=None, work=None):
-    """Exact inverse of :func:`_fft2c_arr`, with the same buffer rules."""
-    work = _new_volume(arr) if work is None else work
+def _ifft2c_arr(arr):
+    """Exact inverse of :func:`_fft2c_arr`, into a new volume."""
+    work = _new_volume(arr)
     _roll_into(work, arr, inverse=True)
     # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it.
     np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(_new_volume(arr) if out is None else out, work)
+    return _roll_into(_new_volume(arr), work)
 
 
 def _sampled_columns(sampled, nx):

@@ -217,7 +217,7 @@ def _scores(reference, image):
 def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    ``iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair)``
+    ``iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair)``
     gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
     ``(nx, S)`` residual buffer ``c``, three scratch volumes, and real
@@ -237,7 +237,7 @@ def _solve(y, cfg, reference, callback, iterations):
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for record, x, state in iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
+            for record, x, state in iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -317,7 +317,7 @@ def solve_slr(
     return _solve(y, cfg, reference, callback, _slr_iterations)
 
 
-def _slr_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
+def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
     ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
@@ -387,7 +387,7 @@ def solve_ista_lr(
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
 
 
-def _ista_iterations(y, cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placement=None):
+def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
     ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
@@ -487,15 +487,17 @@ def tune_hyperparams(
     point is scored at its iteration from the solve's callback.  The solvers
     are deterministic, so a shorter point gets the same bits as a solve of
     its own, and a point reached before its trajectory diverges is scored.
-    The trajectories run on ``min(usable CPUs, trajectories)`` worker
-    processes, dealt round-robin in grid order, or in this process when
-    that is 1.  Each worker is a fresh ``spawn`` interpreter with one BLAS
-    thread (the low-rank images have the same bits at any BLAS thread
-    count), so the result does not depend on the worker count.  Starting
-    the workers costs a fixed fraction of a second per call, which only a
-    grid of short solves notices.  As with any ``spawn`` process, a script
-    that calls this at top level needs an ``if __name__ == "__main__":``
-    guard.  A worker that dies ends the call with an ``EOFError``.
+    The trajectories run on a ``concurrent.futures.ProcessPoolExecutor`` of
+    ``min(usable CPUs, trajectories)`` worker processes, dealt round-robin
+    in grid order, or in this process when that is 1.  Each worker is a
+    fresh ``spawn`` interpreter with one BLAS thread (the low-rank images
+    have the same bits at any BLAS thread count), so the result does not
+    depend on the worker count.  Starting the workers costs a fixed
+    fraction of a second per call, which only a grid of short solves
+    notices.  As with any ``spawn`` process, a script that calls this at
+    top level needs an ``if __name__ == "__main__":`` guard.  A worker that
+    dies ends the call with an ``EOFError``; an interrupt, or any other
+    exception in this process, terminates the workers and is re-raised.
 
     Parameters
     ----------
@@ -587,11 +589,9 @@ def _run_trajectory(solver, y, reference, cfg, stops):
     return scores, None
 
 
-def _tune_worker(tasks, results):
-    """Read ``(solver, y, reference, jobs)`` from ``tasks``; send the :func:`_run_trajectory` results."""
-    with tasks, results:
-        solver, y, reference, jobs = tasks.recv()
-        results.send([_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs])
+def _run_share(solver, y, reference, jobs):
+    """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order."""
+    return [_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -622,51 +622,35 @@ def _usable_cpus():
 
 
 def _run_trajectories(solver, y, reference, jobs):
-    """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order.
+    """:func:`_run_share` of ``jobs``, dealt round-robin to worker processes.
 
     Runs in this process when one worker would do, or when this process is
-    itself a daemonic worker, which cannot start processes.
+    itself a daemonic worker, which cannot start processes.  A worker that
+    dies raises ``EOFError``.
     """
     workers = min(_usable_cpus(), len(jobs))
     if workers <= 1 or multiprocessing.current_process().daemon:
-        return [_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs]
-    ctx = multiprocessing.get_context("spawn")
-    procs, pipes = [], []
+        return _run_share(solver, y, reference, jobs)
+    # Imported here, so that only a call that starts workers loads the module.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    before = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        for _ in range(workers):
-            tasks_r, tasks_w = ctx.Pipe(duplex=False)
-            results_r, results_w = ctx.Pipe(duplex=False)
-            pipes.append((tasks_w, results_r))
-            proc = ctx.Process(target=_tune_worker, args=(tasks_r, results_w), daemon=True)
-            try:
-                with _one_blas_thread():
-                    proc.start()
-            finally:
-                # The worker now holds the only other ends, so its death shows here.
-                tasks_r.close()
-                results_w.close()
-            procs.append(proc)
-        # The inputs go through the pipes once every worker has started, not
-        # through start().  start() writes its payload before it lets go of
-        # the child's end, so a payload above the pipe buffer would make it
-        # wait until the child has started up (the workers would start one
-        # after another), and forever if the child died starting.
-        for w, (tasks_w, _) in enumerate(pipes):
-            try:
-                tasks_w.send((solver, y, reference, jobs[w::workers]))
-            except BrokenPipeError:
-                pass  # the worker is gone, and reading its result raises EOFError
-        shares = [results_r.recv() for _, results_r in pipes]
+        with _one_blas_thread():  # each submit starts a worker, which reads the variables
+            futures = [
+                pool.submit(_run_share, solver, y, reference, jobs[w::workers]) for w in range(workers)
+            ]
+        shares = [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise EOFError("a tuner worker died") from exc
     except BaseException:
-        for proc in procs:
+        # The shutdown below would otherwise wait for the running shares.
+        for proc in set(multiprocessing.active_children()) - before:
             proc.terminate()
         raise
     finally:
-        for tasks_w, results_r in pipes:
-            tasks_w.close()
-            results_r.close()
-        for proc in procs:
-            proc.join()
+        pool.shutdown(cancel_futures=True)
     results = [None] * len(jobs)
     for w, share in enumerate(shares):
         results[w::workers] = share

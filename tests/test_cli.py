@@ -262,6 +262,18 @@ class TestEvalCommand:
         assert rc == 3
         assert "decimal digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims, match",
+        [("1" * 5000 + " 16 8", "too many decimal digits"), (f"{'9' * 4000} {'9' * 4000} 8", "declare more than")],
+        ids=["above-int-digit-limit", "product-above-any-file"],
+    )
+    def test_overlong_dims_are_format_error(self, tmp_path, capsys, dims, match):
+        phantom, _, _ = make_inputs(tmp_path)
+        (tmp_path / "p.hdr").write_text(f"DYNLR1\ndims {dims}\ndtype c64le\n")
+        rc = run_cli(["eval", "--ref", phantom, "--rec", phantom])
+        assert rc == 3
+        assert match in capsys.readouterr().err
+
 
 class TestTuneCommand:
     def test_single_point_grid_echoes_config(self, tmp_path, capsys):

@@ -120,7 +120,13 @@ class TestCorruptFiles:
             read_cplx(base)
 
 
-    @pytest.mark.parametrize("dims", ["+2 2_0 1", "2 20 +1", "2 2_0 1", "2 -20 1", "0x2 20 1"])
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            "+2 2_0 1", "2 20 +1", "2 2_0 1", "2 -20 1", "0x2 20 1",
+            pytest.param("1" * 5000 + " 1 1", id="above-int-digit-limit"),
+        ],
+    )
     def test_dims_must_be_plain_decimal_digits(self, tmp_path, dims):
         """``int()`` reads ``dims +2 2_0 1`` as 2x20x1; the writer never writes such a line."""
         base = str(tmp_path / "v")
@@ -151,6 +157,35 @@ class TestCorruptFiles:
                 continue
             assert all(tok.isdigit() for tok in dims.split())
             assert tuple(int(tok) for tok in dims.split()) == shape
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        magic=st.one_of(
+            st.just("DYNLR1"),
+            st.sampled_from([" DYNLR1\t", "DYNLR", "dynlr1", "DYNLR12", "DYNLR1 x"]),
+            st.text(st.characters(max_codepoint=127), max_size=12),
+        ),
+        dims=st.lists(st.sampled_from(["1", "01", "x", "9" * 4000, "9" * 5000]), max_size=5),
+        dtype=st.one_of(
+            st.sampled_from(["dtype c64le", "dtype c64le\r", "dtype  c64le", "dtype c64be", "c64le"]),
+            st.text(st.characters(max_codepoint=127), max_size=12),
+        ),
+    )
+    def test_any_header_gives_data_or_format_error(self, tmp_path_factory, magic, dims, dtype):
+        """The magic and dtype lines, and dims lines with any number of tokens."""
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        base = str(tmp_path / "v")
+        write_cplx(base, np.ones((1, 1, 1), dtype=complex))
+        header = f"{magic}\ndims {' '.join(dims)}\n{dtype}\n"
+        (tmp_path / "v.hdr").write_bytes(header.encode("ascii"))
+        lines = [line.strip() for line in header.splitlines() if line.strip()]
+        for read in (read_cplx, read_mask):
+            try:
+                read(base)
+            except FormatError:
+                continue
+            assert lines[0] == "DYNLR1" and lines[2] == "dtype c64le"
+            assert [int(tok) for tok in lines[1].split()[1:]] == [1, 1, 1]
 
     def test_volume_beyond_complex64_is_rejected_before_writing(self, tmp_path):
         data = np.ones((2, 3, 2), dtype=complex)

@@ -221,6 +221,33 @@ def test_worker_that_dies_starting_is_eof_error_not_a_hang():
     assert result.stdout == "EOFError\n"
 
 
+def test_interrupt_terminates_the_workers(tmp_path):
+    # Each worker's solve would take about 20 s; SIGINT arrives 1 s into the call.
+    script = tmp_path / "interrupted_tune.py"
+    script.write_text(
+        "import multiprocessing, os, signal, threading, time\n"
+        "from dynlr import default_config, encode, make_phantom, make_vd_mask, solvers, tune_hyperparams\n"
+        "if __name__ == '__main__':\n"
+        "    solvers._usable_cpus = lambda: 2\n"
+        "    img = make_phantom(32, 32, 8, kind='rank_r_sparse', seed=2, rank=2, sparsity=2)\n"
+        "    y = encode(img, make_vd_mask(32, 8, 4.0, seed=4))\n"
+        "    base = default_config(y, rank_k=2, iterations=30000)\n"
+        "    started = time.perf_counter()\n"
+        "    threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+        "    try:\n"
+        "        tune_hyperparams(y, img, {'lambda1': [0.0, 1e-3]}, 'slr', base=base)\n"
+        "    except KeyboardInterrupt:\n"
+        "        print(time.perf_counter() - started, multiprocessing.active_children())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    seconds, children = result.stdout.split(maxsplit=1)
+    assert children == "[]\n"
+    assert 1.0 <= float(seconds) < 5.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_error_survives_pickling():
     _, y = small_problem()
