@@ -5,9 +5,15 @@ shape ``(nx, ny, nt)``.  Whenever a volume is flattened (Casorati matrix,
 file format), the x index varies fastest, then y, then t.  Types are
 immutable after construction: their arrays are copied in and marked
 read-only, so instances can be shared freely between threads.
+
+The kernels' passes over large volumes run on row slabs, on one thread per
+usable CPU, through :func:`_split_rows`.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -72,6 +78,91 @@ def _is_real(value):
 def _new_volume(like):
     """A new C-contiguous complex array of the shape of ``like``, for kernels that write with ``out=``."""
     return np.empty(like.shape, dtype=np.complex128)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A pass over fewer bytes than a core's L2 holds runs in one call; a larger
+# one runs on slabs of about _SLAB_BYTES (4 x-rows of a 256x256x32 volume).
+_SPLIT_FLOOR = 4 << 20
+_SLAB_BYTES = 512 << 10
+_split_width = None  # threads per split pass, the caller's included; None: one per usable CPU
+_pool = None  # made by the first pass that needs it
+_pool_lock = threading.Lock()
+
+
+def _set_split_width(width):
+    """Run every later split pass of this process on ``width`` threads (None: one per usable CPU)."""
+    global _split_width
+    _split_width = width
+
+
+def _forget_pool():
+    """Drop the pool in a forked child, which has none of the parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_of(threads):
+    """The pool, made with ``threads`` threads if there is none."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here, so that a process that never splits does not load it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="dynlr-rows")
+        return _pool
+
+
+def _split_rows(fn, n, nbytes):
+    """Call ``fn(rows)`` on slices ``rows`` that cover ``range(n)`` once each.
+
+    ``nbytes`` is the size of the data that the ``n`` rows index.  Under
+    ``_SPLIT_FLOOR`` bytes, one call gets all the rows.  Otherwise the rows
+    go in fixed slabs of about ``_SLAB_BYTES``: the calling thread and up to
+    ``_split_width - 1`` pool threads each take the next slab until none is
+    left.  ``fn`` must write only to its rows, read nothing that another
+    slab writes and not split again; then the thread that runs a slab does
+    not change the result, and neither does the width.  The pool threads
+    run in copies of the caller's context, so numpy's error state, a
+    context variable, holds there too.  The pool keeps the size of its
+    first pass; a wider later pass queues its extra shares until a pool
+    thread is free.  Returns when every slab is done; an error of the calling
+    thread is raised first, then that of a pool thread.
+    """
+    if nbytes < _SPLIT_FLOOR:
+        fn(slice(0, n))
+        return
+    step = max(1, n * _SLAB_BYTES // nbytes)
+    slabs = iter([slice(a, min(a + step, n)) for a in range(0, n, step)])
+
+    def run_slabs():
+        for rows in slabs:  # the threads share the iterator
+            fn(rows)
+
+    threads = _split_width or _usable_cpus()
+    helpers = min(threads, -(-n // step)) - 1
+    if helpers <= 0:
+        run_slabs()
+        return
+    pool = _pool_of(threads - 1)
+    futures = [pool.submit(contextvars.copy_context().run, run_slabs) for _ in range(helpers)]
+    try:
+        run_slabs()
+    finally:
+        errors = [future.exception() for future in futures]  # waits for each
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True, eq=False)

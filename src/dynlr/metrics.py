@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DataError, DimensionError, DynamicImage
+from .core import DataError, DimensionError, DynamicImage, _split_rows
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -24,21 +24,49 @@ def _check_dims(ref: DynamicImage, rec: DynamicImage):
         raise DimensionError(f"shape mismatch: reference {ref.shape} vs reconstruction {rec.shape}")
 
 
+def _abs2(arr, out=None, tmp=None):
+    """``re*re + im*im`` of ``arr`` into the real ``out``; ``tmp`` is real scratch; None allocates."""
+    out = np.multiply(arr.real, arr.real, out=out)
+    return np.add(out, np.multiply(arr.imag, arr.imag, out=tmp), out=out)
+
+
 def _norm2(arr, pair=None) -> float:
     """``sum(re*re + im*im)`` of ``arr``; ``pair`` holds two real scratch volumes, or is None."""
-    re2, im2 = (None, None) if pair is None else pair
-    re2 = np.multiply(arr.real, arr.real, out=re2)
-    return float(np.add(re2, np.multiply(arr.imag, arr.imag, out=im2), out=re2).sum())
+    return float(_abs2(arr, *(pair if pair is not None else (None, None))).sum())
+
+
+def _scaled_error(ref: DynamicImage, rec: DynamicImage):
+    """``(e, err2)``: :func:`mse` of ``ref`` and ``rec`` is ``err2 * 2**(2e)``.
+
+    The difference is scaled by ``2**-e`` before it is squared, where
+    ``2**e`` bounds its largest magnitude, so no square overflows.  Scaling
+    by a power of two is exact, so ``err2 * 2**(2e)`` has the bits of the
+    unscaled sum wherever that one neither overflows nor underflows.
+    """
+    _check_dims(ref, rec)
+    with np.errstate(over="ignore"):  # only magnitudes beyond the largest float become inf
+        diff = ref.data - rec.data
+        e = math.frexp(float(np.abs(diff).max()))[1]
+        np.ldexp(diff.real, -e, out=diff.real)
+        np.ldexp(diff.imag, -e, out=diff.imag)
+        return e, _norm2(diff)
+
+
+def _unscaled(value, e):
+    """``value * 2**e``; inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, e))
 
 
 def mse(ref: DynamicImage, rec: DynamicImage) -> float:
     """Squared L2 norm of the complex difference, summed over all elements.
 
     Note this is the unnormalized squared error, not divided by the element
-    count; see :func:`mse_per_element` for the per-element convention.
+    count; see :func:`mse_per_element` for the per-element convention.  It
+    is ``inf`` when the sum exceeds the largest float.
     """
-    _check_dims(ref, rec)
-    return _norm2(ref.data - rec.data)
+    e, err2 = _scaled_error(ref, rec)
+    return _unscaled(err2, 2 * e)
 
 
 def mse_per_element(ref: DynamicImage, rec: DynamicImage) -> float:
@@ -46,25 +74,28 @@ def mse_per_element(ref: DynamicImage, rec: DynamicImage) -> float:
     return mse(ref, rec) / ref.data.size
 
 
-def _psnr_from_mse(ref: DynamicImage, err2: float) -> float:
-    """PSNR of a reconstruction whose :func:`mse` against ``ref`` is ``err2``."""
-    peak = float(np.abs(ref.data).max())
+def _mse_psnr(ref: DynamicImage, rec: DynamicImage):
+    """:func:`mse` and :func:`psnr` of ``rec`` against ``ref``, from one pass."""
+    e, err2 = _scaled_error(ref, rec)
+    with np.errstate(over="ignore"):
+        peak = float(np.abs(ref.data).max())
     if peak == 0:
         raise DataError("PSNR undefined for an all-zero reference")
-    err = math.sqrt(err2)
+    err = _unscaled(math.sqrt(err2), e)
     if err == 0:
-        return math.inf
-    n = ref.data.size
-    return 20.0 * math.log10(peak * math.sqrt(n) / err)
+        return 0.0, math.inf
+    ratio = peak * math.sqrt(ref.data.size) / err
+    return _unscaled(err2, 2 * e), 20.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
 def psnr(ref: DynamicImage, rec: DynamicImage) -> float:
     """Peak signal-to-noise ratio in dB.
 
     ``20 * log10(max|ref| * sqrt(N) / ||ref - rec||_2)`` with N the total
-    element count.  Returns ``math.inf`` when the volumes are identical.
+    element count.  Returns ``math.inf`` when the volumes are identical, and
+    ``-math.inf`` when the error norm exceeds the largest float.
     """
-    return _psnr_from_mse(ref, mse(ref, rec))
+    return _mse_psnr(ref, rec)[1]
 
 
 def fits_ssim_window(img: DynamicImage) -> bool:
@@ -101,6 +132,11 @@ def _ssim_frame(mag_ref, mag_rec, c1, c2, g):
     return float(interior.mean())
 
 
+# Scaled magnitudes of the reconstruction above this count as this.  The
+# variances' rounding then stays far below c2, so no denominator reaches 0.
+_SSIM_CAP = 2.0**16
+
+
 def ssim(ref: DynamicImage, rec: DynamicImage) -> float:
     """Mean structural similarity of the magnitude images.
 
@@ -110,6 +146,13 @@ def ssim(ref: DynamicImage, rec: DynamicImage) -> float:
     averaged over time.  Only the interior where the window fits entirely
     inside the frame contributes.  The result lies in [-1, 1] and equals 1
     exactly when the magnitudes are identical.
+
+    The magnitudes are scaled by the power of two that brings the dynamic
+    range into [0.5, 1), which is exact and leaves the value as it is, so
+    no square overflows; a scaled reconstruction magnitude above ``2**16``
+    (a reconstruction tens of thousands of times brighter than the
+    reference) counts as ``2**16``.  The frames run on the threads of
+    :func:`~dynlr.core._split_rows`.
     """
     _check_dims(ref, rec)
     if not fits_ssim_window(ref):
@@ -117,14 +160,33 @@ def ssim(ref: DynamicImage, rec: DynamicImage) -> float:
             f"frames of shape ({ref.nx}, {ref.ny}) are smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
-    dynamic_range = float(np.abs(ref.data).max())
-    if dynamic_range == 0:
+    # Frame-major, so that each frame is one contiguous block.
+    mag_ref, mag_rec = np.empty((2, ref.nt, ref.nx, ref.ny))
+
+    def magnitudes(frames):
+        with np.errstate(over="ignore"):  # only magnitudes beyond the largest float become inf
+            for t in range(frames.start, frames.stop):
+                np.abs(ref.data[:, :, t], out=mag_ref[t])
+                np.abs(rec.data[:, :, t], out=mag_rec[t])
+
+    _split_rows(magnitudes, ref.nt, ref.data.nbytes)
+    peak = float(mag_ref.max())
+    if peak == 0:
         raise DataError("SSIM undefined for an all-zero reference")
+    e = math.frexp(peak)[1]
+    dynamic_range = math.ldexp(peak, -e)
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
     g = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-    # Frame-major and C-contiguous, so that each frame is one contiguous block.
-    mag_ref = np.abs(np.moveaxis(ref.data, 2, 0), order="C")
-    mag_rec = np.abs(np.moveaxis(rec.data, 2, 0), order="C")
-    values = [_ssim_frame(mag_ref[t], mag_rec[t], c1, c2, g) for t in range(ref.nt)]
+    values = np.empty(ref.nt)
+
+    def frame_values(frames):
+        for t in range(frames.start, frames.stop):
+            np.ldexp(mag_ref[t], -e, out=mag_ref[t])
+            with np.errstate(over="ignore"):  # one far above the reference's becomes inf, then the cap
+                np.ldexp(mag_rec[t], -e, out=mag_rec[t])
+            np.minimum(mag_rec[t], _SSIM_CAP, out=mag_rec[t])
+            values[t] = _ssim_frame(mag_ref[t], mag_rec[t], c1, c2, g)
+
+    _split_rows(frame_values, ref.nt, ref.data.nbytes)
     return float(np.mean(values))

@@ -11,8 +11,6 @@ The loops and the public operators apply ``A`` and ``A^H`` on the S sampled
 ``x - w A^H (A x - y)``: ``w = 1`` replaces and ``w = nu / (1 + nu)`` blends.
 """
 
-import itertools
-
 import numpy as np
 
 from .core import (
@@ -23,23 +21,28 @@ from .core import (
     SamplingMask,
     SolverConfig,
     _new_volume,
+    _split_rows,
 )
 
 _SPATIAL_AXES = (0, 1)
 
 
-def _roll_into(out, arr, inverse=False):
+def _roll_into(out, arr, inverse=False, rows=slice(None)):
     """Write ``fftshift(arr)`` (``ifftshift`` if ``inverse``) over x and y into ``out``.
 
-    The shift is an exact permutation, done as four block copies; ``out``
-    must not overlap ``arr``.
+    Only the output x-rows in the slice ``rows`` are written.  The shift is
+    an exact permutation, done as block copies; ``out`` must not overlap
+    ``arr``.
     """
-    halves = []
-    for n in arr.shape[:2]:
-        s = (n - n // 2 if inverse else n // 2) % n
-        halves.append(((slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))))
-    for (out_x, arr_x), (out_y, arr_y) in itertools.product(*halves):
-        out[out_x, out_y] = arr[arr_x, arr_y]
+    nx, ny = arr.shape[:2]
+    lo, hi, _ = rows.indices(nx)
+    sx, sy = ((n - n // 2 if inverse else n // 2) % n for n in (nx, ny))
+    ys = ((slice(sy, None), slice(None, ny - sy)), (slice(None, sy), slice(ny - sy, None)))
+    # Output rows [a, b) come from input rows [a + d, b + d).
+    for a, b, d in ((max(sx, lo), hi, -sx), (lo, min(sx, hi), nx - sx)):
+        if a < b:
+            for out_y, arr_y in ys:
+                out[a:b, out_y] = arr[a + d : b + d, arr_y]
     return out
 
 
@@ -88,18 +91,28 @@ def _sampled_fft2c_arr(arr, cols, out, work):
     ``cols`` comes from :func:`_sampled_columns`.  Like ``np.fft.fft2``, the
     y-axis transform runs first, over the whole volume in ``work``; the
     x-axis transform and the x shift then run on the S gathered columns
-    only.  ``work`` must be a C-contiguous volume other than ``arr``.
+    only.  ``work`` must be a C-contiguous volume other than ``arr``.  The
+    volume passes run on x-row slabs and the block passes on column slabs
+    (:func:`~dynlr.core._split_rows`), each line's transform as a whole.
     """
     nx = arr.shape[0]
-    _roll_into(work, arr, inverse=True)
-    np.fft.fft(work, axis=1, norm="ortho", out=work)
+
+    def roll_and_fft_y(rows):
+        _roll_into(work, arr, inverse=True, rows=rows)
+        np.fft.fft(work[rows], axis=1, norm="ortho", out=work[rows])
+
+    _split_rows(roll_and_fft_y, nx, work.nbytes)
     # The gathered block reuses the front of ``work``, whose data it no longer needs.
     block = work.reshape(-1)[: out.size].reshape(out.shape)
     np.take(work.reshape(-1), cols, out=out, mode="clip")
-    np.fft.fft(out, axis=0, norm="ortho", out=block)
     s = nx // 2
-    out[s:] = block[: nx - s]
-    out[:s] = block[nx - s :]
+
+    def fft_x_and_roll(c):
+        np.fft.fft(out[:, c], axis=0, norm="ortho", out=block[:, c])
+        out[s:, c] = block[: nx - s, c]
+        out[:s, c] = block[nx - s :, c]
+
+    _split_rows(fft_x_and_roll, out.shape[1], out.nbytes)
     return out
 
 
@@ -111,17 +124,30 @@ def _sampled_ifft2c_arr(c, cols, out, work):
     FFT run on the S columns only, in the front of ``out``, before the
     y-axis one (``np.fft.ifft2`` runs y first; the last bits differ).
     ``out`` and ``work`` are distinct C-contiguous volumes, other than ``c``.
+    The passes are split as in :func:`_sampled_fft2c_arr`.
     """
     nx = c.shape[0]
     s = nx // 2
     block = out.reshape(-1)[: c.size].reshape(c.shape)
-    block[: nx - s] = c[s:]
-    block[nx - s :] = c[:s]
-    np.fft.ifft(block, axis=0, norm="ortho", out=block)
-    work.fill(0)
+
+    def roll_and_ifft_x(cs):
+        block[: nx - s, cs] = c[s:, cs]
+        block[nx - s :, cs] = c[:s, cs]
+        np.fft.ifft(block[:, cs], axis=0, norm="ortho", out=block[:, cs])
+
+    def zero(rows):
+        work[rows].fill(0)
+
+    def ifft_y(rows):
+        np.fft.ifft(work[rows], axis=1, norm="ortho", out=work[rows])
+
+    _split_rows(roll_and_ifft_x, c.shape[1], c.nbytes)
+    _split_rows(zero, nx, work.nbytes)
     work.reshape(-1)[cols] = block
-    np.fft.ifft(work, axis=1, norm="ortho", out=work)
-    return _roll_into(out, work)
+    _split_rows(ifft_y, nx, work.nbytes)
+    # The x roll reads other rows of ``work`` than it writes, so it waits for the whole y pass.
+    _split_rows(lambda rows: _roll_into(out, work, rows=rows), nx, out.nbytes)
+    return out
 
 
 def _residual(out, x, cols, acq, work):

@@ -40,8 +40,11 @@ from .core import (
     NumericError,
     SolverConfig,
     _new_volume,
+    _set_split_width,
+    _split_rows,
+    _usable_cpus,
 )
-from .metrics import _norm2, _psnr_from_mse, fits_ssim_window, mse, psnr, ssim
+from .metrics import _abs2, _mse_psnr, _norm2, fits_ssim_window, psnr, ssim
 from .operators import (
     _dc_arr, _dc_weight, _residual, _sampled_data, _sampled_ifft2c_arr, encode_adjoint,
 )
@@ -107,31 +110,35 @@ class ObjectiveBreakdown:
     penalty_term: float
 
 
-def _check_finite(arr, step, iteration):
-    """Raise NumericError unless the C-contiguous complex ``arr`` is finite.
+def _finite(arr):
+    """Whether the C-contiguous complex ``arr`` is finite.
 
     The test runs on the real view of the same memory, which holds both
     parts and makes no complex pass.
     """
-    if not np.isfinite(arr.view(arr.real.dtype)).all():
-        raise NumericError(
-            f"non-finite values after the {step} step at iteration {iteration}",
-            step=step,
-            iteration=iteration,
-        )
+    return bool(np.isfinite(arr.view(arr.real.dtype)).all())
 
 
-def _lagrangian(fid, sparse, nuclear, gap, beta, rho, pair=None):
+def _numeric_error(step, iteration):
+    message = f"non-finite values after the {step} step at iteration {iteration}"
+    return NumericError(message, step=step, iteration=iteration)
+
+
+def _check_finite(arr, step, iteration):
+    """Raise NumericError unless the C-contiguous complex ``arr`` is finite."""
+    if not _finite(arr):
+        raise _numeric_error(step, iteration)
+
+
+def _lagrangian(fid, sparse, nuclear, gap, gap2, beta, rho):
     """Add the multiplier and penalty terms of raw ``gap = x - t`` and ``beta`` to the others.
 
-    Returns the :class:`ObjectiveBreakdown` and ``||x - t||^2``.  ``pair``
-    serves :func:`_norm2`; None allocates.
+    ``gap2`` is ``||gap||^2``.
     """
-    gap2 = _norm2(gap, pair)
     multiplier = rho * float(np.real(np.vdot(beta, gap)))
     penalty = 0.5 * rho * gap2
     total = fid + sparse + nuclear + multiplier + penalty
-    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty), gap2
+    return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
 
 
 def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
@@ -179,7 +186,8 @@ def objective_slr(
     fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq, _new_volume(x.data)))
     sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
     nuclear = cfg.lambda2 * _nuclear_arr(t.data)
-    return _lagrangian(fid, sparse, nuclear, x.data - t.data, beta.data, cfg.rho)[0]
+    gap = x.data - t.data
+    return _lagrangian(fid, sparse, nuclear, gap, _norm2(gap), beta.data, cfg.rho)
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -207,8 +215,8 @@ def _check_reference(reference, y: KSpaceData):
 
 def _scores(reference, image):
     """MSE, PSNR and, when the frames fit its window, SSIM of ``image`` against ``reference``."""
-    err2 = mse(reference, image)
-    scores = {"mse": err2, "psnr": _psnr_from_mse(reference, err2)}
+    err2, db = _mse_psnr(reference, image)
+    scores = {"mse": err2, "psnr": db}
     if fits_ssim_window(reference):
         scores["ssim"] = ssim(reference, image)
     return scores
@@ -322,38 +330,80 @@ def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
 
     ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
     the gradient step, then the new ``x``, then ``x - t``; ``work`` is
-    scratch for every step.
+    scratch for every step.  The steps between the FFTs and the SVT run in
+    two passes over x-row slabs (:func:`~dynlr.core._split_rows`): every
+    step there is elementwise or acts on whole temporal rows, and each sum
+    is one ``sum()`` over a whole real scratch volume of ``pair``, so the
+    slabs do not change a bit.  ``rel_change``'s denominator is the
+    squared norm of ``x`` that the previous iteration's multiplier pass
+    summed.  A slab records each step that left it
+    non-finite, and after the pass the first such step in program order is
+    raised, as if each step had been checked over the whole volume.
     """
     kind = cfg.transform
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
-    _residual(c, x, cols, acq, work)
-    for n in range(1, cfg.iterations + 1):
+    re2, im2 = pair
+    nx, nbytes = x.shape[0], x.nbytes
+
+    def gradient_and_sparse(rows, failed):
+        xs, rs, zs = x[rows], r[rows], work[rows]
         # r = x - eta2 * (A^H c + rho * (x + beta - t))
-        _sampled_ifft2c_arr(c, cols, resid, work)
-        np.add(x, beta, out=r)
-        np.subtract(r, t, out=r)
-        np.multiply(r, cfg.rho, out=r)
-        np.add(resid, r, out=r)
-        np.multiply(r, cfg.eta2, out=r)
-        np.subtract(x, r, out=r)
-        _check_finite(r, "gradient", n)
-        _sparse_step(r, tau, kind, work, pair, n)
-        sparse = cfg.lambda1 * float(np.abs(work, out=pair[0]).sum())
-        rel_change = _rel_change(r, x, work, pair)
-        x, r = r, x
+        np.add(xs, beta[rows], out=rs)
+        np.subtract(rs, t[rows], out=rs)
+        np.multiply(rs, cfg.rho, out=rs)
+        np.add(resid[rows], rs, out=rs)
+        np.multiply(rs, cfg.eta2, out=rs)
+        np.subtract(xs, rs, out=rs)
+        if not _finite(rs):
+            failed.add("gradient")
+            return
+        # r = D^H soft(D r, tau), keeping |D r| for the sparse term
+        _soft_arr(_transform_fwd_arr(rs, kind, zs), tau, zs, pair[:, rows])
+        if not _finite(_transform_adj_arr(zs, kind, rs)):
+            failed.add("sparse")
+        np.abs(zs, out=re2[rows])
+        # |r - x|^2 for rel_change; the imaginary part of the difference is its own scratch
+        diff = np.subtract(rs, xs, out=zs)
+        _abs2(diff, im2[rows], diff.imag)
         if cfg.t_step_input == "x_plus_beta":
-            s_new = _low_rank_step(np.add(x, beta, out=r), cfg, n, t, work)
-        else:
-            s_new = _low_rank_step(x, cfg, n, t, work)
-        # beta += eta1 * (x - t), keeping x - t in r for the Lagrangian
-        np.subtract(x, t, out=r)
-        np.add(beta, np.multiply(r, cfg.eta1, out=work), out=beta)
-        _check_finite(beta, "multiplier", n)
+            np.add(rs, beta[rows], out=xs)  # the low-rank step's input; x is no longer needed
+
+    def multiplier(rows, failed):
+        # beta += eta1 * (x - t), keeping x - t in r, |x - t|^2 for the Lagrangian
+        # and |x|^2 for the next rel_change
+        xs, rs, ws = x[rows], r[rows], work[rows]
+        np.subtract(xs, t[rows], out=rs)
+        np.add(beta[rows], np.multiply(rs, cfg.eta1, out=ws), out=beta[rows])
+        if not _finite(beta[rows]):
+            failed.add("multiplier")
+        _abs2(rs, re2[rows], ws.real)
+        _abs2(xs, im2[rows], ws.imag)
+
+    def split(fn, n, *steps):
+        """Run ``fn(rows, failed)`` on slabs, then raise the first of ``steps`` in ``failed``."""
+        failed = set()
+        _split_rows(partial(fn, failed=failed), nx, nbytes)
+        for step in steps:
+            if step in failed:
+                raise _numeric_error(step, n)
+
+    _residual(c, x, cols, acq, work)
+    x2 = _norm2(x, pair)
+    for n in range(1, cfg.iterations + 1):
+        _sampled_ifft2c_arr(c, cols, resid, work)
+        split(gradient_and_sparse, n, "gradient", "sparse")
+        sparse = cfg.lambda1 * float(re2.sum())
+        denom = np.sqrt(x2)
+        rel_change = float(np.sqrt(float(im2.sum())) / (1.0 if denom == 0 else denom))
+        x, r = r, x
+        s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t, work)
+        split(multiplier, n, "multiplier")
+        gap2, x2 = float(re2.sum()), float(im2.sum())
         _residual(c, x, cols, acq, work)
-        terms, gap2 = _lagrangian(
-            0.5 * _norm2(c, c_pair), sparse, cfg.lambda2 * float(s_new.sum()), r, beta, cfg.rho, pair
+        terms = _lagrangian(
+            0.5 * _norm2(c, c_pair), sparse, cfg.lambda2 * float(s_new.sum()), r, gap2, beta, cfg.rho
         )
         record = IterationRecord(
             n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
@@ -489,13 +539,15 @@ def tune_hyperparams(
     its own, and a point reached before its trajectory diverges is scored.
     The trajectories run on a ``concurrent.futures.ProcessPoolExecutor`` of
     ``min(usable CPUs, trajectories)`` worker processes, dealt round-robin
-    in grid order, or in this process when that is 1.  Each worker is a
-    fresh ``spawn`` interpreter with one BLAS thread (the low-rank images
-    have the same bits at any BLAS thread count), so the result does not
-    depend on the worker count.  Starting the workers costs a fixed
-    fraction of a second per call, which only a grid of short solves
-    notices.  As with any ``spawn`` process, a script that calls this at
-    top level needs an ``if __name__ == "__main__":`` guard.  A worker that
+    in grid order, or in this process when that is 1 or the grid is under
+    ``_WORKER_FLOOR`` volume elements times iterations.  Each worker is a
+    fresh ``spawn`` interpreter with one BLAS thread and one split thread.
+    The images have the same bits at any split width, and at any BLAS
+    thread count on the frame sizes the tests cover (see the README), so
+    there the result does not depend on the worker count.  Starting the
+    workers costs a fixed fraction of a second per call, which only a grid
+    of short solves notices.  As with any ``spawn`` process, a script that
+    calls this at top level needs an ``if __name__ == "__main__":`` guard.  A worker that
     dies ends the call with an ``EOFError``; an interrupt, or any other
     exception in this process, terminates the workers and is re-raised.
 
@@ -615,27 +667,34 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# Below this many volume elements times solved iterations, a grid runs in
+# this process: a 2-point grid of 2 iterations at 32x32x8 reaches it, and
+# takes milliseconds, against a fraction of a second to start the workers.
+_WORKER_FLOOR = 1 << 15
 
 
 def _run_trajectories(solver, y, reference, jobs):
     """:func:`_run_share` of ``jobs``, dealt round-robin to worker processes.
 
-    Runs in this process when one worker would do, or when this process is
-    itself a daemonic worker, which cannot start processes.  A worker that
-    dies raises ``EOFError``.
+    Runs in this process when one worker would do, when the jobs solve
+    fewer than ``_WORKER_FLOOR`` volume elements times iterations, or when
+    this process is itself a daemonic worker, which cannot start processes.
+    Each worker runs its split passes on one thread.  A worker that dies
+    raises ``EOFError``.
     """
     workers = min(_usable_cpus(), len(jobs))
-    if workers <= 1 or multiprocessing.current_process().daemon:
+    work = y.data.size * sum(stops[-1] for _, stops in jobs)
+    if workers <= 1 or work < _WORKER_FLOOR or multiprocessing.current_process().daemon:
         return _run_share(solver, y, reference, jobs)
     # Imported here, so that only a call that starts workers loads the module.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     before = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    # One split thread per worker: the workers already fill the CPUs.
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("spawn"),
+        initializer=_set_split_width, initargs=(1,),
+    )
     try:
         with _one_blas_thread():  # each submit starts a worker, which reads the variables
             futures = [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlr import (
     CasoratiView,
@@ -130,6 +131,18 @@ class TestCasorati:
         view = CasoratiView(rand_volume(rng, (3, 3)))
         with pytest.raises(DimensionError):
             from_casorati(view, (2, 2, 3))
+
+
+class TestCasoratiRoundTripProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 6)), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_over_random_shapes(self, shape, seed):
+        nx, ny, nt = shape
+        img = rand_image(np.random.default_rng(seed), shape)
+        view = to_casorati(img)
+        # entry (x + nx*y, t) is voxel (x, y, t)
+        assert np.array_equal(view.matrix, img.data.reshape(nx * ny, nt, order="F"))
+        assert np.array_equal(from_casorati(view, shape).data, img.data)
 
 
 class TestSolverConfig:

@@ -1,4 +1,6 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,34 @@ class TestVolumeRoundTrip:
         write_cplx(str(tmp_path / "v"), rand_image(rng, (3, 4, 5)))
         lines = (tmp_path / "v.hdr").read_text().splitlines()
         assert lines == ["DYNLR1", "dims 3 4 5", "dtype c64le"]
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 6)),
+        scale=st.sampled_from([1e-30, 1.0, 1e30]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_volume_round_trips_at_float32(self, shape, scale, seed):
+        img = rand_image(np.random.default_rng(seed), shape)
+        img = DynamicImage(img.data * scale)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_cplx(str(Path(tmp) / "vol"), img)
+            back = read_cplx(str(Path(tmp) / "vol"))
+        assert np.array_equal(back.data, img.data.astype(np.complex64).astype(np.complex128))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ny=st.integers(1, 9), nt=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_mask_round_trips(self, ny, nt, seed):
+        entries = (np.random.default_rng(seed).random((ny, nt)) < 0.5).astype(np.uint8)
+        entries[0, 0] = 1
+        mask = SamplingMask(entries, entries.size / entries.sum())
+        with tempfile.TemporaryDirectory() as tmp:
+            write_mask(str(Path(tmp) / "m"), mask)
+            back = read_mask(str(Path(tmp) / "m"))
+        assert np.array_equal(back.entries, mask.entries)
+        assert back.acceleration == mask.achieved_acceleration
 
 
 class TestCorruptFiles:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +170,44 @@ class TestSsim:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionError):
             ssim(rand_image(rng, (16, 16, 2)), rand_image(rng, (16, 16, 3)))
+
+
+class TestAnyFiniteScale:
+    """PSNR and SSIM are defined, without numpy warnings, for every finite input."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e100, 1e160, 1e200, 1e300])
+    def test_identical_volumes(self, rng, scale):
+        a = DynamicImage(rand_volume(rng, (16, 16, 4)) * scale)
+        assert ssim(a, a) == 1.0
+        assert psnr(a, a) == math.inf
+        assert mse(a, a) == 0.0
+
+    @pytest.mark.parametrize("k", [-1000, -500, -100, -1, 1, 100, 500, 1000])
+    def test_power_of_two_scale_keeps_the_bits(self, rng, k):
+        a, b = rand_volume(rng, (16, 16, 4)), rand_volume(rng, (16, 16, 4))
+        ref, rec = DynamicImage(a), DynamicImage(a + 0.1 * b)
+        ref_k, rec_k = DynamicImage(np.ldexp(1.0, k) * ref.data), DynamicImage(np.ldexp(1.0, k) * rec.data)
+        assert ssim(ref_k, rec_k) == ssim(ref, rec)
+        assert psnr(ref_k, rec_k) == psnr(ref, rec)
+        if abs(k) <= 500:
+            assert mse(ref_k, rec_k) == math.ldexp(mse(ref, rec), 2 * k)
+
+    def test_overflowing_squared_error(self, rng):
+        a = rand_volume(rng, (16, 16, 4))
+        ref, rec = DynamicImage(1e160 * a), DynamicImage(-1e160 * a)
+        assert mse(ref, rec) == math.inf
+        assert psnr(ref, rec) == pytest.approx(psnr(DynamicImage(a), DynamicImage(-a)), rel=1e-13)
+
+    @pytest.mark.parametrize("brighter", [1e10, 1e200, 1e300])
+    def test_reconstruction_far_brighter_than_reference(self, rng, brighter):
+        ref = DynamicImage(rand_volume(rng, (16, 16, 4)))
+        rec = DynamicImage(brighter * ref.data)
+        assert 0.0 <= ssim(ref, rec) < 1e-3
+        assert psnr(ref, rec) < -20 * math.log10(brighter) + 10
+        assert math.isfinite(ssim(rec, ref)) and math.isfinite(psnr(rec, ref))

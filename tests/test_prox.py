@@ -372,3 +372,53 @@ class TestCasoratiRank:
     def test_rejects_non_finite_or_negative_tolerance(self, rng, rel_tol):
         with pytest.raises(ConfigError, match="rel_tol"):
             casorati_rank(rand_image(rng, (5, 3, 4)), rel_tol=rel_tol)
+
+
+_SIDES = st.integers(1, 9)
+_SEEDS = st.integers(0, 2**32 - 1)
+_EPS = np.finfo(np.float64).eps
+
+
+class TestRandomShapeProperties:
+    """Transform and threshold invariants over random shapes, odd nx and ny included."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        nx=_SIDES, ny=_SIDES, nt=st.integers(1, 12), log2_nt=st.integers(0, 4),
+        kind=st.sampled_from(["temporal_fourier", "temporal_haar"]), seed=_SEEDS,
+    )
+    def test_transforms_are_unitary(self, nx, ny, nt, log2_nt, kind, seed):
+        shape = (nx, ny, 2**log2_nt if kind == "temporal_haar" else nt)
+        rng = np.random.default_rng(seed)
+        x, z = rand_image(rng, shape), rand_image(rng, shape)
+        d = SparseTransform(kind)
+        fx = transform_forward(x, d)
+        inner = np.vdot(fx.data, transform_forward(z, d).data)
+        assert abs(inner - np.vdot(x.data, z.data)) <= 64 * _EPS * np.linalg.norm(x.data) * np.linalg.norm(z.data)
+        assert rel_err(transform_adjoint(fx, d).data, x.data) <= 64 * _EPS
+        assert rel_err(transform_forward(transform_adjoint(x, d), d).data, x.data) <= 64 * _EPS
+
+    @PROPERTY_SETTINGS
+    @given(
+        nx=_SIDES, ny=_SIDES, nt=st.integers(1, 6), tau=st.floats(0.0, 3.0), zeros=st.booleans(), seed=_SEEDS,
+    )
+    def test_soft_threshold_satisfies_moreau_identity(self, nx, ny, nt, tau, zeros, seed):
+        # prox of tau ||.||_1 plus the projection onto the l-inf ball of radius tau is the identity.
+        rng = np.random.default_rng(seed)
+        z = rand_volume(rng, (nx, ny, nt))
+        if zeros:
+            z[rng.random(z.shape) < 0.3] = 0
+        mag = np.abs(z)
+        projection = np.where(mag <= tau, z, tau * z / np.where(mag > 0, mag, 1.0))
+        shrunk = soft_threshold(DynamicImage(z), tau).data
+        assert np.abs(shrunk + projection - z).max() <= 4 * _EPS * max(1.0, mag.max())
+
+    @PROPERTY_SETTINGS
+    @given(nx=_SIDES, ny=_SIDES, nt=st.integers(3, 100).filter(lambda n: n & (n - 1)), seed=_SEEDS)
+    def test_haar_rejects_nt_not_a_power_of_two(self, nx, ny, nt, seed):
+        x = rand_image(np.random.default_rng(seed), (nx, ny, nt))
+        d = SparseTransform("temporal_haar")
+        with pytest.raises(ConfigError, match="power of two"):
+            transform_forward(x, d)
+        with pytest.raises(ConfigError, match="power of two"):
+            transform_adjoint(x, d)

@@ -37,6 +37,7 @@ from dynlr import (
     write_cplx,
     write_mask,
 )
+from dynlr import core
 from dynlr.cli import read_config_file, write_config_file
 
 from test_solvers import small_problem
@@ -199,6 +200,50 @@ def test_dead_worker_is_eof_error_and_all_workers_joined(problem, monkeypatch, d
     jobs[dying] = (_ExitWhenUnpickled(), [2])
     with pytest.raises(EOFError):
         solvers._run_trajectories("ista", y, img, jobs)
+    assert multiprocessing.active_children() == []
+
+
+class _NoWorkers(Exception):
+    pass
+
+
+def _refuse_workers(*args, **kwargs):
+    raise _NoWorkers
+
+
+def test_grid_under_the_floor_starts_no_process(problem, monkeypatch):
+    from concurrent.futures import process
+
+    img, y, _ = problem
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", _refuse_workers)
+    space = {"lambda1": [0.0, 1e-3]}
+    assert 2 * 1 * y.data.size < solvers._WORKER_FLOOR <= 2 * 2 * y.data.size
+    base = SolverConfig(iterations=1)
+    assert tune_hyperparams(y, img, space, "ista", base=base) == sequential_tune(y, img, space, "ista", base)[0]
+    with pytest.raises(_NoWorkers):
+        tune_hyperparams(y, img, space, "ista", base=SolverConfig(iterations=2))
+    assert multiprocessing.active_children() == []
+
+
+def _split_width_config():
+    return SolverConfig(iterations=core._split_width or 9)
+
+
+class _SplitWidthConfig:
+    """Unpickles as a config whose ``iterations`` is the split width of the process (9 if unset)."""
+
+    def __reduce__(self):
+        return (_split_width_config, ())
+
+
+def test_workers_split_on_one_thread(problem, monkeypatch):
+    img, y, _ = problem
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    jobs = [(_SplitWidthConfig(), [4])] * 2
+    assert y.data.size * 4 * len(jobs) >= solvers._WORKER_FLOOR
+    results = solvers._run_trajectories("ista", y, img, jobs)
+    assert [(list(scores), error) for scores, error in results] == [([1], None)] * 2
     assert multiprocessing.active_children() == []
 
 
