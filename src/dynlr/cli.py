@@ -72,6 +72,8 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"bad config line {line!r} (expected key=value)")
         key, _, token = line.partition("=")
         key, token = key.strip(), token.strip()
+        if key in overrides:
+            raise ConfigError(f"config field {key!r} is given more than once")
         overrides[key] = _parse_field_value(key, token)
     return overrides
 

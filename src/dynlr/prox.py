@@ -236,8 +236,13 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
     return DynamicImage(_svt_arr(x.data, SolverConfig(rank_k=k).validate_for(x.nt))[0])
 
 
+def _singular_values(arr3d):
+    """The singular values of the Casorati matrix of ``arr3d``, largest first."""
+    return np.linalg.svd(_casorati(arr3d), compute_uv=False)
+
+
 def _nuclear_arr(arr3d):
-    return float(np.linalg.svd(_casorati(arr3d), compute_uv=False).sum())
+    return float(_singular_values(arr3d).sum())
 
 
 def nuclear_norm(x: DynamicImage) -> float:
@@ -253,7 +258,7 @@ def casorati_rank(x: DynamicImage, rel_tol: float = 1e-12) -> int:
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    s = np.linalg.svd(_casorati(x.data), compute_uv=False)
+    s = _singular_values(x.data)
     if s.size == 0 or s[0] == 0:
         return 0
     return int((s > rel_tol * s[0]).sum())

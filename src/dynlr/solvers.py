@@ -158,10 +158,10 @@ def _rel_change(curr, prev, diff, pair):
     return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
 
 
-def _sparse_step(arr, tau, kind, z, pair, n):
-    """``arr = D^H soft(D arr, tau)``, checked at iteration ``n``; ``z`` keeps the coefficients."""
+def _sparse_step(arr, tau, kind, z, pair):
+    """``arr = D^H soft(D arr, tau)``; ``z`` keeps the coefficients.  Returns whether ``arr`` is finite."""
     _soft_arr(_transform_fwd_arr(arr, kind, z), tau, z, pair)
-    _check_finite(_transform_adj_arr(z, kind, arr), "sparse", n)
+    return _finite(_transform_adj_arr(z, kind, arr))
 
 
 def objective_slr(
@@ -360,8 +360,7 @@ def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
             failed.add("gradient")
             return
         # r = D^H soft(D r, tau), keeping |D r| for the sparse term
-        _soft_arr(_transform_fwd_arr(rs, kind, zs), tau, zs, pair[:, rows])
-        if not _finite(_transform_adj_arr(zs, kind, rs)):
+        if not _sparse_step(rs, tau, kind, zs, pair[:, rows]):
             failed.add("sparse")
         np.abs(zs, out=re2[rows])
         # |r - x|^2 for rel_change; the imaginary part of the difference is its own scratch
@@ -467,7 +466,8 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
         if placement == "L1":
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
-        _sparse_step(r, tau, kind, work, pair, n)
+        if not _sparse_step(r, tau, kind, work, pair):
+            raise _numeric_error("sparse", n)
         if placement == "L2":
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
@@ -538,8 +538,8 @@ def tune_hyperparams(
     are deterministic, so a shorter point gets the same bits as a solve of
     its own, and a point reached before its trajectory diverges is scored.
     The trajectories run on a ``concurrent.futures.ProcessPoolExecutor`` of
-    ``min(usable CPUs, trajectories)`` worker processes, dealt round-robin
-    in grid order, or in this process when that is 1 or the grid is under
+    ``min(usable CPUs, trajectories)`` worker processes, one task each, in
+    grid order, or in this process when that is 1 or the grid is under
     ``_WORKER_FLOOR`` volume elements times iterations.  Each worker is a
     fresh ``spawn`` interpreter with one BLAS thread and one split thread.
     The images have the same bits at any split width, and at any BLAS
@@ -619,13 +619,14 @@ def _tune(y, reference, search_space, solver, base):
     return best
 
 
-def _run_trajectory(solver, y, reference, cfg, stops):
-    """Solve ``cfg`` once and score its iterate at each of the sorted ``stops``.
+def _run_trajectory(solver, y, reference, job):
+    """Solve ``cfg`` of ``job = (cfg, stops)`` once; score its iterate at each of the sorted ``stops``.
 
     The last stop is ``cfg.iterations``.  Returns ``(scores, error)``:
     ``scores`` maps each stop reached to its PSNR against ``reference``, and
     ``error`` is the exception that ended the solve or its scoring, or None.
     """
+    cfg, stops = job
     scores = {}
     early = set(stops[:-1])
 
@@ -639,11 +640,6 @@ def _run_trajectory(solver, y, reference, cfg, stops):
     except Exception as exc:  # the caller ranks it with the other grid points, scoring errors too
         return scores, exc
     return scores, None
-
-
-def _run_share(solver, y, reference, jobs):
-    """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order."""
-    return [_run_trajectory(solver, y, reference, cfg, stops) for cfg, stops in jobs]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -667,25 +663,26 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-# Below this many volume elements times solved iterations, a grid runs in
-# this process: a 2-point grid of 2 iterations at 32x32x8 reaches it, and
-# takes milliseconds, against a fraction of a second to start the workers.
-_WORKER_FLOOR = 1 << 15
+# Below this many volume elements times solved iterations, a grid runs in this
+# process: on 2 vCPUs a 4-point slr grid at 64x64x16 ran faster here than on
+# two workers at 2**22 (16 iterations), as fast at 5.2e6 and slower at 2**23.
+_WORKER_FLOOR = 1 << 22
 
 
 def _run_trajectories(solver, y, reference, jobs):
-    """:func:`_run_share` of ``jobs``, dealt round-robin to worker processes.
+    """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order, one worker task each.
 
     Runs in this process when one worker would do, when the jobs solve
     fewer than ``_WORKER_FLOOR`` volume elements times iterations, or when
     this process is itself a daemonic worker, which cannot start processes.
-    Each worker runs its split passes on one thread.  A worker that dies
-    raises ``EOFError``.
+    A worker takes the next task when it finishes one, and runs its split
+    passes on one thread.  A worker that dies raises ``EOFError``.
     """
+    run = partial(_run_trajectory, solver, y, reference)
     workers = min(_usable_cpus(), len(jobs))
     work = y.data.size * sum(stops[-1] for _, stops in jobs)
     if workers <= 1 or work < _WORKER_FLOOR or multiprocessing.current_process().daemon:
-        return _run_share(solver, y, reference, jobs)
+        return list(map(run, jobs))
     # Imported here, so that only a call that starts workers loads the module.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -696,21 +693,15 @@ def _run_trajectories(solver, y, reference, jobs):
         initializer=_set_split_width, initargs=(1,),
     )
     try:
-        with _one_blas_thread():  # each submit starts a worker, which reads the variables
-            futures = [
-                pool.submit(_run_share, solver, y, reference, jobs[w::workers]) for w in range(workers)
-            ]
-        shares = [future.result() for future in futures]
+        with _one_blas_thread():  # map submits every task at once, and each submit may start a worker
+            results = pool.map(run, jobs)
+        return list(results)
     except BrokenProcessPool as exc:
         raise EOFError("a tuner worker died") from exc
     except BaseException:
-        # The shutdown below would otherwise wait for the running shares.
+        # The shutdown below would otherwise wait for the running tasks.
         for proc in set(multiprocessing.active_children()) - before:
             proc.terminate()
         raise
     finally:
         pool.shutdown(cancel_futures=True)
-    results = [None] * len(jobs)
-    for w, share in enumerate(shares):
-        results[w::workers] = share
-    return results

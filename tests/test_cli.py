@@ -205,6 +205,19 @@ class TestReconCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_config_field_is_usage_error(self, tmp_path, capsys):
+        _, mask, ksp = make_inputs(tmp_path)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("iterations=2\nlambda1=1e-3\n lambda1 = 2e-3\n")
+        with pytest.raises(ConfigError, match="'lambda1' is given more than once"):
+            read_config_file(str(cfg_path))
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "ista",
+            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 2
+        assert "lambda1" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_identical_files(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from dynlr import (
     ifft2c,
     make_vd_mask,
 )
+from dynlr import core
 from dynlr.operators import _sampled_columns, _sampled_fft2c_arr, _sampled_ifft2c_arr
 from dynlr.sim import central_lines
 
@@ -305,6 +306,25 @@ class TestSampledKernels:
         full = np.zeros(shape, dtype=complex)
         full[:, sampled] = c
         assert rel_err(ours, ifft2c(DynamicImage(full)).data) <= 4 * _EPS
+
+    @pytest.mark.parametrize("density", [0.3, 0.98])
+    def test_split_kernels_keep_the_bits(self, density):
+        """Both kernels above the split floor, on 129 x-rows, which no whole number of slabs covers.
+
+        At density 0.98 the ``(nx, S)`` block is above the floor too, so its
+        column passes run on slabs as well.
+        """
+        shape = (129, 67, 32)
+        rng, img, sampled = _sampled_case(shape, density, False, 5)
+        cols = _sampled_columns(sampled, shape[0])
+        out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
+        assert img.data.nbytes > core._SPLIT_FLOOR
+        assert (out.nbytes > core._SPLIT_FLOOR) == (density > 0.5)
+        ours = _sampled_fft2c_arr(img.data, cols, out, np.empty(shape, complex))
+        assert ours.tobytes() == numpy_fft2c(img.data)[:, sampled].tobytes()
+        c = rand_volume(rng, out.shape)
+        ours = _sampled_ifft2c_arr(c, cols, np.empty(shape, complex), np.empty(shape, complex))
+        assert ours.tobytes() == numpy_sampled_adjoint(c, sampled).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**_SAMPLED_CASES)

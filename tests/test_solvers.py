@@ -43,7 +43,7 @@ from dynlr import (
     transform_forward,
     tune_hyperparams,
 )
-from dynlr import core
+from dynlr import core, solvers
 from dynlr.solvers import _check_finite
 
 from conftest import rand_image, rand_kspace, rel_err
@@ -53,6 +53,12 @@ def small_problem(seed_img=2, seed_mask=4, accel=4.0, rank=2, sparsity=2):
     img = make_phantom(32, 32, 8, kind="rank_r_sparse", seed=seed_img, rank=rank, sparsity=sparsity)
     mask = make_vd_mask(32, 8, accel, seed=seed_mask)
     return img, encode(img, mask)
+
+
+@pytest.fixture
+def tuner_on_workers(monkeypatch):
+    """Run every tuner grid of two or more trajectories on workers, however small."""
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
 
 
 def sampled_residual(image, y):
@@ -145,6 +151,7 @@ class TestIstaSparse:
         report = solve_ista_sparse(y, cfg)
         assert np.all(report.image.data == 0)
 
+    @pytest.mark.usefixtures("tuner_on_workers")
     def test_tuned_beats_zero_filled(self):
         img, y = small_problem()
         zf_psnr = psnr(img, encode_adjoint(y))
@@ -202,6 +209,7 @@ class TestSlr:
         for ours, ref in zip(iterates, oracle):
             assert rel_err(ours, ref) < 1e-10
 
+    @pytest.mark.usefixtures("tuner_on_workers")
     def test_beats_ista_on_rank1_sparse_phantom(self):
         img, y = small_problem(seed_img=6, seed_mask=9, rank=1, sparsity=1)
         peak = np.abs(encode_adjoint(y).data).max()
@@ -663,6 +671,7 @@ class TestTuner:
         cfg = tune_hyperparams(y, img, {"lambda1": [0.0, 1e6]}, "ista", base=SolverConfig(iterations=4))
         assert cfg.lambda1 == 0.0
 
+    @pytest.mark.usefixtures("tuner_on_workers")
     def test_deterministic(self):
         img, y = small_problem()
         space = {"lambda1": [1e-4, 1e-3], "iterations": [5, 10]}
@@ -671,6 +680,7 @@ class TestTuner:
         assert a == b
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.usefixtures("tuner_on_workers")
     def test_diverging_grid_points_skipped(self):
         img, y = small_problem()
         cfg = tune_hyperparams(

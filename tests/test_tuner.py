@@ -3,7 +3,8 @@
 ``sequential_tune`` is the tuner as it was written before trajectories and
 workers: one solve per grid point, in grid order, in this process.  Every
 case is run with one worker (in this process) and with two (spawned), so
-both paths are covered on any machine.
+both paths are covered on any machine.  Tests that run on workers lower the
+worker floor to 0, because these grids solve far less than it.
 """
 
 import itertools
@@ -72,6 +73,8 @@ def sequential_tune(y, reference, search_space, solver, base=None):
 def workers(request, monkeypatch):
     """Run the tuner with this many usable CPUs; check that no worker outlives a call."""
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: request.param)
+    if request.param > 1:
+        monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
     yield request.param
     assert multiprocessing.active_children() == []
 
@@ -166,6 +169,7 @@ def test_scoring_error_raised_like_a_solve_error(problem, workers, space):
 def test_blas_thread_variables_restored(problem, monkeypatch):
     img, y, _ = problem
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -196,6 +200,7 @@ class _ExitWhenUnpickled:
 def test_dead_worker_is_eof_error_and_all_workers_joined(problem, monkeypatch, dying):
     img, y, _ = problem
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
     jobs = [(SolverConfig(iterations=2), [2])] * 2
     jobs[dying] = (_ExitWhenUnpickled(), [2])
     with pytest.raises(EOFError):
@@ -218,11 +223,11 @@ def test_grid_under_the_floor_starts_no_process(problem, monkeypatch):
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(process, "ProcessPoolExecutor", _refuse_workers)
     space = {"lambda1": [0.0, 1e-3]}
-    assert 2 * 1 * y.data.size < solvers._WORKER_FLOOR <= 2 * 2 * y.data.size
-    base = SolverConfig(iterations=1)
+    assert solvers._WORKER_FLOOR == 1 << 22 == 2 * 256 * y.data.size
+    base = SolverConfig(iterations=255)
     assert tune_hyperparams(y, img, space, "ista", base=base) == sequential_tune(y, img, space, "ista", base)[0]
     with pytest.raises(_NoWorkers):
-        tune_hyperparams(y, img, space, "ista", base=SolverConfig(iterations=2))
+        tune_hyperparams(y, img, space, "ista", base=SolverConfig(iterations=256))
     assert multiprocessing.active_children() == []
 
 
@@ -240,6 +245,7 @@ class _SplitWidthConfig:
 def test_workers_split_on_one_thread(problem, monkeypatch):
     img, y, _ = problem
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
     jobs = [(_SplitWidthConfig(), [4])] * 2
     assert y.data.size * 4 * len(jobs) >= solvers._WORKER_FLOOR
     results = solvers._run_trajectories("ista", y, img, jobs)
@@ -251,7 +257,8 @@ def test_worker_that_dies_starting_is_eof_error_not_a_hang():
     # A worker re-runs the parent's main script before its job; a script read
     # from stdin cannot be re-run, so each worker dies while starting.
     script = (
-        "from dynlr import SolverConfig, make_phantom, make_vd_mask, encode, tune_hyperparams\n"
+        "from dynlr import SolverConfig, make_phantom, make_vd_mask, encode, solvers, tune_hyperparams\n"
+        "solvers._WORKER_FLOOR = 0\n"
         "img = make_phantom(32, 32, 8, kind='rank_r_sparse', seed=2, rank=2, sparsity=2)\n"
         "y = encode(img, make_vd_mask(32, 8, 4.0, seed=4))\n"
         "try:\n"
