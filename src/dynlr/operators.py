@@ -6,8 +6,9 @@ keeps the sampled phase-encode lines.  With the unitary normalization the
 operator norm of ``A`` is 1 and the adjoint of ``A`` is ``F^H P``, which
 keeps gradient step sizes near 1 stable without spectral estimation.
 
-The loops and the public operators apply ``A`` and ``A^H`` on the S sampled
-``(ky, t)`` columns only, and data consistency is the one correction
+One pair of kernels applies ``A`` and ``A^H`` on the S sampled ``(ky, t)``
+columns, for the loops and every public operator (``fft2c`` and ``ifft2c``
+sample every column), and data consistency is the one correction
 ``x - w A^H (A x - y)``: ``w = 1`` replaces and ``w = nu / (1 + nu)`` blends.
 """
 
@@ -24,10 +25,8 @@ from .core import (
     _split_rows,
 )
 
-_SPATIAL_AXES = (0, 1)
 
-
-def _roll_into(out, arr, inverse=False, rows=slice(None)):
+def _roll_into(out, arr, rows, inverse=False):
     """Write ``fftshift(arr)`` (``ifftshift`` if ``inverse``) over x and y into ``out``.
 
     Only the output x-rows in the slice ``rows`` are written.  The shift is
@@ -46,65 +45,49 @@ def _roll_into(out, arr, inverse=False, rows=slice(None)):
     return out
 
 
-def _fft2c_arr(arr):
-    """Centered unitary FFT of ``arr`` into a new volume."""
-    work = _new_volume(arr)
-    _roll_into(work, arr, inverse=True)
-    np.fft.fft2(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(_new_volume(arr), work)
+def _sampled_columns(sampled):
+    """Where ``k[x, sampled]`` lies in row x of the ``ifftshift`` over y, seen as ``(nx, ny*nt)``.
 
-
-def _ifft2c_arr(arr):
-    """Exact inverse of :func:`_fft2c_arr`, into a new volume."""
-    work = _new_volume(arr)
-    _roll_into(work, arr, inverse=True)
-    # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it.
-    np.fft.ifftn(work, axes=_SPATIAL_AXES, norm="ortho", out=work)
-    return _roll_into(_new_volume(arr), work)
-
-
-def _sampled_columns(sampled, nx):
-    """Where ``k[:, sampled]`` lies in the ``ifftshift`` over y of volumes ``nx`` wide.
-
-    ``sampled`` is the ``(ny, nt)`` bool mask.  Returns the ``(nx, S)`` flat
-    indices of the S sampled ``(ky, t)`` columns, in the order of
-    ``k[:, sampled]``.
+    ``sampled`` is the ``(ny, nt)`` bool mask.  Returns the S positions of
+    the sampled ``(ky, t)`` columns, in the order of ``k[:, sampled]``; every
+    x-row shares them.
     """
     ny, nt = sampled.shape
     ky, t = np.nonzero(sampled)
-    return np.arange(nx)[:, None] * (ny * nt) + (ky - ny // 2) % ny * nt + t
+    return (ky - ny // 2) % ny * nt + t
 
 
 def _sampled_data(y: KSpaceData):
-    """The indices of :func:`_sampled_columns` and ``y[:, sampled]``.
+    """The positions of :func:`_sampled_columns` and ``y[:, sampled]``.
 
     The samples are C-contiguous, like the residuals made from them, so that
     every sum over a residual runs in one order.
     """
     sampled = y.mask.entries.astype(bool)
-    return _sampled_columns(sampled, y.shape[0]), np.ascontiguousarray(y.data[:, sampled])
+    return _sampled_columns(sampled), np.ascontiguousarray(y.data[:, sampled])
 
 
 def _sampled_fft2c_arr(arr, cols, out, work):
-    """``_fft2c_arr(arr)[:, sampled]`` into the ``(nx, S)`` array ``out``, with the same bits.
+    """``fft2c(arr)[:, sampled]`` into the C-contiguous ``(nx, S)`` array ``out``.
 
     ``cols`` comes from :func:`_sampled_columns`.  Like ``np.fft.fft2``, the
-    y-axis transform runs first, over the whole volume in ``work``; the
-    x-axis transform and the x shift then run on the S gathered columns
-    only.  ``work`` must be a C-contiguous volume other than ``arr``.  The
-    volume passes run on x-row slabs and the block passes on column slabs
-    (:func:`~dynlr.core._split_rows`), each line's transform as a whole.
+    y-axis transform runs first, over the whole volume in ``work``, from
+    which each x-row gathers its S columns; the x-axis transform and the x
+    shift then run on the S columns only.  ``work`` must be a C-contiguous
+    volume other than ``arr``.  The volume pass runs on x-row slabs and the
+    block pass on column slabs (:func:`~dynlr.core._split_rows`), each
+    line's transform as a whole.
     """
     nx = arr.shape[0]
 
-    def roll_and_fft_y(rows):
-        _roll_into(work, arr, inverse=True, rows=rows)
-        np.fft.fft(work[rows], axis=1, norm="ortho", out=work[rows])
+    def roll_fft_y_and_gather(rows):
+        w = _roll_into(work, arr, rows, inverse=True)[rows]
+        np.fft.fft(w, axis=1, norm="ortho", out=w)
+        np.take(w.reshape(len(w), -1), cols, axis=1, out=out[rows], mode="clip")
 
-    _split_rows(roll_and_fft_y, nx, work.nbytes)
-    # The gathered block reuses the front of ``work``, whose data it no longer needs.
+    _split_rows(roll_fft_y_and_gather, nx, work.nbytes)
+    # The x-axis transform reuses the front of ``work``, whose data it no longer needs.
     block = work.reshape(-1)[: out.size].reshape(out.shape)
-    np.take(work.reshape(-1), cols, out=out, mode="clip")
     s = nx // 2
 
     def fft_x_and_roll(c):
@@ -117,14 +100,15 @@ def _sampled_fft2c_arr(arr, cols, out, work):
 
 
 def _sampled_ifft2c_arr(c, cols, out, work):
-    """:func:`_ifft2c_arr` of the volume that holds ``c`` at the sampled columns and 0 elsewhere.
+    """``A^H c``, the centred inverse FFT of the volume that is ``c`` at the sampled columns and 0 elsewhere.
 
-    ``c`` is an ``(nx, S)`` array laid out as ``k[:, sampled]`` and ``cols``
-    comes from :func:`_sampled_columns`.  The x shift and inverse x-axis
-    FFT run on the S columns only, in the front of ``out``, before the
-    y-axis one (``np.fft.ifft2`` runs y first; the last bits differ).
-    ``out`` and ``work`` are distinct C-contiguous volumes, other than ``c``.
-    The passes are split as in :func:`_sampled_fft2c_arr`.
+    ``c`` is a C-contiguous ``(nx, S)`` array laid out as ``k[:, sampled]``
+    and ``cols`` comes from :func:`_sampled_columns`.  The x shift and
+    inverse x-axis FFT run on the S columns only, in the front of ``out``;
+    then each x-row of ``work`` is zeroed, takes its S columns and runs its
+    inverse y-axis FFT.  With every column sampled this is ``ifft2c``.
+    ``out`` and ``work`` are distinct C-contiguous volumes, other than
+    ``c``.  The passes are split as in :func:`_sampled_fft2c_arr`.
     """
     nx = c.shape[0]
     s = nx // 2
@@ -135,18 +119,16 @@ def _sampled_ifft2c_arr(c, cols, out, work):
         block[nx - s :, cs] = c[:s, cs]
         np.fft.ifft(block[:, cs], axis=0, norm="ortho", out=block[:, cs])
 
-    def zero(rows):
-        work[rows].fill(0)
-
-    def ifft_y(rows):
-        np.fft.ifft(work[rows], axis=1, norm="ortho", out=work[rows])
+    def scatter_and_ifft_y(rows):
+        w = work[rows]
+        w.fill(0)
+        w.reshape(len(w), -1)[:, cols] = block[rows]
+        np.fft.ifft(w, axis=1, norm="ortho", out=w)
 
     _split_rows(roll_and_ifft_x, c.shape[1], c.nbytes)
-    _split_rows(zero, nx, work.nbytes)
-    work.reshape(-1)[cols] = block
-    _split_rows(ifft_y, nx, work.nbytes)
+    _split_rows(scatter_and_ifft_y, nx, work.nbytes)
     # The x roll reads other rows of ``work`` than it writes, so it waits for the whole y pass.
-    _split_rows(lambda rows: _roll_into(out, work, rows=rows), nx, out.nbytes)
+    _split_rows(lambda rows: _roll_into(out, work, rows), nx, out.nbytes)
     return out
 
 
@@ -159,27 +141,31 @@ def fft2c(img: DynamicImage) -> DynamicImage:
     """Centered unitary 2D Fourier transform of every frame.
 
     The DC component sits at index ``(nx//2, ny//2)`` and the transform is
-    scaled by ``1/sqrt(nx*ny)`` so that it preserves the L2 norm.
+    scaled by ``1/sqrt(nx*ny)`` so that it preserves the L2 norm.  It is
+    ``A`` with every column sampled, with the bits of ``np.fft.fft2``.
     """
-    return DynamicImage(_fft2c_arr(img.data))
+    out = _new_volume(img.data)
+    every = _sampled_columns(np.ones(img.shape[1:], dtype=bool))
+    _sampled_fft2c_arr(img.data, every, out.reshape(img.nx, -1), _new_volume(out))
+    return DynamicImage(out)
 
 
 def ifft2c(ksp: DynamicImage) -> DynamicImage:
-    """Exact inverse of :func:`fft2c`."""
-    return DynamicImage(_ifft2c_arr(ksp.data))
-
-
-def _check_mask_dims(data_shape, mask: SamplingMask):
-    if mask.ny != data_shape[1] or mask.nt != data_shape[2]:
-        raise DimensionError(
-            f"mask (ny={mask.ny}, nt={mask.nt}) does not match volume shape {tuple(data_shape)}"
-        )
+    """Inverse of :func:`fft2c`: ``A^H`` with every column sampled, which runs the x axis first."""
+    c = np.ascontiguousarray(ksp.data).reshape(ksp.nx, -1)  # a read volume may be F-ordered
+    every = _sampled_columns(np.ones(ksp.shape[1:], dtype=bool))
+    out = _new_volume(ksp.data)
+    return DynamicImage(_sampled_ifft2c_arr(c, every, out, _new_volume(out)))
 
 
 def encode(img: DynamicImage, mask: SamplingMask) -> KSpaceData:
-    """Forward measurement ``A x``: Fourier transform then zero unsampled lines."""
-    _check_mask_dims(img.shape, mask)
-    k = _fft2c_arr(img.data) * mask.entries[None, :, :]
+    """Forward measurement ``A x``: the sampled columns of :func:`fft2c`, and +0.0 elsewhere."""
+    if mask.ny != img.shape[1] or mask.nt != img.shape[2]:
+        raise DimensionError(f"mask (ny={mask.ny}, nt={mask.nt}) does not match volume shape {img.shape}")
+    sampled = mask.entries.astype(bool)
+    k = np.zeros(img.shape, dtype=np.complex128)
+    c = np.empty((img.nx, int(sampled.sum())), dtype=np.complex128)
+    k[:, sampled] = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), c, _new_volume(k))
     return KSpaceData(k, mask)
 
 
@@ -188,7 +174,8 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
 
     Satisfies ``<A x, y> == <x, A^H y>`` for every image x and k-space y.
     Applied to acquired data this is the zero-filled reconstruction.  It is
-    the solvers' kernel, and matches ``ifft2c`` of the masked k-space to rounding.
+    ``ifft2c`` of the masked k-space, without the x-axis transforms of the
+    unsampled columns, which are zero.
     """
     cols, acq = _sampled_data(ksp)
     out, work = _new_volume(ksp.data), _new_volume(ksp.data)

@@ -158,10 +158,10 @@ def _rel_change(curr, prev, diff, pair):
     return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
 
 
-def _sparse_step(arr, tau, kind, z, pair):
-    """``arr = D^H soft(D arr, tau)``; ``z`` keeps the coefficients.  Returns whether ``arr`` is finite."""
+def _sparse_step(arr, out, tau, kind, z, pair):
+    """Whether ``out = D^H z`` with ``z = soft(D arr, tau)`` is finite; ``out`` may be ``arr``."""
     _soft_arr(_transform_fwd_arr(arr, kind, z), tau, z, pair)
-    return _finite(_transform_adj_arr(z, kind, arr))
+    return _finite(_transform_adj_arr(z, kind, out))
 
 
 def objective_slr(
@@ -290,7 +290,7 @@ def solve_ista_sparse(
     gradient step is ``x - eta2 * (1 - w) * g`` with no further FFT; the
     zero-filled start counts as consistent, and the first gradient step
     leaves it as it is.  In replace mode ``w = 1``: the residual is exactly
-    0, the gradient step is a copy, and the image depends on ``eta2`` only
+    0, the gradient step changes nothing, and the image depends on ``eta2`` only
     through the threshold.
     """
     cfg.validate()
@@ -360,7 +360,7 @@ def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
             failed.add("gradient")
             return
         # r = D^H soft(D r, tau), keeping |D r| for the sparse term
-        if not _sparse_step(rs, tau, kind, zs, pair[:, rows]):
+        if not _sparse_step(rs, rs, tau, kind, zs, pair[:, rows]):
             failed.add("sparse")
         np.abs(zs, out=re2[rows])
         # |r - x|^2 for rel_change; the imaginary part of the difference is its own scratch
@@ -440,7 +440,8 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
     ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
-    the gradient step, then the new ``x``.  The low-rank steps write into
+    the gradient step (unless its size is 0: then the next step reads ``x``),
+    then the new ``x``.  The low-rank steps write into
     ``resid`` after the gradient step and swap it with ``r``.  Unless a
     low-rank step follows data consistency (L3), the gradient step reuses
     the ``c`` and ``resid`` of that step, as :func:`solve_ista_sparse` says.
@@ -456,17 +457,16 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
     else:
         _residual(c, x, cols, acq, work)
     for n in range(1, cfg.iterations + 1):
-        if step == 0:
-            np.copyto(r, x)  # the gradient of a residual that is exactly 0
-        else:
+        src = x  # the gradient step leaves x as it is when the residual is exactly 0
+        if step != 0:
             if not keeps_residual:
                 _sampled_ifft2c_arr(c, cols, resid, work)
-            np.subtract(x, np.multiply(resid, step, out=r), out=r)
+            src = np.subtract(x, np.multiply(resid, step, out=r), out=r)
             _check_finite(r, "gradient", n)
         if placement == "L1":
-            _low_rank_step(r, cfg, n, resid, work)
-            r, resid = resid, r
-        if not _sparse_step(r, tau, kind, work, pair):
+            _low_rank_step(src, cfg, n, resid, work)
+            src, r, resid = resid, resid, r
+        if not _sparse_step(src, r, tau, kind, work, pair):
             raise _numeric_error("sparse", n)
         if placement == "L2":
             _low_rank_step(r, cfg, n, resid, work)
@@ -668,6 +668,19 @@ def _one_blas_thread():
 # two workers at 2**22 (16 iterations), as fast at 5.2e6 and slower at 2**23.
 _WORKER_FLOOR = 1 << 22
 
+_worker_args = ()  # in a tuner worker: the call's solver, y and reference
+
+
+def _start_worker(inbox):
+    """Keep the call's data from ``inbox`` for every task; split on one thread, as workers fill the CPUs."""
+    global _worker_args
+    _set_split_width(1)
+    _worker_args = inbox.get()
+
+
+def _run_in_worker(job):
+    return _run_trajectory(*_worker_args, job)
+
 
 def _run_trajectories(solver, y, reference, jobs):
     """:func:`_run_trajectory` of each ``(cfg, stops)`` in ``jobs``, in order, one worker task each.
@@ -675,26 +688,29 @@ def _run_trajectories(solver, y, reference, jobs):
     Runs in this process when one worker would do, when the jobs solve
     fewer than ``_WORKER_FLOOR`` volume elements times iterations, or when
     this process is itself a daemonic worker, which cannot start processes.
-    A worker takes the next task when it finishes one, and runs its split
-    passes on one thread.  A worker that dies raises ``EOFError``.
+    A worker gets ``y`` and the reference once, from :func:`_start_worker`;
+    a task carries only its job.  A worker takes the next task when it
+    finishes one.  A worker that dies raises ``EOFError``.
     """
-    run = partial(_run_trajectory, solver, y, reference)
     workers = min(_usable_cpus(), len(jobs))
     work = y.data.size * sum(stops[-1] for _, stops in jobs)
     if workers <= 1 or work < _WORKER_FLOOR or multiprocessing.current_process().daemon:
-        return list(map(run, jobs))
+        return list(map(partial(_run_trajectory, solver, y, reference), jobs))
     # Imported here, so that only a call that starts workers loads the module.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    # The data goes to the workers through a queue, not as initializer arguments:
+    # each spawn would block until its worker read them, and forever if it died first.
+    context = multiprocessing.get_context("spawn")
+    inbox = context.Queue()
+    inbox.cancel_join_thread()  # a worker that dies while starting leaves its copy unread
+    for _ in range(workers):
+        inbox.put((solver, y, reference))
     before = set(multiprocessing.active_children())
-    # One split thread per worker: the workers already fill the CPUs.
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("spawn"),
-        initializer=_set_split_width, initargs=(1,),
-    )
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(inbox,))
     try:
         with _one_blas_thread():  # map submits every task at once, and each submit may start a worker
-            results = pool.map(run, jobs)
+            results = pool.map(_run_in_worker, jobs)
         return list(results)
     except BrokenProcessPool as exc:
         raise EOFError("a tuner worker died") from exc
@@ -705,3 +721,4 @@ def _run_trajectories(solver, y, reference, jobs):
         raise
     finally:
         pool.shutdown(cancel_futures=True)
+        inbox.close()

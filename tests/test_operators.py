@@ -54,11 +54,13 @@ class TestFFT:
     def test_same_bits_as_numpy_shifted_fft(self, rng, shape):
         # The shifts are block copies into a scratch volume; they must be the
         # exact permutations np.fft.fftshift/ifftshift make, odd sizes included.
+        # The inverse runs the x axis first, as the sampled adjoint does.
         img = rand_image(rng, shape)
         axes = (0, 1)
         shifted = np.fft.ifftshift(img.data, axes=axes)
         fwd = np.fft.fftshift(np.fft.fft2(shifted, axes=axes, norm="ortho"), axes=axes)
-        inv = np.fft.fftshift(np.fft.ifft2(shifted, axes=axes, norm="ortho"), axes=axes)
+        inv_x = np.fft.ifft(shifted, axis=0, norm="ortho")
+        inv = np.fft.fftshift(np.fft.ifft(inv_x, axis=1, norm="ortho"), axes=axes)
         assert np.array_equal(fft2c(img).data, fwd)
         assert np.array_equal(ifft2c(img).data, inv)
 
@@ -290,17 +292,17 @@ class TestSampledKernels:
     def test_forward_is_fft2c_at_the_sampled_columns(self, shape, density, blank_frame, seed):
         _, img, sampled = _sampled_case(shape, density, blank_frame, seed)
         out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
-        ours = _sampled_fft2c_arr(img.data, _sampled_columns(sampled, shape[0]), out, np.empty(shape, complex))
+        ours = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), out, np.empty(shape, complex))
         assert ours.tobytes() == fft2c(img).data[:, sampled].tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**_SAMPLED_CASES)
     def test_adjoint_is_ifft2c_of_the_zero_filled_columns(self, shape, density, blank_frame, seed):
-        """Bit for bit the x-first order in numpy calls; ``ifft2c``, which runs y first, to 4 eps."""
+        """Bit for bit the x-first order in numpy calls, and ``ifft2c`` of the zero-filled volume to 4 eps."""
         rng, _, sampled = _sampled_case(shape, density, blank_frame, seed)
         c = rand_volume(rng, (shape[0], int(sampled.sum())))
         ours = _sampled_ifft2c_arr(
-            c, _sampled_columns(sampled, shape[0]), np.empty(shape, complex), np.empty(shape, complex)
+            c, _sampled_columns(sampled), np.empty(shape, complex), np.empty(shape, complex)
         )
         assert ours.tobytes() == numpy_sampled_adjoint(c, sampled).tobytes()
         full = np.zeros(shape, dtype=complex)
@@ -316,7 +318,7 @@ class TestSampledKernels:
         """
         shape = (129, 67, 32)
         rng, img, sampled = _sampled_case(shape, density, False, 5)
-        cols = _sampled_columns(sampled, shape[0])
+        cols = _sampled_columns(sampled)
         out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
         assert img.data.nbytes > core._SPLIT_FLOOR
         assert (out.nbytes > core._SPLIT_FLOOR) == (density > 0.5)
@@ -325,6 +327,27 @@ class TestSampledKernels:
         c = rand_volume(rng, out.shape)
         ours = _sampled_ifft2c_arr(c, cols, np.empty(shape, complex), np.empty(shape, complex))
         assert ours.tobytes() == numpy_sampled_adjoint(c, sampled).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_SAMPLED_CASES, f_order=st.booleans())
+    def test_public_transforms_run_the_kernels(self, shape, density, blank_frame, seed, f_order):
+        """``fft2c``, ``ifft2c`` and ``encode`` bit for bit, on C- and on F-ordered volumes.
+
+        ``read_cplx`` returns F-ordered volumes.  ``fft2c`` is ``np.fft.fft2``'s
+        order, ``ifft2c`` the x-first adjoint with every column sampled, and
+        ``encode`` writes +0.0 at the unsampled entries.
+        """
+        _, img, sampled = _sampled_case(shape, density, blank_frame, seed)
+        if f_order:
+            img = DynamicImage(np.asfortranarray(img.data))
+            assert img.data.flags.f_contiguous
+        every = np.ones(shape[1:], dtype=bool)
+        k = numpy_fft2c(img.data)
+        assert fft2c(img).data.tobytes() == k.tobytes()
+        assert ifft2c(img).data.tobytes() == numpy_sampled_adjoint(img.data[:, every], every).tobytes()
+        ours = encode(img, SamplingMask(sampled, 1.0)).data
+        assert ours[:, sampled].tobytes() == k[:, sampled].tobytes()
+        assert ours[:, ~sampled].tobytes() == bytes(ours[:, ~sampled].nbytes)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**_SAMPLED_CASES)

@@ -7,6 +7,7 @@ both paths are covered on any machine.  Tests that run on workers lower the
 worker floor to 0, because these grids solve far less than it.
 """
 
+import copyreg
 import itertools
 import multiprocessing
 import os
@@ -250,6 +251,25 @@ def test_workers_split_on_one_thread(problem, monkeypatch):
     assert y.data.size * 4 * len(jobs) >= solvers._WORKER_FLOOR
     results = solvers._run_trajectories("ista", y, img, jobs)
     assert [(list(scores), error) for scores, error in results] == [([1], None)] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_each_worker_receives_the_data_once(problem, monkeypatch):
+    """``y`` is pickled once per worker, for the queue that the pool's initializer reads, and never with a task."""
+    img, y, _ = problem
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
+    pickled = []
+
+    def count(ksp):
+        pickled.append(ksp)
+        return KSpaceData, (ksp.data, ksp.mask)
+
+    monkeypatch.setitem(copyreg.dispatch_table, KSpaceData, count)
+    space = {"lambda1": [0.0, 1e-3, 2e-3, 4e-3]}  # four trajectories
+    base = SolverConfig(iterations=2)
+    assert tune_hyperparams(y, img, space, "ista", base=base) == sequential_tune(y, img, space, "ista", base)[0]
+    assert len(pickled) == 2
     assert multiprocessing.active_children() == []
 
 
