@@ -25,6 +25,8 @@ from .core import (
     KSpaceData,
     NumericError,
     SolverConfig,
+    _parse_float,
+    _parse_int,
 )
 from .dataio import read_cplx, read_mask, write_cplx, write_mask
 # psnr and ssim stay module attributes, so that callers can wrap every layer by name.
@@ -42,6 +44,7 @@ EXIT_NUMERIC = 4
 
 # SolverConfig field name -> its type (int, float or str), for reading and writing.
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+_TOKEN_PARSERS = {int: _parse_int, float: _parse_float, str: str}
 
 
 def _parse_field_value(name, token):
@@ -49,7 +52,7 @@ def _parse_field_value(name, token):
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config field {name!r}")
     try:
-        return _FIELD_TYPES[name](token)
+        return _TOKEN_PARSERS[_FIELD_TYPES[name]](token)
     except ValueError as exc:
         raise ConfigError(f"bad value {token!r} for config field {name!r}") from exc
 
@@ -115,10 +118,25 @@ def _parse_dc(flag):
     if flag.startswith("weighted:"):
         token = flag.partition(":")[2]
         try:
-            return "weighted", float(token)
+            return "weighted", _parse_float(token)
         except ValueError as exc:
             raise ConfigError(f"bad weighted data-consistency weight {token!r}") from exc
     raise ConfigError(f"bad --dc value {flag!r} (expected replace or weighted:NU)")
+
+
+def _flag_type(parse):
+    """An argparse ``type`` that reads a token with ``parse``; a ValueError is a usage error."""
+
+    def read(token):
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
+_INT, _FLOAT = _flag_type(_parse_int), _flag_type(_parse_float)
 
 
 def _add_solver_flags(parser):
@@ -127,14 +145,14 @@ def _add_solver_flags(parser):
     parser.add_argument(
         "--placement", choices=[p.lower() for p in PLACEMENTS], help="low-rank module placement"
     )
-    parser.add_argument("--iters", type=int, help="number of iterations")
-    parser.add_argument("--lambda1", type=float, help="sparse regularization weight")
-    parser.add_argument("--lambda2", type=float, help="low-rank regularization weight")
-    parser.add_argument("--rho", type=float, help="penalty parameter")
-    parser.add_argument("--eta1", type=float, help="multiplier update rate")
-    parser.add_argument("--eta2", type=float, help="gradient step size")
-    parser.add_argument("--rank-k", type=int, help="retained rank of the hard thresholding step")
-    parser.add_argument("--p", type=float, help="singular-value shrinkage exponent in (0, 1]")
+    parser.add_argument("--iters", type=_INT, help="number of iterations")
+    parser.add_argument("--lambda1", type=_FLOAT, help="sparse regularization weight")
+    parser.add_argument("--lambda2", type=_FLOAT, help="low-rank regularization weight")
+    parser.add_argument("--rho", type=_FLOAT, help="penalty parameter")
+    parser.add_argument("--eta1", type=_FLOAT, help="multiplier update rate")
+    parser.add_argument("--eta2", type=_FLOAT, help="gradient step size")
+    parser.add_argument("--rank-k", type=_INT, help="retained rank of the hard thresholding step")
+    parser.add_argument("--p", type=_FLOAT, help="singular-value shrinkage exponent in (0, 1]")
     parser.add_argument("--lr-mode", choices=LR_MODES, help="low-rank thresholding mode")
     parser.add_argument("--dc", help="data consistency: replace or weighted:NU")
     parser.add_argument("--transform", choices=TRANSFORM_KINDS, help="temporal sparsifying transform")
@@ -287,23 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="generate a Gaussian variable-density sampling mask")
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--accel", type=float, required=True)
-    p.add_argument("--sigma-frac", type=float, default=DEFAULT_SIGMA_FRAC)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ny", type=_INT, required=True)
+    p.add_argument("--nt", type=_INT, required=True)
+    p.add_argument("--accel", type=_FLOAT, required=True)
+    p.add_argument("--sigma-frac", type=_FLOAT, default=DEFAULT_SIGMA_FRAC)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--static-pattern", action="store_true", help="same lines in every frame")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("phantom", help="generate a synthetic dynamic phantom")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--nt", type=int, required=True)
+    p.add_argument("--nx", type=_INT, required=True)
+    p.add_argument("--ny", type=_INT, required=True)
+    p.add_argument("--nt", type=_INT, required=True)
     p.add_argument("--kind", default="beating_rings", help=f"one of {', '.join(PHANTOM_KINDS)}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--sparsity", type=int, default=1)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--rank", type=_INT, default=1)
+    p.add_argument("--sparsity", type=_INT, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_phantom)
 

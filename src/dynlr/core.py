@@ -13,6 +13,7 @@ usable CPU, through :func:`_split_rows`.
 import contextvars
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, fields, replace
 
@@ -73,6 +74,31 @@ def _is_count(value):
 def _is_real(value):
     """True for a Python or numpy integer or float; a bool is not a real number."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+# The number tokens of config files, grid specs and command-line flags.
+# int() and float() would also take underscores, surrounding whitespace, a
+# leading "+" and non-ASCII digits, none of which repr() writes.
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+_FLOAT_TOKEN = re.compile(r"-?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")
+
+
+def _parse_int(token):
+    """``token``, an optional "-" and ASCII decimal digits, as an int; ValueError for anything else."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
+def _parse_float(token):
+    """``token`` as a float, in the grammar that ``repr(float)`` writes; ValueError for anything else.
+
+    That is an optional "-", then decimal digits with an optional point and
+    exponent, or ``inf`` or ``nan``.
+    """
+    if _FLOAT_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"invalid number {token!r}")
+    return float(token)
 
 
 def _new_volume(like):

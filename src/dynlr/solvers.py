@@ -23,6 +23,7 @@ instead, naming the step that caused it.
 """
 
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -151,6 +152,13 @@ def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
     return s_new
 
 
+def _real_pair(work, shape):
+    """Two C-contiguous real arrays of ``shape`` in the memory of the complex volume ``work``."""
+    flat = work.reshape(-1).view(np.float64)
+    size = math.prod(shape)
+    return flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape)
+
+
 def _rel_change(curr, prev, diff, pair):
     denom = np.sqrt(_norm2(prev, pair))
     if denom == 0:
@@ -225,27 +233,33 @@ def _scores(reference, image):
 def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    ``iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair)``
-    gets the indices and acquired samples of
+    The generator gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
-    ``(nx, S)`` residual buffer ``c``, three scratch volumes, and real
-    scratch pairs of the volume's and of ``c``'s shape.
-    It yields ``(record, x, state)`` after each iteration; ``state`` holds
-    the callback's extra volumes.  The objective's finite check, the trace,
-    the callback and the report are here.
+    ``(nx, S)`` residual buffer ``c`` and scratch.  ``_slr_iterations(cfg,
+    cols, acq, x, c, r, work)`` gets two volumes.  The sparse loop,
+    ``_ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair,
+    c_pair)``, also gets a volume for ``A^H c``, which it keeps across
+    iterations, and real scratch pairs of the volume's and of ``c``'s
+    shape.  The generator yields ``(record, x, state)`` after each
+    iteration; ``state`` holds the callback's extra volumes.  The
+    objective's finite check, the trace, the callback and the report are
+    here.
     """
     _check_reference(reference, y)
     started = time.perf_counter()
     work = _new_volume(y.data)
     cols, acq = _sampled_data(y)
     x = _sampled_ifft2c_arr(acq, cols, _new_volume(work), work)  # the zero-filled start
-    resid, r = _new_volume(x), _new_volume(x)
-    c = np.empty_like(acq)
-    pair, c_pair = np.empty((2,) + x.shape), np.empty((2,) + c.shape)
+    resid = None if iterations is _slr_iterations else _new_volume(x)
+    r, c = _new_volume(x), np.empty_like(acq)
+    if resid is None:  # slr forms A^H c in r, and sums its terms in rows of t and work
+        buffers = (c, r, work)
+    else:
+        buffers = (c, resid, r, work, np.empty((2,) + x.shape), np.empty((2,) + c.shape))
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for record, x, state in iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
+            for record, x, state in iterations(cfg, cols, acq, x, *buffers):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -257,10 +271,12 @@ def _solve(y, cfg, reference, callback, iterations):
     except NumericError as exc:
         exc.trace = tuple(trace)
         raise
-    # Freed before the report copies x.  They are allocated here and not in
-    # the generator: buffers that a generator allocated and freed raised peak RSS.
-    del c, resid, r, work, pair, c_pair
+    # Freed before the report copies x, and x, t and beta before it is scored.
+    # They are allocated here and not in the generator: buffers that a
+    # generator allocated and freed raised peak RSS.
+    del c, resid, r, work, buffers, state
     image = DynamicImage(x)
+    del x
     return ReconReport(
         image=image,
         trace=tuple(trace),
@@ -325,60 +341,65 @@ def solve_slr(
     return _solve(y, cfg, reference, callback, _slr_iterations)
 
 
-def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
+def _slr_iterations(cfg, cols, acq, x, c, r, work):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
-    ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
-    the gradient step, then the new ``x``, then ``x - t``; ``work`` is
-    scratch for every step.  The steps between the FFTs and the SVT run in
-    two passes over x-row slabs (:func:`~dynlr.core._split_rows`): every
-    step there is elementwise or acts on whole temporal rows, and each sum
-    is one ``sum()`` over a whole real scratch volume of ``pair``, so the
-    slabs do not change a bit.  ``rel_change``'s denominator is the
-    squared norm of ``x`` that the previous iteration's multiplier pass
-    summed.  A slab records each step that left it
-    non-finite, and after the pass the first such step in program order is
-    raised, as if each step had been checked over the whole volume.
+    ``c`` holds the sampled residual; ``r`` holds its adjoint, then the
+    gradient step, then the new ``x``, then ``x - t``, which the Lagrangian
+    reads before the next adjoint overwrites it; ``work`` is scratch for
+    every step.  The steps between the FFTs and the SVT run in two passes
+    over x-row slabs (:func:`~dynlr.core._split_rows`): every step there is
+    elementwise or acts on whole temporal rows.  The per-element terms of
+    the sums go into rows that nothing reads any more.  The gradient pass
+    puts the soft threshold's scratch, ``|D r|`` and ``|r - x|^2`` into its
+    rows of ``t`` once they have given the gradient (the low-rank step
+    overwrites all of ``t``), and ``|r|^2``, the next ``rel_change``'s
+    denominator, into its rows of ``work``.  The multiplier pass puts
+    ``|x - t|^2`` into its rows of ``work``.  Each sum is one ``sum()`` over
+    the real or imaginary part of a whole volume, which has the bits of a
+    sum over a contiguous copy, so the slabs do not change a bit.  A slab
+    records each step that left it non-finite, and after the pass the first
+    such step in program order is raised, as if each step had been checked
+    over the whole volume.
     """
     kind = cfg.transform
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
-    re2, im2 = pair
     nx, nbytes = x.shape[0], x.nbytes
 
     def gradient_and_sparse(rows, failed):
-        xs, rs, zs = x[rows], r[rows], work[rows]
-        # r = x - eta2 * (A^H c + rho * (x + beta - t))
-        np.add(xs, beta[rows], out=rs)
-        np.subtract(rs, t[rows], out=rs)
-        np.multiply(rs, cfg.rho, out=rs)
-        np.add(resid[rows], rs, out=rs)
+        xs, rs, ws, ts = x[rows], r[rows], work[rows], t[rows]
+        # r = x - eta2 * (A^H c + rho * (x + beta - t)), with A^H c in r
+        np.add(xs, beta[rows], out=ws)
+        np.subtract(ws, ts, out=ws)
+        np.multiply(ws, cfg.rho, out=ws)
+        np.add(rs, ws, out=rs)
         np.multiply(rs, cfg.eta2, out=rs)
         np.subtract(xs, rs, out=rs)
         if not _finite(rs):
             failed.add("gradient")
             return
-        # r = D^H soft(D r, tau), keeping |D r| for the sparse term
-        if not _sparse_step(rs, rs, tau, kind, zs, pair[:, rows]):
+        # r = D^H soft(D r, tau), keeping |D r| for the sparse term; from here on
+        # the rows of t are scratch
+        if not _sparse_step(rs, rs, tau, kind, ws, (ts.real, ts.imag)):
             failed.add("sparse")
-        np.abs(zs, out=re2[rows])
+        np.abs(ws, out=ts.real)
         # |r - x|^2 for rel_change; the imaginary part of the difference is its own scratch
-        diff = np.subtract(rs, xs, out=zs)
-        _abs2(diff, im2[rows], diff.imag)
+        diff = np.subtract(rs, xs, out=ws)
+        _abs2(diff, ts.imag, diff.imag)
+        _abs2(rs, ws.real, ws.imag)  # |r|^2, the next rel_change's denominator
         if cfg.t_step_input == "x_plus_beta":
             np.add(rs, beta[rows], out=xs)  # the low-rank step's input; x is no longer needed
 
     def multiplier(rows, failed):
-        # beta += eta1 * (x - t), keeping x - t in r, |x - t|^2 for the Lagrangian
-        # and |x|^2 for the next rel_change
+        # beta += eta1 * (x - t), keeping x - t in r and |x - t|^2 for the Lagrangian
         xs, rs, ws = x[rows], r[rows], work[rows]
         np.subtract(xs, t[rows], out=rs)
         np.add(beta[rows], np.multiply(rs, cfg.eta1, out=ws), out=beta[rows])
         if not _finite(beta[rows]):
             failed.add("multiplier")
-        _abs2(rs, re2[rows], ws.real)
-        _abs2(xs, im2[rows], ws.imag)
+        _abs2(rs, ws.real, ws.imag)
 
     def split(fn, n, *steps):
         """Run ``fn(rows, failed)`` on slabs, then raise the first of ``steps`` in ``failed``."""
@@ -389,20 +410,22 @@ def _slr_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair):
                 raise _numeric_error(step, n)
 
     _residual(c, x, cols, acq, work)
-    x2 = _norm2(x, pair)
+    x2 = _norm2(x, _real_pair(work, x.shape))
     for n in range(1, cfg.iterations + 1):
-        _sampled_ifft2c_arr(c, cols, resid, work)
+        _sampled_ifft2c_arr(c, cols, r, work)
         split(gradient_and_sparse, n, "gradient", "sparse")
-        sparse = cfg.lambda1 * float(re2.sum())
+        sparse = cfg.lambda1 * float(t.real.sum())
         denom = np.sqrt(x2)
-        rel_change = float(np.sqrt(float(im2.sum())) / (1.0 if denom == 0 else denom))
+        rel_change = float(np.sqrt(float(t.imag.sum())) / (1.0 if denom == 0 else denom))
+        x2 = float(work.real.sum())
         x, r = r, x
         s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t, work)
         split(multiplier, n, "multiplier")
-        gap2, x2 = float(re2.sum()), float(im2.sum())
+        gap2 = float(work.real.sum())
         _residual(c, x, cols, acq, work)
         terms = _lagrangian(
-            0.5 * _norm2(c, c_pair), sparse, cfg.lambda2 * float(s_new.sum()), r, gap2, beta, cfg.rho
+            0.5 * _norm2(c, _real_pair(work, c.shape)), sparse, cfg.lambda2 * float(s_new.sum()),
+            r, gap2, beta, cfg.rho,
         )
         record = IterationRecord(
             n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
@@ -712,12 +735,17 @@ def _run_trajectories(solver, y, reference, jobs):
         with _one_blas_thread():  # map submits every task at once, and each submit may start a worker
             results = pool.map(_run_in_worker, jobs)
         return list(results)
-    except BrokenProcessPool as exc:
-        raise EOFError("a tuner worker died") from exc
-    except BaseException:
-        # The shutdown below would otherwise wait for the running tasks.
-        for proc in set(multiprocessing.active_children()) - before:
+    except BaseException as exc:
+        # The shutdown below would otherwise wait for the running tasks.  A broken
+        # pool terminates only the workers it had started, so one that started
+        # later would wait for a task forever.
+        children = set(multiprocessing.active_children()) - before
+        for proc in children:
             proc.terminate()
+        for proc in children:
+            proc.join()
+        if isinstance(exc, BrokenProcessPool):
+            raise EOFError("a tuner worker died") from exc
         raise
     finally:
         pool.shutdown(cancel_futures=True)

@@ -5,10 +5,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlr import ifft2c, read_cplx, read_mask, write_cplx
 from dynlr.cli import main, parse_grid_spec, read_config_file, write_config_file
-from dynlr.core import ConfigError, SolverConfig
+from dynlr.core import ConfigError, SolverConfig, _parse_float, _parse_int
 
 
 def run_cli(args):
@@ -367,6 +368,83 @@ class TestGridSpecParsing:
         ])
         assert rc == 2
         assert "lambda1" in capsys.readouterr().err
+
+
+class TestNumberTokens:
+    """Every text input reads numbers as ``repr`` writes them.
+
+    ``int()`` and ``float()`` would also take underscores, surrounding
+    whitespace and a leading "+"; each entry point rejects them with exit 2.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(value=st.floats(allow_nan=False) | st.integers(-(10**30), 10**30))
+    def test_repr_reads_back(self, value):
+        parse = _parse_int if isinstance(value, int) else _parse_float
+        assert parse(repr(value)) == value
+        for loose in (f"+{value!r}", f" {value!r}", f"{value!r} ", f"{value!r}"[:1] + "_" + f"{value!r}"[1:]):
+            with pytest.raises(ValueError):
+                parse(loose)
+
+    @pytest.mark.parametrize("line", ["iterations=1_0", "lambda1=+1_0.5e-3", "rank_k= 0_3", "eta2=+1.0"])
+    def test_config_file(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="bad value"):
+            read_config_file(str(cfg_path))
+        _, mask, ksp = make_inputs(tmp_path)
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "ista",
+            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 2
+        assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["iterations=4_0,8_0", "lambda1=+0.1", "rho=0.1,1 0"])
+    def test_grid(self, tmp_path, capsys, spec):
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_grid_spec(spec)
+        phantom, mask, ksp = make_inputs(tmp_path)
+        rc = run_cli([
+            "tune", "--ksp", ksp, "--mask", mask, "--ref", phantom, "--solver", "ista",
+            "--grid", spec, "--out", str(tmp_path / "cfg.txt"),
+        ])
+        assert rc == 2
+        assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["weighted:4_0", "weighted:+4", "weighted: 4", "weighted:4 "])
+    def test_dc_weight(self, tmp_path, capsys, flag):
+        _, mask, ksp = make_inputs(tmp_path)
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "ista", "--dc", flag,
+            "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 2
+        assert "weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mask", "--ny", "16", "--nt", "8", "--accel", "4_0"],
+            ["mask", "--ny", "+16", "--nt", "8", "--accel", "4"],
+            ["phantom", "--nx", "16", "--ny", " 16", "--nt", "8"],
+            ["phantom", "--nx", "16", "--ny", "16", "--nt", "8", "--seed", "1_0"],
+        ],
+        ids=["underscore-float", "plus-int", "space-int", "underscore-seed"],
+    )
+    def test_generator_flags(self, tmp_path, capsys, args):
+        assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
+        assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, token", [("--iters", "1_0"), ("--lambda1", "+1e-3"), ("--rank-k", "2 ")])
+    def test_solver_flags(self, tmp_path, capsys, flag, token):
+        _, mask, ksp = make_inputs(tmp_path)
+        rc = run_cli([
+            "recon", "--ksp", ksp, "--mask", mask, "--solver", "slr", flag, token,
+            "--out", str(tmp_path / "rec"),
+        ])
+        assert rc == 2
+        assert "invalid" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -490,12 +490,13 @@ class TestTraceTermsMatchRecomputation:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Prints, for each solve, its label and the SHA-256 of its final image, of
-# its report metrics and of each trace field over all iterations.  Seven
+# its report metrics and of each trace field over all iterations.  Eight
 # solves run on the 64x64x16 standard instance (phantom seed 21, mask seed
-# 13, 8x): low-rank solves, and the weighted data-consistency correction with
-# and without a low-rank step.  The eighth is an slr solve on 129x67x32,
-# above the row split's size floor, whose 129 x-rows are not a whole number
-# of slabs.  The first argument, if any, is the split width.
+# 13, 8x): low-rank solves, slr with either low-rank step input, and the
+# weighted data-consistency correction with and without a low-rank step.
+# The last two are slr solves on 129x67x32, above the row split's size
+# floor, whose 129 x-rows are not a whole number of slabs.  The first
+# argument, if any, is the split width.
 _SOLVE_HASHES = """
 import dataclasses, hashlib, json, sys
 from dynlr import IterationRecord, core, default_config, encode, make_phantom, make_vd_mask, run_solver
@@ -514,12 +515,14 @@ standard, odd = problem(64, 64, 16), problem(129, 67, 32)
 runs = [
     (standard, 20, "slr", {"lr_mode": "hard"}),
     (standard, 20, "slr", {"lr_mode": "soft"}),
+    (standard, 20, "slr", {"lr_mode": "soft", "transform": "temporal_haar", "t_step_input": "x"}),
     (standard, 20, "ista-lr", {"placement": "L1", "lr_mode": "soft"}),
     (standard, 20, "ista-lr", {"placement": "L3", "lr_mode": "soft"}),
     (standard, 20, "ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar"}),
     (standard, 20, "ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
                                "dc_mode": "weighted", "dc_nu": 4.0}),
     (standard, 20, "ista", {"dc_mode": "weighted", "dc_nu": 4.0}),
+    (odd, 4, "slr", {"lr_mode": "soft", "transform": "temporal_haar"}),
     (odd, 4, "slr", {"lr_mode": "soft"}),
 ]
 results = []
@@ -536,7 +539,7 @@ print(json.dumps(results))
 
 @functools.cache
 def solve_hashes(blas_threads=None, split_width=None):
-    """Run the eight solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
+    """Run the ten solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
@@ -552,7 +555,8 @@ def solve_hashes(blas_threads=None, split_width=None):
 
 # The trace fields whose bits depend on the BLAS thread count: slr's
 # multiplier term comes from np.vdot, and the nuclear term of ista-lr at L1
-# from LAPACK's SVD.  The solve on 129x67x32 is left to its own test.
+# from LAPACK's SVD.  The solves on 129x67x32 are left out: there the SVT
+# itself depends on it, which the strict xfail below records for the last.
 _BLAS_DEPENDENT = {"slr": "objective", "ista-lr L1": "nuclear_term"}
 
 
@@ -845,31 +849,39 @@ class TestIterationOracle:
             assert {name: getattr(record, name) for name in terms} == terms
 
 
+_STANDARD, _ODD = (64, 64, 16), (129, 67, 32)
 _MEMORY_RUNS = [
-    ("ista", {}, 7.1),
+    ("ista", {}, _STANDARD, 7.1),
     ("ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
-                 "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
+                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 7.1),
     ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
-                 "dc_mode": "weighted", "dc_nu": 4.0}, 7.1),
-    ("slr", {"lr_mode": "hard"}, 10.1),
-    ("slr", {"lr_mode": "soft"}, 10.1),
+                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 7.1),
+    ("slr", {"lr_mode": "hard"}, _STANDARD, 5.5),
+    ("slr", {"lr_mode": "soft"}, _STANDARD, 5.5),
+    ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 5.5),
 ]
 
 
 class TestLoopMemory:
     """The loops reuse one set of volumes instead of allocating new ones per step.
 
-    The bounds are the tracemalloc peaks, in volumes of the k-space, that
-    the loops had while every step allocated its result: 7.02 for the
-    sparse loop and 10.01 for ``slr``.  The buffered loops peak near 6.3-6.5
-    and 8.1, also when the report scores against a reference: the scratch
-    volumes are freed before it.
+    The bounds are tracemalloc peaks in volumes of the k-space.  For the
+    sparse loop it is the peak that it had while every step allocated its
+    result, 7.02; it now peaks at 5.51.  ``slr`` holds ``x``, ``r``,
+    ``work``, ``t`` and ``beta``, and peaks at 5.38 on 64x64x16 and at 5.40
+    on 129x67x32, which is above the row split's floor, so that the slabs'
+    scratch counts too.  Its bound is that peak plus 0.1; it had 10.01 while
+    every step allocated, and 7.51 with a volume for ``A^H c`` and real
+    scratch volumes for its sums.  The peaks are the same through the
+    report: the scratch volumes, ``x``, ``t`` and ``beta`` are freed before
+    it is scored.
     """
 
     @staticmethod
-    def peak_volumes(solver, overrides, with_reference):
-        img = make_phantom(64, 64, 16, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
-        y = encode(img, make_vd_mask(64, 16, 8.0, seed=13))
+    def peak_volumes(solver, overrides, shape, with_reference):
+        nx, ny, nt = shape
+        img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
+        y = encode(img, make_vd_mask(ny, nt, 8.0, seed=13))
         cfg = default_config(y, rank_k=2, iterations=5, **overrides)
         reference = img if with_reference else None
         run_solver(solver, y, cfg, reference)  # fills the caches, such as the Haar matrix
@@ -881,13 +893,13 @@ class TestLoopMemory:
             tracemalloc.stop()
         return peak / y.data.nbytes
 
-    @pytest.mark.parametrize("solver, overrides, bound", _MEMORY_RUNS)
-    def test_peak_traced_memory_in_volumes(self, solver, overrides, bound):
-        assert self.peak_volumes(solver, overrides, with_reference=False) <= bound
+    @pytest.mark.parametrize("solver, overrides, shape, bound", _MEMORY_RUNS)
+    def test_peak_traced_memory_in_volumes(self, solver, overrides, shape, bound):
+        assert self.peak_volumes(solver, overrides, shape, with_reference=False) <= bound
 
-    @pytest.mark.parametrize("solver, overrides, bound", _MEMORY_RUNS)
-    def test_peak_traced_memory_through_the_report(self, solver, overrides, bound):
-        assert self.peak_volumes(solver, overrides, with_reference=True) <= bound
+    @pytest.mark.parametrize("solver, overrides, shape, bound", _MEMORY_RUNS)
+    def test_peak_traced_memory_through_the_report(self, solver, overrides, shape, bound):
+        assert self.peak_volumes(solver, overrides, shape, with_reference=True) <= bound
 
 
 _TRANSFORMS = ("temporal_fourier", "temporal_haar")

@@ -293,6 +293,58 @@ def test_worker_that_dies_starting_is_eof_error_not_a_hang():
     assert result.stdout == "EOFError\n"
 
 
+def test_worker_started_after_the_pool_broke_is_terminated(tmp_path):
+    # The pool registers a worker once its start has returned, and when it
+    # breaks it terminates and joins only the workers it has registered.
+    # Here every worker but the first sleeps in its initializer, so the first
+    # takes the task that kills it, and the start of every worker but the
+    # first returns only once the first has died and the pool has had time to
+    # break.  Such a worker waits for a task forever unless the call
+    # terminates it, and the script's exit, which joins its children, would
+    # hang on it.
+    script = tmp_path / "late_worker.py"
+    script.write_text(
+        "import multiprocessing, os, time\n"
+        "from multiprocessing.connection import wait\n"
+        "from multiprocessing.context import SpawnProcess\n"
+        "from dynlr import SolverConfig, encode, make_phantom, make_vd_mask, solvers\n"
+        "real_start_worker = solvers._start_worker\n"
+        "def start_worker(inbox):\n"
+        "    if multiprocessing.current_process().name != 'SpawnProcess-1':\n"
+        "        time.sleep(10)\n"
+        "    real_start_worker(inbox)\n"
+        "class ExitWhenUnpickled:\n"
+        "    def __reduce__(self):\n"
+        "        return (os._exit, (3,))\n"
+        "if __name__ == '__main__':\n"
+        "    solvers._usable_cpus = lambda: 2\n"
+        "    solvers._WORKER_FLOOR = 0\n"
+        "    solvers._start_worker = start_worker\n"
+        "    started = []\n"
+        "    real_start = SpawnProcess.start\n"
+        "    def start(self):\n"
+        "        real_start(self)\n"
+        "        if started:\n"
+        "            wait([started[0].sentinel], 30)\n"
+        "            time.sleep(0.5)\n"
+        "        started.append(self)\n"
+        "    SpawnProcess.start = start\n"
+        "    img = make_phantom(32, 32, 8, kind='rank_r_sparse', seed=2, rank=2, sparsity=2)\n"
+        "    y = encode(img, make_vd_mask(32, 8, 4.0, seed=4))\n"
+        "    jobs = [(ExitWhenUnpickled(), [2]), (SolverConfig(iterations=2), [2])]\n"
+        "    began = time.perf_counter()\n"
+        "    try:\n"
+        "        solvers._run_trajectories('ista', y, img, jobs)\n"
+        "    except EOFError:\n"
+        "        print(len(started), multiprocessing.active_children(), time.perf_counter() - began < 10)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "2 [] True\n"
+
+
 def test_interrupt_terminates_the_workers(tmp_path):
     # Each worker's solve would take about 20 s; SIGINT arrives 1 s into the call.
     script = tmp_path / "interrupted_tune.py"
