@@ -7,9 +7,12 @@ immutable after construction: their arrays are copied in and marked
 read-only, so instances can be shared freely between threads.
 
 The kernels' passes over large volumes run on row slabs, on one thread per
-usable CPU, through :func:`_split_rows`.
+usable CPU, through :func:`_split_rows`; inside a solve and the public
+low-rank and transform operators, BLAS runs on one thread
+(:func:`_one_blas_thread`), so the slabs are the only parallelism.
 """
 
+import contextlib
 import contextvars
 import math
 import os
@@ -106,6 +109,15 @@ def _new_volume(like):
     return np.empty(like.shape, dtype=np.complex128)
 
 
+def _finite(arr):
+    """Whether the C-contiguous complex ``arr`` is finite.
+
+    The test runs on the real view of the same memory, which holds both
+    parts and makes no complex pass.
+    """
+    return bool(np.isfinite(arr.view(arr.real.dtype)).all())
+
+
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -128,9 +140,16 @@ def _set_split_width(width):
 
 
 def _forget_pool():
-    """Drop the pool in a forked child, which has none of the parent's threads."""
-    global _pool, _pool_lock
+    """Drop the pool in a forked child, which has none of the parent's threads.
+
+    The child has none of the guards of :func:`_one_blas_thread` either, so
+    it gets back the BLAS thread count that the outermost one saved.
+    """
+    global _pool, _pool_lock, _blas_lock, _blas_depth
     _pool, _pool_lock = None, threading.Lock()
+    if _blas_depth:
+        _blas_control[1](_blas_saved)
+    _blas_lock, _blas_depth = threading.Lock(), 0
 
 
 if hasattr(os, "register_at_fork"):
@@ -162,7 +181,8 @@ def _split_rows(fn, n, nbytes):
     run in copies of the caller's context, so numpy's error state, a
     context variable, holds there too.  The pool keeps the size of its
     first pass; a wider later pass queues its extra shares until a pool
-    thread is free.  Returns when every slab is done; an error of the calling
+    thread is free.  Returns when every slab is done, without waiting for a
+    pool thread that has not started its share; an error of the calling
     thread is raised first, then that of a pool thread.
     """
     if nbytes < _SPLIT_FLOOR:
@@ -185,10 +205,87 @@ def _split_rows(fn, n, nbytes):
     try:
         run_slabs()
     finally:
-        errors = [future.exception() for future in futures]  # waits for each
+        # A share that no pool thread has started would find no slab left, or
+        # only those of a failed pass: it is cancelled, not waited for.
+        errors = [None if future.cancel() else future.exception() for future in futures]
     for error in errors:
         if error is not None:
             raise error
+
+
+# The thread-count getters of numpy's OpenBLAS builds, each with its setter.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_control = ()  # (get, set) of the loaded OpenBLAS, None if there is none; () until looked up
+_blas_lock = threading.Lock()
+_blas_depth = 0  # guards entered and not yet left, over all threads
+_blas_saved = None  # the thread count that the outermost guard found
+
+
+def _find_blas_control():
+    """``(get, set)``, the thread-count functions of the OpenBLAS in this process, or None.
+
+    The library is found among the mapped files in ``/proc/self/maps``; the
+    first OpenBLAS, by path, that has one of ``_BLAS_THREAD_SYMBOLS`` is
+    taken, which is numpy's where numpy and scipy each bring their own.
+    """
+    # Imported here, so that importing the package does not load it.
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libraries):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; restore its thread count afterwards.
+
+    The row split is then the only parallelism: a BLAS call gives the bits
+    of its one-thread run, wherever it runs, and does not compete with the
+    pool threads for the CPUs.  The guard counts its entries over all
+    threads: the first entry saves the count and sets 1, and the last exit
+    restores it, so solves that run at once on several threads leave the
+    count as they found it.  The count is process-wide, so other BLAS calls
+    of the process run on one thread too while a guard is entered.  The
+    library is looked up on first use.  Where none is found (another BLAS,
+    or no ``/proc``), the guard does nothing, and results whose bits depend
+    on the BLAS thread count keep that dependence.
+    """
+    global _blas_control, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_control == ():
+            _blas_control = _find_blas_control()
+        if _blas_control is not None:
+            if _blas_depth == 0:
+                _blas_saved = _blas_control[0]()
+                _blas_control[1](1)
+            _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            if _blas_control is not None:
+                _blas_depth -= 1
+                if _blas_depth == 0:
+                    _blas_control[1](_blas_saved)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,13 @@ the low-rank prior.
 Both thresholdings of the Casorati matrix ``M`` are computed from its
 ``nt x nt`` Gram matrix ``M^H M`` rather than from a thin SVD, which would
 form the ``(nx*ny) x nt`` factor ``U``.  An SVD is used only when the Gram
-matrix would overflow or underflow.  Unlike the SVD, the Gram route gives
-the same bits at 1 and 2 BLAS threads.
+matrix would overflow or underflow.
+
+Every public operator here that reaches BLAS or LAPACK (the SVTs, the
+nuclear norm, the rank and the transforms) runs under
+:func:`~dynlr.core._one_blas_thread`, as the solvers' loops do, so its
+result has the bits of a one-thread BLAS run whatever thread count the
+process has set, and equals the loops' kernels bit for bit.
 """
 
 import functools
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DynamicImage, SolverConfig, _new_volume
+from .core import ConfigError, DynamicImage, SolverConfig, _finite, _new_volume, _one_blas_thread, _split_rows
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -30,8 +35,9 @@ class SparseTransform:
     ``temporal_fourier`` is the discrete Fourier transform over t (bin 0 is
     the temporal DC component); ``temporal_haar`` is the orthonormal Haar
     wavelet transform, a real ``nt x nt`` matrix (coarsest coefficient first,
-    nt a power of two) applied to the C-order Casorati view, with the same
-    bits at any BLAS thread count.  Both satisfy ``adjoint(forward(x)) == x``
+    nt a power of two) applied to the C-order Casorati view; each row of the
+    view is transformed on its own, so its bits do not depend on how the
+    rows are split.  Both satisfy ``adjoint(forward(x)) == x``
     and preserve the L2 norm.
     """
 
@@ -95,12 +101,14 @@ def _transform_adj_arr(arr, kind, out=None):
 
 def transform_forward(x: DynamicImage, d: SparseTransform) -> DynamicImage:
     """Apply the unitary temporal transform; spatial axes are untouched."""
-    return DynamicImage(_transform_fwd_arr(x.data, d.kind))
+    with _one_blas_thread():
+        return DynamicImage(_transform_fwd_arr(x.data, d.kind))
 
 
 def transform_adjoint(z: DynamicImage, d: SparseTransform) -> DynamicImage:
     """Adjoint (= inverse) of :func:`transform_forward`."""
-    return DynamicImage(_transform_adj_arr(z.data, d.kind))
+    with _one_blas_thread():
+        return DynamicImage(_transform_adj_arr(z.data, d.kind))
 
 
 def _soft_arr(arr, tau, out=None, pair=None):
@@ -152,16 +160,31 @@ def _shrink(sigma, cfg):
     return np.maximum(shrunk, 0.0)
 
 
+def _row_span(rows, ny):
+    """The Casorati rows of the x-rows ``rows`` of a volume with ``ny`` columns per x-row."""
+    return slice(rows.start * ny, rows.stop * ny)
+
+
 def _svt_arr(arr3d, cfg, out=None, work=None):
     """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
 
     ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
-    Returns the volume and the new singular values, in the descending order
-    of ``sigma``.  The matrix is tall and skinny, so the SVT is computed from
-    its ``nt x nt`` Gram matrix ``G = M^H M = V diag(sigma**2) V^H`` as
-    ``M V diag(g) V^H``, with gain ``g = _shrink(sigma) / sigma`` (0 where
-    sigma is 0), where ``M`` is :func:`_casorati` of the volume.  Unlike the
-    LAPACK SVD, this route gives the same bits at 1 and 2 BLAS threads.
+    Returns the volume, the new singular values, in the descending order
+    of ``sigma``, and whether the volume is finite.  The matrix is tall and
+    skinny, so the SVT is computed from its ``nt x nt`` Gram matrix
+    ``G = M^H M = V diag(sigma**2) V^H`` as ``M V diag(g) V^H``, with gain
+    ``g = _shrink(sigma) / sigma`` (0 where sigma is 0), where ``M`` is
+    :func:`_casorati` of the volume.
+
+    The conjugate of ``M`` and the output product run on x-row slabs
+    (:func:`~dynlr.core._split_rows`), whose Casorati rows are
+    ``rows.start*ny : rows.stop*ny``, and each slab of the output checks
+    its own finiteness; ``G`` is one product.  On one BLAS thread
+    (:func:`~dynlr.core._one_blas_thread`, which the solvers and the public
+    operators enter) a slab's product rows have the bits of the same rows
+    of the whole product, so the result does not depend on the split width
+    (checked with OpenBLAS 0.3.31 on 64x64x16, 129x67x32, 128x128x32 and
+    256x256x32).
 
     When ``G`` or its trace overflows (entries above about 1e154) or ``G``
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
@@ -171,9 +194,12 @@ def _svt_arr(arr3d, cfg, out=None, work=None):
     ``work``: C-contiguous complex volumes other than ``arr3d``, or None
     for new ones.
     """
+    nx, ny = arr3d.shape[:2]
     m = _casorati(arr3d)
+    conj = _casorati(_new_volume(arr3d) if work is None else work)
+    _split_rows(lambda rows: np.conjugate(m[_row_span(rows, ny)], out=conj[_row_span(rows, ny)]),
+                nx, arr3d.nbytes)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        conj = np.conjugate(m, out=None if work is None else _casorati(work))
         gram = conj.T @ m
         diag = gram.diagonal().real
         # trace(G) = ||M||_F^2 bounds every eigenvalue, so a finite trace keeps sigma finite.
@@ -181,18 +207,26 @@ def _svt_arr(arr3d, cfg, out=None, work=None):
     del conj  # a new conjugate is freed before a new output is allocated
     if out is None:
         out = _new_volume(arr3d)
+    dest = _casorati(out)
     if finite and diag.max() >= _GRAM_UNDERFLOW:
         w, v = np.linalg.eigh(gram)
         sigma = np.sqrt(np.maximum(w[::-1], 0.0))
         v = v[:, ::-1]
         s_new = _shrink(sigma, cfg)
         gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        np.matmul(m, (v * gain) @ v.conj().T, out=_casorati(out))
-        return out, s_new
+        project = (v * gain) @ v.conj().T
+        failed = []
+
+        def product(rows):
+            span = _row_span(rows, ny)
+            if not _finite(np.matmul(m[span], project, out=dest[span])):
+                failed.append(rows)
+
+        _split_rows(product, nx, arr3d.nbytes)
+        return out, s_new, not failed
     u, s, vh = _casorati_svd(arr3d)
     s_new = _shrink(s, cfg)
-    np.matmul(u * s_new, vh, out=_casorati(out))
-    return out, s_new
+    return out, s_new, _finite(np.matmul(u * s_new, vh, out=dest))
 
 
 def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> DynamicImage:
@@ -220,7 +254,8 @@ def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> Dyna
         Shrinkage exponent in (0, 1].
     """
     cfg = SolverConfig(lambda2=lambda2, rho=rho, p=p, lr_mode="soft").validate_for(x.nt)
-    return DynamicImage(_svt_arr(x.data, cfg)[0])
+    with _one_blas_thread():
+        return DynamicImage(_svt_arr(x.data, cfg)[0])
 
 
 def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
@@ -233,7 +268,9 @@ def learned_svt(x: DynamicImage, k: int) -> DynamicImage:
     the module docstring).  ``k`` takes the hard-mode range of
     ``SolverConfig.rank_k``, ``[1, nt]``, checked through it.
     """
-    return DynamicImage(_svt_arr(x.data, SolverConfig(rank_k=k).validate_for(x.nt))[0])
+    cfg = SolverConfig(rank_k=k).validate_for(x.nt)
+    with _one_blas_thread():
+        return DynamicImage(_svt_arr(x.data, cfg)[0])
 
 
 def _singular_values(arr3d):
@@ -247,7 +284,8 @@ def _nuclear_arr(arr3d):
 
 def nuclear_norm(x: DynamicImage) -> float:
     """Sum of the singular values of the Casorati matrix."""
-    return _nuclear_arr(x.data)
+    with _one_blas_thread():
+        return _nuclear_arr(x.data)
 
 
 def casorati_rank(x: DynamicImage, rel_tol: float = 1e-12) -> int:
@@ -258,7 +296,8 @@ def casorati_rank(x: DynamicImage, rel_tol: float = 1e-12) -> int:
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    s = _singular_values(x.data)
+    with _one_blas_thread():
+        s = _singular_values(x.data)
     if s.size == 0 or s[0] == 0:
         return 0
     return int((s > rel_tol * s[0]).sum())

@@ -40,7 +40,9 @@ from .core import (
     KSpaceData,
     NumericError,
     SolverConfig,
+    _finite,
     _new_volume,
+    _one_blas_thread,
     _set_split_width,
     _split_rows,
     _usable_cpus,
@@ -111,15 +113,6 @@ class ObjectiveBreakdown:
     penalty_term: float
 
 
-def _finite(arr):
-    """Whether the C-contiguous complex ``arr`` is finite.
-
-    The test runs on the real view of the same memory, which holds both
-    parts and makes no complex pass.
-    """
-    return bool(np.isfinite(arr.view(arr.real.dtype)).all())
-
-
 def _numeric_error(step, iteration):
     message = f"non-finite values after the {step} step at iteration {iteration}"
     return NumericError(message, step=step, iteration=iteration)
@@ -129,6 +122,19 @@ def _check_finite(arr, step, iteration):
     """Raise NumericError unless the C-contiguous complex ``arr`` is finite."""
     if not _finite(arr):
         raise _numeric_error(step, iteration)
+
+
+def _split_checked(fn, like, n, *steps):
+    """Run ``fn(rows, failed)`` on the x-row slabs of volumes shaped as ``like``.
+
+    Then raise the first of ``steps`` that a slab added to ``failed``, as
+    the step of iteration ``n``.
+    """
+    failed = set()
+    _split_rows(partial(fn, failed=failed), like.shape[0], like.nbytes)
+    for step in steps:
+        if step in failed:
+            raise _numeric_error(step, n)
 
 
 def _lagrangian(fid, sparse, nuclear, gap, gap2, beta, rho):
@@ -147,8 +153,9 @@ def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
 
     Returns the singular values of the output.  ``work`` is scratch.
     """
-    s_new = _svt_arr(arr, cfg, out, work)[1]
-    _check_finite(out, "low-rank", n)
+    _, s_new, finite = _svt_arr(arr, cfg, out, work)
+    if not finite:
+        raise _numeric_error("low-rank", n)
     return s_new
 
 
@@ -183,7 +190,8 @@ def objective_slr(
 
     Returns ``1/2 ||Ax - y||^2 + lambda1 ||Dx||_1 + lambda2 ||t||_*
     - rho <beta, t - x> + rho/2 ||t - x||^2`` in the scaled-multiplier form
-    (real part of the complex inner product), along with each term.
+    (real part of the complex inner product), along with each term.  BLAS
+    runs on one thread, as in the solvers' loops.
     """
     if not (x.shape == t.shape == beta.shape == y.shape):
         raise DimensionError(
@@ -191,11 +199,12 @@ def objective_slr(
         )
     cfg.validate()
     cols, acq = _sampled_data(y)
-    fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq, _new_volume(x.data)))
-    sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
-    nuclear = cfg.lambda2 * _nuclear_arr(t.data)
-    gap = x.data - t.data
-    return _lagrangian(fid, sparse, nuclear, gap, _norm2(gap), beta.data, cfg.rho)
+    with _one_blas_thread():
+        fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq, _new_volume(x.data)))
+        sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
+        nuclear = cfg.lambda2 * _nuclear_arr(t.data)
+        gap = x.data - t.data
+        return _lagrangian(fid, sparse, nuclear, gap, _norm2(gap), beta.data, cfg.rho)
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -243,7 +252,9 @@ def _solve(y, cfg, reference, callback, iterations):
     shape.  The generator yields ``(record, x, state)`` after each
     iteration; ``state`` holds the callback's extra volumes.  The
     objective's finite check, the trace, the callback and the report are
-    here.
+    here.  The loop, callbacks included, runs with BLAS on one thread
+    (:func:`~dynlr.core._one_blas_thread`), so the row split is its only
+    parallelism.
     """
     _check_reference(reference, y)
     started = time.perf_counter()
@@ -258,7 +269,7 @@ def _solve(y, cfg, reference, callback, iterations):
         buffers = (c, resid, r, work, np.empty((2,) + x.shape), np.empty((2,) + c.shape))
     trace = []
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
             for record, x, state in iterations(cfg, cols, acq, x, *buffers):
                 n = record.iteration
                 if not np.isfinite(record.objective):
@@ -366,7 +377,6 @@ def _slr_iterations(cfg, cols, acq, x, c, r, work):
     t = np.zeros_like(x)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
-    nx, nbytes = x.shape[0], x.nbytes
 
     def gradient_and_sparse(rows, failed):
         xs, rs, ws, ts = x[rows], r[rows], work[rows], t[rows]
@@ -401,26 +411,18 @@ def _slr_iterations(cfg, cols, acq, x, c, r, work):
             failed.add("multiplier")
         _abs2(rs, ws.real, ws.imag)
 
-    def split(fn, n, *steps):
-        """Run ``fn(rows, failed)`` on slabs, then raise the first of ``steps`` in ``failed``."""
-        failed = set()
-        _split_rows(partial(fn, failed=failed), nx, nbytes)
-        for step in steps:
-            if step in failed:
-                raise _numeric_error(step, n)
-
     _residual(c, x, cols, acq, work)
     x2 = _norm2(x, _real_pair(work, x.shape))
     for n in range(1, cfg.iterations + 1):
         _sampled_ifft2c_arr(c, cols, r, work)
-        split(gradient_and_sparse, n, "gradient", "sparse")
+        _split_checked(gradient_and_sparse, x, n, "gradient", "sparse")
         sparse = cfg.lambda1 * float(t.real.sum())
         denom = np.sqrt(x2)
         rel_change = float(np.sqrt(float(t.imag.sum())) / (1.0 if denom == 0 else denom))
         x2 = float(work.real.sum())
         x, r = r, x
         s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t, work)
-        split(multiplier, n, "multiplier")
+        _split_checked(multiplier, x, n, "multiplier")
         gap2 = float(work.real.sum())
         _residual(c, x, cols, acq, work)
         terms = _lagrangian(
@@ -468,12 +470,25 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
     ``resid`` after the gradient step and swap it with ``r``.  Unless a
     low-rank step follows data consistency (L3), the gradient step reuses
     the ``c`` and ``resid`` of that step, as :func:`solve_ista_sparse` says.
+    The sparse step, with its finite check, and the trace's ``|D x|`` run
+    on x-row slabs (:func:`~dynlr.core._split_rows`); each acts on whole
+    temporal rows, and the sparse term is one ``sum()`` after the pass, so
+    the slabs do not change a bit.
     """
     kind = cfg.transform
     keeps_residual = placement != "L3"
     w = _dc_weight(cfg.dc_mode, cfg.dc_nu)
     step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
+    mag = pair[0]
+
+    def sparse_step(rows, failed, src, out):
+        if not _sparse_step(src[rows], out[rows], tau, kind, work[rows], (mag[rows], pair[1][rows])):
+            failed.add("sparse")
+
+    def abs_coeffs(rows, src):  # |D src| into mag, for the sparse term
+        np.abs(_transform_fwd_arr(src[rows], kind, work[rows]), out=mag[rows])
+
     if keeps_residual:
         c.fill(0)  # the zero-filled start counts as consistent
         resid.fill(0)
@@ -489,8 +504,7 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
         if placement == "L1":
             _low_rank_step(src, cfg, n, resid, work)
             src, r, resid = resid, resid, r
-        if not _sparse_step(src, r, tau, kind, work, pair):
-            raise _numeric_error("sparse", n)
+        _split_checked(partial(sparse_step, src=src, out=r), x, n, "sparse")
         if placement == "L2":
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
@@ -508,8 +522,8 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
         else:
             _residual(c, r, cols, acq, work)
         fid = 0.5 * _norm2(c, c_pair)
-        coeffs = _transform_fwd_arr(r, kind, work)
-        sparse = cfg.lambda1 * float(np.abs(coeffs, out=pair[0]).sum())
+        _split_rows(partial(abs_coeffs, src=r), x.shape[0], x.nbytes)
+        sparse = cfg.lambda1 * float(mag.sum())
         rel_change = _rel_change(r, x, work, pair)
         x, r = r, x
         yield IterationRecord(n, float(fid + sparse + nuclear), fid, sparse, nuclear, rel_change), x, {}
@@ -564,15 +578,16 @@ def tune_hyperparams(
     ``min(usable CPUs, trajectories)`` worker processes, one task each, in
     grid order, or in this process when that is 1 or the grid is under
     ``_WORKER_FLOOR`` volume elements times iterations.  Each worker is a
-    fresh ``spawn`` interpreter with one BLAS thread and one split thread.
-    The images have the same bits at any split width, and at any BLAS
-    thread count on the frame sizes the tests cover (see the README), so
-    there the result does not depend on the worker count.  Starting the
-    workers costs a fixed fraction of a second per call, which only a grid
-    of short solves notices.  As with any ``spawn`` process, a script that
-    calls this at top level needs an ``if __name__ == "__main__":`` guard.  A worker that
-    dies ends the call with an ``EOFError``; an interrupt, or any other
-    exception in this process, terminates the workers and is re-raised.
+    fresh ``spawn`` interpreter that loads BLAS with one thread and splits
+    on one thread.  The images have the same bits at any split width and
+    at any BLAS thread count wherever numpy's OpenBLAS thread count can be
+    set (see the README), so the result does not depend on the worker
+    count.  Starting the workers costs a fixed fraction of a second per
+    call, which only a grid of short solves notices.  As with any ``spawn``
+    process, a script that calls this at top level needs an
+    ``if __name__ == "__main__":`` guard.  A worker that dies ends the call
+    with an ``EOFError``; an interrupt, or any other exception in this
+    process, terminates the workers and is re-raised.
 
     Parameters
     ----------
@@ -669,10 +684,13 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 @contextmanager
-def _one_blas_thread():
+def _one_blas_thread_env():
     """Set the BLAS thread-count variables to 1 in ``os.environ``; restore them on exit.
 
-    A process spawned inside the block reads them when it loads BLAS.
+    A process spawned inside the block reads them when it loads BLAS.  A
+    tuner worker's solves run BLAS on one thread anyway, but workers that
+    loaded OpenBLAS at its default thread count made the two ``std64-tune``
+    grids about 7% slower on 2 vCPUs (median of 10 alternating rounds).
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     try:
@@ -713,7 +731,8 @@ def _run_trajectories(solver, y, reference, jobs):
     this process is itself a daemonic worker, which cannot start processes.
     A worker gets ``y`` and the reference once, from :func:`_start_worker`;
     a task carries only its job.  A worker takes the next task when it
-    finishes one.  A worker that dies raises ``EOFError``.
+    finishes one.  A worker that dies raises ``EOFError``, also when the
+    start of another worker then fails.
     """
     workers = min(_usable_cpus(), len(jobs))
     work = y.data.size * sum(stops[-1] for _, stops in jobs)
@@ -732,7 +751,7 @@ def _run_trajectories(solver, y, reference, jobs):
     before = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(inbox,))
     try:
-        with _one_blas_thread():  # map submits every task at once, and each submit may start a worker
+        with _one_blas_thread_env():  # map submits every task at once, and each submit may start a worker
             results = pool.map(_run_in_worker, jobs)
         return list(results)
     except BaseException as exc:
@@ -744,7 +763,10 @@ def _run_trajectories(solver, y, reference, jobs):
             proc.terminate()
         for proc in children:
             proc.join()
-        if isinstance(exc, BrokenProcessPool):
+        # A worker start that began after the pool broke fails with the OSError of
+        # the call queue that the broken pool closed; the pool's private _broken
+        # tells that OSError from one of this process.
+        if isinstance(exc, BrokenProcessPool) or (isinstance(exc, OSError) and pool._broken):
             raise EOFError("a tuner worker died") from exc
         raise
     finally:

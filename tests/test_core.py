@@ -1,3 +1,9 @@
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +15,24 @@ from dynlr import (
     DimensionError,
     DynamicImage,
     KSpaceData,
+    NumericError,
     SamplingMask,
     SolverConfig,
+    casorati_rank,
+    core,
+    default_config,
     from_casorati,
+    ist_svt,
+    learned_svt,
+    nuclear_norm,
+    prox,
+    run_solver,
     to_casorati,
 )
+from dynlr.prox import SparseTransform, transform_adjoint, transform_forward
+from dynlr.solvers import objective_slr
 
-from conftest import rand_image, rand_volume
+from conftest import measured_kspace, rand_image, rand_volume
 
 
 class TestDynamicImage:
@@ -185,3 +202,138 @@ class TestSolverConfig:
         other = cfg.replaced(lambda1=0.5)
         assert other.lambda1 == 0.5
         assert cfg.lambda1 != 0.5
+
+
+@pytest.fixture
+def blas_count():
+    """The thread-count getter of numpy's OpenBLAS, with the count set to 2 for the test and restored after it."""
+    control = core._find_blas_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = control
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS cannot run 2 threads here")
+        yield get
+    finally:
+        set_(before)
+
+
+def _blas_problem():
+    img = DynamicImage(np.random.default_rng(3).standard_normal((32, 32, 8)) + 0j)
+    return img, measured_kspace(img, 4.0, seed=5)
+
+
+class TestOneBlasThread:
+    """Inside a solve or a public operator BLAS runs on one thread, and the count is restored afterwards."""
+
+    def test_solve_runs_on_one_thread_and_restores_the_count(self, blas_count):
+        _, y = _blas_problem()
+        seen = []
+        run_solver("slr", y, default_config(y, rank_k=2, iterations=2),
+                   callback=lambda n, x, **_: seen.append(blas_count()))
+        assert seen == [1, 1]
+        assert blas_count() == 2
+
+    def test_solve_that_raises_restores_the_count(self, blas_count):
+        _, y = _blas_problem()
+        with pytest.raises(NumericError):
+            run_solver("slr", y, SolverConfig(rho=1.0, eta1=1e300, rank_k=2, iterations=5))
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: learned_svt(x, 2),
+        lambda x, y: ist_svt(x, 0.1, 1.0),
+        lambda x, y: nuclear_norm(x),
+        lambda x, y: casorati_rank(x),
+        lambda x, y: transform_forward(x, SparseTransform("temporal_haar")),
+        lambda x, y: transform_adjoint(x, SparseTransform("temporal_haar")),
+        lambda x, y: objective_slr(x, x, x, y, SolverConfig()),
+    ], ids=["learned_svt", "ist_svt", "nuclear_norm", "casorati_rank", "transform_forward",
+            "transform_adjoint", "objective_slr"])
+    def test_public_op_runs_on_one_thread_and_restores_the_count(self, blas_count, monkeypatch, op):
+        x, y = _blas_problem()
+        seen = []
+        casorati = prox._casorati  # every BLAS operand of prox is a Casorati view
+
+        def counting_casorati(arr3d):
+            seen.append(blas_count())
+            return casorati(arr3d)
+
+        monkeypatch.setattr(prox, "_casorati", counting_casorati)
+        op(x, y)
+        assert seen and set(seen) == {1}
+        assert blas_count() == 2
+
+    def test_two_solves_at_once_restore_the_count(self, blas_count):
+        """The first solve ends while the second runs: the second stays on one thread, and the last exit restores 2."""
+        _, y = _blas_problem()
+        cfg = default_config(y, rank_k=2, iterations=2)
+        both_inside, first_done = threading.Barrier(2, timeout=60), threading.Event()
+        seen, errors = {}, []
+
+        def solve(name):
+            def callback(n, x, **_):
+                if n == 1:
+                    both_inside.wait()
+                elif name == "second":
+                    assert first_done.wait(60)
+                seen.setdefault(name, []).append(blas_count())
+
+            try:
+                run_solver("slr", y, cfg, callback=callback)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+            if name == "first":
+                first_done.set()
+
+        threads = [threading.Thread(target=solve, args=(name,)) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert errors == []
+        assert seen == {"first": [1, 1], "second": [1, 1]}
+        assert blas_count() == 2
+
+    def test_guard_does_nothing_without_a_blas_control(self, blas_count, monkeypatch):
+        monkeypatch.setattr(core, "_find_blas_control", lambda: None)
+        monkeypatch.setattr(core, "_blas_control", ())
+        _, y = _blas_problem()
+        seen = []
+        run_solver("slr", y, default_config(y, rank_k=2, iterations=1),
+                   callback=lambda n, x, **_: seen.append(blas_count()))
+        with core._one_blas_thread():
+            seen.append(blas_count())
+        assert seen == [2, 2]
+        assert core._blas_control is None and core._blas_depth == 0
+
+
+def test_import_does_not_look_up_blas():
+    probe = "import dynlr; print(dynlr.core._blas_control == ())"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert result.stdout == "True\n"
+
+
+def test_split_pass_does_not_wait_for_a_pool_thread_that_has_not_started(monkeypatch):
+    """With the only pool thread busy, the calling thread runs every slab and the pass returns at once."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(core, "_pool", pool)
+    monkeypatch.setattr(core, "_split_width", 2)
+    release = threading.Event()
+    busy = pool.submit(release.wait, 10)
+    try:
+        slabs = []
+        started = time.perf_counter()
+        core._split_rows(slabs.append, 64, core._SPLIT_FLOOR)
+        elapsed = time.perf_counter() - started
+    finally:
+        release.set()
+        busy.result(10)
+        pool.shutdown()
+    assert slabs == [slice(a, a + 8) for a in range(0, 64, 8)]
+    assert elapsed < 5

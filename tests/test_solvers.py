@@ -553,21 +553,6 @@ def solve_hashes(blas_threads=None, split_width=None):
     return json.loads(out.stdout)
 
 
-# The trace fields whose bits depend on the BLAS thread count: slr's
-# multiplier term comes from np.vdot, and the nuclear term of ista-lr at L1
-# from LAPACK's SVD.  The solves on 129x67x32 are left out: there the SVT
-# itself depends on it, which the strict xfail below records for the last.
-_BLAS_DEPENDENT = {"slr": "objective", "ista-lr L1": "nuclear_term"}
-
-
-def standard_without_blas_dependent(results):
-    return [
-        [label, {k: v for k, v in parts.items() if k != _BLAS_DEPENDENT.get(label)}]
-        for label, parts in results
-        if label != "slr 129x67x32"
-    ]
-
-
 # A script that solves above the split floor, forks, and solves again in the
 # child, which must finish: the child has none of the parent's pool threads.
 # A child that hangs is ended by an alarm, and the script prints its status.
@@ -600,13 +585,8 @@ class TestDeterminismAndDiagnostics:
         assert calls == []
 
     def test_results_independent_of_blas_threads(self):
-        one, two = solve_hashes(blas_threads=1), solve_hashes(blas_threads=2)
-        assert standard_without_blas_dependent(one) == standard_without_blas_dependent(two)
+        assert solve_hashes(blas_threads=1) == solve_hashes(blas_threads=2)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the SVT's Gram product M^H M changes its last bits with the BLAS thread count at 129x67x32",
-    )
     def test_odd_shape_slr_independent_of_blas_threads(self):
         assert solve_hashes(blas_threads=1)[-1] == solve_hashes(blas_threads=2)[-1]
 

@@ -345,6 +345,48 @@ def test_worker_started_after_the_pool_broke_is_terminated(tmp_path):
     assert result.stdout == "2 [] True\n"
 
 
+def test_worker_start_that_begins_after_the_pool_broke_is_eof_error(tmp_path):
+    # As above, but the second worker's start begins only once the first
+    # worker has died and the pool has had time to break.  The broken pool
+    # has closed its call queue, so that start fails with an OSError while
+    # the pool's map submits the second task; the call reports the dead
+    # worker, not that OSError, and leaves no process behind.
+    script = tmp_path / "late_start.py"
+    script.write_text(
+        "import multiprocessing, os, time\n"
+        "from multiprocessing.connection import wait\n"
+        "from multiprocessing.context import SpawnProcess\n"
+        "from dynlr import SolverConfig, encode, make_phantom, make_vd_mask, solvers\n"
+        "class ExitWhenUnpickled:\n"
+        "    def __reduce__(self):\n"
+        "        return (os._exit, (3,))\n"
+        "if __name__ == '__main__':\n"
+        "    solvers._usable_cpus = lambda: 2\n"
+        "    solvers._WORKER_FLOOR = 0\n"
+        "    started = []\n"
+        "    real_start = SpawnProcess.start\n"
+        "    def start(self):\n"
+        "        if started:\n"
+        "            wait([started[0].sentinel], 30)\n"
+        "            time.sleep(0.5)\n"
+        "        real_start(self)\n"
+        "        started.append(self)\n"
+        "    SpawnProcess.start = start\n"
+        "    img = make_phantom(32, 32, 8, kind='rank_r_sparse', seed=2, rank=2, sparsity=2)\n"
+        "    y = encode(img, make_vd_mask(32, 8, 4.0, seed=4))\n"
+        "    jobs = [(ExitWhenUnpickled(), [2]), (SolverConfig(iterations=2), [2])]\n"
+        "    try:\n"
+        "        solvers._run_trajectories('ista', y, img, jobs)\n"
+        "    except EOFError as exc:\n"
+        "        print(len(started), type(exc.__cause__).__name__, multiprocessing.active_children())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1 OSError []\n"
+
+
 def test_interrupt_terminates_the_workers(tmp_path):
     # Each worker's solve would take about 20 s; SIGINT arrives 1 s into the call.
     script = tmp_path / "interrupted_tune.py"
