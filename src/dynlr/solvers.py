@@ -166,11 +166,10 @@ def _real_pair(work, shape):
     return flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape)
 
 
-def _rel_change(curr, prev, diff, pair):
-    denom = np.sqrt(_norm2(prev, pair))
-    if denom == 0:
-        denom = 1.0
-    return float(np.sqrt(_norm2(np.subtract(curr, prev, out=diff), pair)) / denom)
+def _rel_change(diff2, prev2):
+    """``rel_change`` from ``||x_n - x_{n-1}||^2`` and ``||x_{n-1}||^2``; a zero ``x_{n-1}`` divides by 1."""
+    denom = np.sqrt(prev2)
+    return float(np.sqrt(diff2) / (1.0 if denom == 0 else denom))
 
 
 def _sparse_step(arr, out, tau, kind, z, pair):
@@ -242,17 +241,16 @@ def _scores(reference, image):
 def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    The generator gets the indices and acquired samples of
+    Every loop gets one working set: ``iterations(cfg, cols, acq, x, c, r,
+    work, v)`` gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
-    ``(nx, S)`` residual buffer ``c`` and scratch.  ``_slr_iterations(cfg,
-    cols, acq, x, c, r, work)`` gets two volumes.  The sparse loop,
-    ``_ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair,
-    c_pair)``, also gets a volume for ``A^H c``, which it keeps across
-    iterations, and real scratch pairs of the volume's and of ``c``'s
-    shape.  The generator yields ``(record, x, state)`` after each
-    iteration; ``state`` holds the callback's extra volumes.  The
-    objective's finite check, the trace, the callback and the report are
-    here.  The loop, callbacks included, runs with BLAS on one thread
+    ``(nx, S)`` residual buffer ``c`` and three more volumes.  ``v`` is
+    ``slr``'s ``t`` and the sparse loop's ``A^H c``; each loop sums its
+    trace terms in rows of its volumes that nothing reads any more.  The
+    generator yields ``(record, x, state)`` after each iteration; ``state``
+    holds the callback's extra volumes.  The objective's finite check, the
+    trace, the callback and the report are here.  The loop, callbacks
+    included, runs with BLAS on one thread
     (:func:`~dynlr.core._one_blas_thread`), so the row split is its only
     parallelism.
     """
@@ -261,16 +259,11 @@ def _solve(y, cfg, reference, callback, iterations):
     work = _new_volume(y.data)
     cols, acq = _sampled_data(y)
     x = _sampled_ifft2c_arr(acq, cols, _new_volume(work), work)  # the zero-filled start
-    resid = None if iterations is _slr_iterations else _new_volume(x)
-    r, c = _new_volume(x), np.empty_like(acq)
-    if resid is None:  # slr forms A^H c in r, and sums its terms in rows of t and work
-        buffers = (c, r, work)
-    else:
-        buffers = (c, resid, r, work, np.empty((2,) + x.shape), np.empty((2,) + c.shape))
+    c, r, v = np.empty_like(acq), _new_volume(x), _new_volume(x)
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
-            for record, x, state in iterations(cfg, cols, acq, x, *buffers):
+            for record, x, state in iterations(cfg, cols, acq, x, c, r, work, v):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -285,7 +278,7 @@ def _solve(y, cfg, reference, callback, iterations):
     # Freed before the report copies x, and x, t and beta before it is scored.
     # They are allocated here and not in the generator: buffers that a
     # generator allocated and freed raised peak RSS.
-    del c, resid, r, work, buffers, state
+    del c, r, work, v, state
     image = DynamicImage(x)
     del x
     return ReconReport(
@@ -352,29 +345,28 @@ def solve_slr(
     return _solve(y, cfg, reference, callback, _slr_iterations)
 
 
-def _slr_iterations(cfg, cols, acq, x, c, r, work):
+def _slr_iterations(cfg, cols, acq, x, c, r, work, t):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
     ``c`` holds the sampled residual; ``r`` holds its adjoint, then the
     gradient step, then the new ``x``, then ``x - t``, which the Lagrangian
     reads before the next adjoint overwrites it; ``work`` is scratch for
-    every step.  The steps between the FFTs and the SVT run in two passes
-    over x-row slabs (:func:`~dynlr.core._split_rows`): every step there is
-    elementwise or acts on whole temporal rows.  The per-element terms of
-    the sums go into rows that nothing reads any more.  The gradient pass
-    puts the soft threshold's scratch, ``|D r|`` and ``|r - x|^2`` into its
-    rows of ``t`` once they have given the gradient (the low-rank step
-    overwrites all of ``t``), and ``|r|^2``, the next ``rel_change``'s
-    denominator, into its rows of ``work``.  The multiplier pass puts
-    ``|x - t|^2`` into its rows of ``work``.  Each sum is one ``sum()`` over
-    the real or imaginary part of a whole volume, which has the bits of a
-    sum over a contiguous copy, so the slabs do not change a bit.  A slab
-    records each step that left it non-finite, and after the pass the first
-    such step in program order is raised, as if each step had been checked
-    over the whole volume.
+    every step; ``t`` is zero-filled here.  The steps between the FFTs and
+    the SVT run in two passes over x-row slabs
+    (:func:`~dynlr.core._split_rows`): every step there is elementwise or
+    acts on whole temporal rows.  The per-element terms of the sums go into
+    rows that nothing reads any more.  The gradient pass puts the soft
+    threshold's scratch, ``|D r|`` and ``|r - x|^2`` into its rows of ``t``
+    once they have given the gradient (the low-rank step overwrites all of
+    ``t``), and ``|r|^2``, the next ``rel_change``'s denominator, into its
+    rows of ``work``.  The multiplier pass puts ``|x - t|^2`` into its rows
+    of ``work``.  Each sum is one ``sum()`` over the real or imaginary part
+    of a whole volume, which has the bits of a sum over a contiguous copy,
+    so the slabs do not change a bit.  A slab's non-finite step is raised
+    as :func:`_split_checked` says.
     """
     kind = cfg.transform
-    t = np.zeros_like(x)
+    t.fill(0)
     beta = np.zeros_like(x)
     tau = cfg.lambda1 * cfg.eta2
 
@@ -417,8 +409,7 @@ def _slr_iterations(cfg, cols, acq, x, c, r, work):
         _sampled_ifft2c_arr(c, cols, r, work)
         _split_checked(gradient_and_sparse, x, n, "gradient", "sparse")
         sparse = cfg.lambda1 * float(t.real.sum())
-        denom = np.sqrt(x2)
-        rel_change = float(np.sqrt(float(t.imag.sum())) / (1.0 if denom == 0 else denom))
+        rel_change = _rel_change(float(t.imag.sum()), x2)
         x2 = float(work.real.sum())
         x, r = r, x
         s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t, work)
@@ -461,7 +452,7 @@ def solve_ista_lr(
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
 
 
-def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placement=None):
+def _ista_iterations(cfg, cols, acq, x, c, r, work, resid, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
     ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
@@ -470,30 +461,38 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
     ``resid`` after the gradient step and swap it with ``r``.  Unless a
     low-rank step follows data consistency (L3), the gradient step reuses
     the ``c`` and ``resid`` of that step, as :func:`solve_ista_sparse` says.
-    The sparse step, with its finite check, and the trace's ``|D x|`` run
-    on x-row slabs (:func:`~dynlr.core._split_rows`); each acts on whole
-    temporal rows, and the sparse term is one ``sum()`` after the pass, so
-    the slabs do not change a bit.
+    The sparse step and the trace terms run on x-row slabs, each on whole
+    temporal rows, and put their scratch into rows that nothing reads any
+    more, as in :func:`_slr_iterations`: the soft threshold's into
+    ``resid``, which the gradient step has read and data consistency not
+    yet written; ``|x - x_prev|^2`` and ``|D x|`` into the real and
+    imaginary parts of the previous iterate; ``|x|^2``, the next
+    ``rel_change``'s denominator, into ``work``.
     """
     kind = cfg.transform
     keeps_residual = placement != "L3"
     w = _dc_weight(cfg.dc_mode, cfg.dc_nu)
     step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
-    mag = pair[0]
 
-    def sparse_step(rows, failed, src, out):
-        if not _sparse_step(src[rows], out[rows], tau, kind, work[rows], (mag[rows], pair[1][rows])):
+    def sparse_step(rows, failed, src, out, free):
+        ws = work[rows]
+        if not _sparse_step(src[rows], out[rows], tau, kind, ws, _real_pair(free[rows], ws.shape)):
             failed.add("sparse")
 
-    def abs_coeffs(rows, src):  # |D src| into mag, for the sparse term
-        np.abs(_transform_fwd_arr(src[rows], kind, work[rows]), out=mag[rows])
+    def trace_terms(rows, new, prev):
+        ns, ps, ws = new[rows], prev[rows], work[rows]
+        diff = np.subtract(ns, ps, out=ws)
+        _abs2(diff, ps.real, diff.imag)  # the imaginary part of the difference is its own scratch
+        np.abs(_transform_fwd_arr(ns, kind, ws), out=ps.imag)
+        _abs2(ns, ws.real, ws.imag)
 
     if keeps_residual:
         c.fill(0)  # the zero-filled start counts as consistent
         resid.fill(0)
     else:
         _residual(c, x, cols, acq, work)
+    x2 = _norm2(x, _real_pair(work, x.shape))
     for n in range(1, cfg.iterations + 1):
         src = x  # the gradient step leaves x as it is when the residual is exactly 0
         if step != 0:
@@ -504,7 +503,7 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
         if placement == "L1":
             _low_rank_step(src, cfg, n, resid, work)
             src, r, resid = resid, resid, r
-        _split_checked(partial(sparse_step, src=src, out=r), x, n, "sparse")
+        _split_checked(partial(sparse_step, src=src, out=r, free=resid), x, n, "sparse")
         if placement == "L2":
             _low_rank_step(r, cfg, n, resid, work)
             r, resid = resid, r
@@ -521,10 +520,11 @@ def _ista_iterations(cfg, cols, acq, x, c, resid, r, work, pair, c_pair, placeme
             np.multiply(c, 1.0 - w, out=c)
         else:
             _residual(c, r, cols, acq, work)
-        fid = 0.5 * _norm2(c, c_pair)
-        _split_rows(partial(abs_coeffs, src=r), x.shape[0], x.nbytes)
-        sparse = cfg.lambda1 * float(mag.sum())
-        rel_change = _rel_change(r, x, work, pair)
+        fid = 0.5 * _norm2(c, _real_pair(work, c.shape))
+        _split_rows(partial(trace_terms, new=r, prev=x), x.shape[0], x.nbytes)
+        sparse = cfg.lambda1 * float(x.imag.sum())
+        rel_change = _rel_change(float(x.real.sum()), x2)
+        x2 = float(work.real.sum())
         x, r = r, x
         yield IterationRecord(n, float(fid + sparse + nuclear), fid, sparse, nuclear, rel_change), x, {}
 

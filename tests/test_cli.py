@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from dynlr import ifft2c, read_cplx, read_mask, write_cplx
 from dynlr.cli import main, parse_grid_spec, read_config_file, write_config_file
-from dynlr.core import ConfigError, SolverConfig, _parse_float, _parse_int
+from dynlr.core import (
+    DC_MODES, LR_MODES, PLACEMENTS, T_STEP_INPUTS, TRANSFORM_KINDS, ConfigError, SolverConfig, _parse_float,
+    _parse_int,
+)
 
 
 def run_cli(args):
@@ -370,6 +376,17 @@ class TestGridSpecParsing:
         assert "lambda1" in capsys.readouterr().err
 
 
+def _field_values(field):
+    """Any value of a SolverConfig field's type: inf, nan and ints beyond every float included."""
+    if field.type is float:
+        return st.floats()
+    if field.type is int:
+        return st.integers(-(2**1024), 2**1024)
+    choices = {"placement": PLACEMENTS, "dc_mode": DC_MODES, "lr_mode": LR_MODES,
+               "transform": TRANSFORM_KINDS, "t_step_input": T_STEP_INPUTS}
+    return st.sampled_from(choices[field.name])
+
+
 class TestNumberTokens:
     """Every text input reads numbers as ``repr`` writes them.
 
@@ -385,6 +402,21 @@ class TestNumberTokens:
         for loose in (f"+{value!r}", f" {value!r}", f"{value!r} ", f"{value!r}"[:1] + "_" + f"{value!r}"[1:]):
             with pytest.raises(ValueError):
                 parse(loose)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cfg=st.builds(SolverConfig, **{f.name: _field_values(f) for f in dataclasses.fields(SolverConfig)}))
+    def test_written_config_reads_back(self, cfg):
+        # NaN is compared by repr, which also tells 1 from 1.0.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.txt"
+            write_config_file(path, cfg)
+            lines = path.read_text(encoding="ascii").splitlines()
+            read = read_config_file(path)
+        expected = {k: repr(v) for k, v in dataclasses.asdict(cfg).items()}
+        assert {k: repr(v) for k, v in read.items()} == expected
+        # Each written line is also a --grid token of one value.
+        grid = parse_grid_spec(";".join(lines))
+        assert {k: repr(v) for k, (v,) in grid.items()} == expected
 
     @pytest.mark.parametrize("line", ["iterations=1_0", "lambda1=+1_0.5e-3", "rank_k= 0_3", "eta2=+1.0"])
     def test_config_file(self, tmp_path, capsys, line):

@@ -494,8 +494,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 # solves run on the 64x64x16 standard instance (phantom seed 21, mask seed
 # 13, 8x): low-rank solves, slr with either low-rank step input, and the
 # weighted data-consistency correction with and without a low-rank step.
-# The last two are slr solves on 129x67x32, above the row split's size
-# floor, whose 129 x-rows are not a whole number of slabs.  The first
+# The last four run on 129x67x32, above the row split's size floor, whose
+# 129 x-rows are not a whole number of slabs: the weighted sparse loop
+# without and with a low-rank step, then two slr solves.  The first
 # argument, if any, is the split width.
 _SOLVE_HASHES = """
 import dataclasses, hashlib, json, sys
@@ -522,6 +523,9 @@ runs = [
     (standard, 20, "ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
                                "dc_mode": "weighted", "dc_nu": 4.0}),
     (standard, 20, "ista", {"dc_mode": "weighted", "dc_nu": 4.0}),
+    (odd, 4, "ista", {"dc_mode": "weighted", "dc_nu": 4.0}),
+    (odd, 4, "ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
+                         "dc_mode": "weighted", "dc_nu": 4.0}),
     (odd, 4, "slr", {"lr_mode": "soft", "transform": "temporal_haar"}),
     (odd, 4, "slr", {"lr_mode": "soft"}),
 ]
@@ -539,7 +543,7 @@ print(json.dumps(results))
 
 @functools.cache
 def solve_hashes(blas_threads=None, split_width=None):
-    """Run the ten solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
+    """Run the twelve solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
@@ -791,6 +795,7 @@ _ORACLE_RUNS = [
     ("ista-lr", {"placement": placement, "lr_mode": "soft", "dc_mode": "weighted", "dc_nu": 4.0})
     for placement in ("L1", "L2", "L3")
 ]
+_ORACLE_IDS = ["-".join([s, *map(str, kw.values())]) for s, kw in _ORACLE_RUNS]
 
 
 class TestIterationOracle:
@@ -801,10 +806,7 @@ class TestIterationOracle:
     """
 
     @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
-    @pytest.mark.parametrize(
-        "solver, overrides", _ORACLE_RUNS,
-        ids=["-".join([s, *map(str, kw.values())]) for s, kw in _ORACLE_RUNS],
-    )
+    @pytest.mark.parametrize("solver, overrides", _ORACLE_RUNS, ids=_ORACLE_IDS)
     def test_next_iterate_bitwise(self, shape, solver, overrides):
         nx, ny, nt = shape
         img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
@@ -828,14 +830,22 @@ class TestIterationOracle:
                 assert np.array_equal(ours.data, oracle.data)
             assert {name: getattr(record, name) for name in terms} == terms
 
+    # ista weighted Haar, ista-lr L1 hard and ista-lr L3 soft weighted, whose
+    # row passes run on slabs: 129x67x32 is above the split floor
+    @pytest.mark.parametrize(
+        "solver, overrides", [_ORACLE_RUNS[i] for i in (1, 5, 10)], ids=[_ORACLE_IDS[i] for i in (1, 5, 10)]
+    )
+    def test_next_iterate_bitwise_above_split_floor(self, solver, overrides):
+        self.test_next_iterate_bitwise((129, 67, 32), solver, overrides)
+
 
 _STANDARD, _ODD = (64, 64, 16), (129, 67, 32)
 _MEMORY_RUNS = [
-    ("ista", {}, _STANDARD, 7.1),
+    ("ista", {}, _STANDARD, 4.5),
     ("ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
-                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 7.1),
+                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 4.5),
     ("ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
-                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 7.1),
+                 "dc_mode": "weighted", "dc_nu": 4.0}, _STANDARD, 4.5),
     ("slr", {"lr_mode": "hard"}, _STANDARD, 5.5),
     ("slr", {"lr_mode": "soft"}, _STANDARD, 5.5),
     ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 5.5),
@@ -845,16 +855,17 @@ _MEMORY_RUNS = [
 class TestLoopMemory:
     """The loops reuse one set of volumes instead of allocating new ones per step.
 
-    The bounds are tracemalloc peaks in volumes of the k-space.  For the
-    sparse loop it is the peak that it had while every step allocated its
-    result, 7.02; it now peaks at 5.51.  ``slr`` holds ``x``, ``r``,
-    ``work``, ``t`` and ``beta``, and peaks at 5.38 on 64x64x16 and at 5.40
-    on 129x67x32, which is above the row split's floor, so that the slabs'
-    scratch counts too.  Its bound is that peak plus 0.1; it had 10.01 while
-    every step allocated, and 7.51 with a volume for ``A^H c`` and real
-    scratch volumes for its sums.  The peaks are the same through the
-    report: the scratch volumes, ``x``, ``t`` and ``beta`` are freed before
-    it is scored.
+    The bounds are tracemalloc peaks in volumes of the k-space.  The sparse
+    loop holds ``x``, ``r``, ``work`` and ``A^H c``, and peaks at 4.38 to
+    4.40; its bound is that peak plus 0.1.  It had 7.02 while every step
+    allocated its result, and 5.51 with real scratch volumes for its sums.
+    ``slr`` holds ``x``, ``r``, ``work``, ``t`` and ``beta``, and peaks at
+    5.40 on 64x64x16 and at 5.33 on 129x67x32, which is above the row
+    split's floor, so that the slabs' scratch counts too.  Its bound is that
+    peak plus 0.1; it had 10.01 while every step allocated, and 7.51 with a
+    volume for ``A^H c`` and real scratch volumes for its sums.  The peaks
+    are the same through the report: the scratch volumes, ``x``, ``t`` and
+    ``beta`` are freed before it is scored.
     """
 
     @staticmethod

@@ -391,7 +391,7 @@ def test_interrupt_terminates_the_workers(tmp_path):
     # Each worker's solve would take about 20 s; SIGINT arrives 1 s into the call.
     script = tmp_path / "interrupted_tune.py"
     script.write_text(
-        "import multiprocessing, os, signal, threading, time\n"
+        "import multiprocessing, os, signal, sys, threading, time\n"
         "from dynlr import default_config, encode, make_phantom, make_vd_mask, solvers, tune_hyperparams\n"
         "if __name__ == '__main__':\n"
         "    solvers._usable_cpus = lambda: 2\n"
@@ -404,11 +404,14 @@ def test_interrupt_terminates_the_workers(tmp_path):
         "        tune_hyperparams(y, img, {'lambda1': [0.0, 1e-3]}, 'slr', base=base)\n"
         "    except KeyboardInterrupt:\n"
         "        print(time.perf_counter() - started, multiprocessing.active_children())\n"
+        "    else:\n"
+        "        print('the tune returned after', time.perf_counter() - started, 's', file=sys.stderr)\n"
     )
     result = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout, result.stderr
     seconds, children = result.stdout.split(maxsplit=1)
     assert children == "[]\n"
     assert 1.0 <= float(seconds) < 5.0
