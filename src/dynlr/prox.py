@@ -6,9 +6,10 @@ the Casorati matrix (soft shrinkage or hard-rank truncation) that realizes
 the low-rank prior.
 
 Both thresholdings of the Casorati matrix ``M`` are computed from its
-``nt x nt`` Gram matrix ``M^H M`` rather than from a thin SVD, which would
-form the ``(nx*ny) x nt`` factor ``U``.  An SVD is used only when the Gram
-matrix would overflow or underflow.
+``nt x nt`` Gram matrix ``M^H M``, one real product of the ``float64`` view
+of ``M``, rather than from a thin SVD, which would form the ``(nx*ny) x nt``
+factor ``U``.  An SVD is used only when the Gram matrix would overflow or
+underflow.
 
 Every public operator here that reaches BLAS or LAPACK (the SVTs, the
 nuclear norm, the rank and the transforms) runs under
@@ -53,13 +54,13 @@ def _require_power_of_two(nt):
 
 
 def _casorati(arr3d):
-    """The C-order ``(nx*ny) x nt`` view of a volume, free for a C-contiguous one.
+    """The C-contiguous ``(nx*ny) x nt`` matrix of a volume: a free view of a C-contiguous one, else a copy.
 
     It is a row permutation of the x-fastest Casorati matrix, so it has the
     same singular values, and SVT and the Haar matrix commute with it.
     """
     nx, ny, nt = arr3d.shape
-    return arr3d.reshape(nx * ny, nt)
+    return np.ascontiguousarray(arr3d).reshape(nx * ny, nt)
 
 
 @functools.cache
@@ -160,12 +161,7 @@ def _shrink(sigma, cfg):
     return np.maximum(shrunk, 0.0)
 
 
-def _row_span(rows, ny):
-    """The Casorati rows of the x-rows ``rows`` of a volume with ``ny`` columns per x-row."""
-    return slice(rows.start * ny, rows.stop * ny)
-
-
-def _svt_arr(arr3d, cfg, out=None, work=None):
+def _svt_arr(arr3d, cfg, out=None):
     """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
 
     ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
@@ -176,10 +172,13 @@ def _svt_arr(arr3d, cfg, out=None, work=None):
     ``g = _shrink(sigma) / sigma`` (0 where sigma is 0), where ``M`` is
     :func:`_casorati` of the volume.
 
-    The conjugate of ``M`` and the output product run on x-row slabs
+    ``G`` comes from one real product ``q = R^T R`` of the free ``float64``
+    view ``R`` of ``M``, whose columns alternate real and imaginary parts:
+    ``Re G = q_ee + q_oo`` and ``Im G = q_eo - q_oe`` (even and odd rows and
+    columns), exactly Hermitian.  The output product runs on x-row slabs
     (:func:`~dynlr.core._split_rows`), whose Casorati rows are
     ``rows.start*ny : rows.stop*ny``, and each slab of the output checks
-    its own finiteness; ``G`` is one product.  On one BLAS thread
+    its own finiteness.  On one BLAS thread
     (:func:`~dynlr.core._one_blas_thread`, which the solvers and the public
     operators enter) a slab's product rows have the bits of the same rows
     of the whole product, so the result does not depend on the split width
@@ -190,21 +189,18 @@ def _svt_arr(arr3d, cfg, out=None, work=None):
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
     of the Casorati matrix is used instead.
 
-    The result is written into ``out`` and the conjugate of ``M`` into
-    ``work``: C-contiguous complex volumes other than ``arr3d``, or None
-    for new ones.
+    The result is written into ``out``, a C-contiguous complex volume other
+    than ``arr3d``, or None for a new one.
     """
     nx, ny = arr3d.shape[:2]
     m = _casorati(arr3d)
-    conj = _casorati(_new_volume(arr3d) if work is None else work)
-    _split_rows(lambda rows: np.conjugate(m[_row_span(rows, ny)], out=conj[_row_span(rows, ny)]),
-                nx, arr3d.nbytes)
+    r = m.view(np.float64)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = conj.T @ m
+        q = r.T @ r
+        gram = (q[0::2, 0::2] + q[1::2, 1::2]) + 1j * (q[0::2, 1::2] - q[1::2, 0::2])
         diag = gram.diagonal().real
         # trace(G) = ||M||_F^2 bounds every eigenvalue, so a finite trace keeps sigma finite.
         finite = np.isfinite(gram).all() and np.isfinite(diag.sum())
-    del conj  # a new conjugate is freed before a new output is allocated
     if out is None:
         out = _new_volume(arr3d)
     dest = _casorati(out)
@@ -218,7 +214,7 @@ def _svt_arr(arr3d, cfg, out=None, work=None):
         failed = []
 
         def product(rows):
-            span = _row_span(rows, ny)
+            span = slice(rows.start * ny, rows.stop * ny)
             if not _finite(np.matmul(m[span], project, out=dest[span])):
                 failed.append(rows)
 

@@ -148,12 +148,12 @@ def _lagrangian(fid, sparse, nuclear, gap, gap2, beta, rho):
     return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
 
 
-def _low_rank_step(arr, cfg: SolverConfig, n, out, work):
+def _low_rank_step(arr, cfg: SolverConfig, n, out):
     """The configured SVT of ``arr`` into ``out``, checked as the low-rank step of iteration ``n``.
 
-    Returns the singular values of the output.  ``work`` is scratch.
+    Returns the singular values of the output.
     """
-    _, s_new, finite = _svt_arr(arr, cfg, out, work)
+    _, s_new, finite = _svt_arr(arr, cfg, out)
     if not finite:
         raise _numeric_error("low-rank", n)
     return s_new
@@ -412,7 +412,7 @@ def _slr_iterations(cfg, cols, acq, x, c, r, work, t):
         rel_change = _rel_change(float(t.imag.sum()), x2)
         x2 = float(work.real.sum())
         x, r = r, x
-        s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t, work)
+        s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t)
         _split_checked(multiplier, x, n, "multiplier")
         gap2 = float(work.real.sum())
         _residual(c, x, cols, acq, work)
@@ -481,11 +481,13 @@ def _ista_iterations(cfg, cols, acq, x, c, r, work, resid, placement=None):
             failed.add("sparse")
 
     def trace_terms(rows, new, prev):
+        # Each |.|^2 has _abs2's bits, squared in a contiguous float64 view: no writes to strided views.
         ns, ps, ws = new[rows], prev[rows], work[rows]
-        diff = np.subtract(ns, ps, out=ws)
-        _abs2(diff, ps.real, diff.imag)  # the imaginary part of the difference is its own scratch
+        sq = np.square(np.subtract(ns, ps, out=ws).view(np.float64), out=ws.view(np.float64))
+        np.add(sq[..., 0::2], sq[..., 1::2], out=ps.real)
         np.abs(_transform_fwd_arr(ns, kind, ws), out=ps.imag)
-        _abs2(ns, ws.real, ws.imag)
+        sq = np.square(ns.view(np.float64), out=ws.view(np.float64))
+        np.add(sq[..., 0::2], sq[..., 1::2], out=ws.real)
 
     if keeps_residual:
         c.fill(0)  # the zero-filled start counts as consistent
@@ -501,18 +503,18 @@ def _ista_iterations(cfg, cols, acq, x, c, r, work, resid, placement=None):
             src = np.subtract(x, np.multiply(resid, step, out=r), out=r)
             _check_finite(r, "gradient", n)
         if placement == "L1":
-            _low_rank_step(src, cfg, n, resid, work)
+            _low_rank_step(src, cfg, n, resid)
             src, r, resid = resid, resid, r
         _split_checked(partial(sparse_step, src=src, out=r, free=resid), x, n, "sparse")
         if placement == "L2":
-            _low_rank_step(r, cfg, n, resid, work)
+            _low_rank_step(r, cfg, n, resid)
             r, resid = resid, r
         _dc_arr(r, acq, cols, w, r, c, resid, work)
         _check_finite(r, "data-consistency", n)
         if placement is None:
             nuclear = 0.0
         elif placement == "L3":
-            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, work).sum())
+            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid).sum())
             r, resid = resid, r
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynlr import ifft2c, read_cplx, read_mask, write_cplx
-from dynlr.cli import main, parse_grid_spec, read_config_file, write_config_file
+from dynlr.cli import _flag_overrides, build_parser, main, parse_grid_spec, read_config_file, write_config_file
 from dynlr.core import (
     DC_MODES, LR_MODES, PLACEMENTS, T_STEP_INPUTS, TRANSFORM_KINDS, ConfigError, SolverConfig, _parse_float,
     _parse_int,
@@ -387,6 +387,14 @@ def _field_values(field):
     return st.sampled_from(choices[field.name])
 
 
+# The numeric flags of recon and tune, and the SolverConfig field each sets.
+_NUMERIC_FLAGS = {
+    "iters": "iterations", "lambda1": "lambda1", "lambda2": "lambda2", "rho": "rho",
+    "eta1": "eta1", "eta2": "eta2", "rank-k": "rank_k", "p": "p",
+}
+_FIELDS = {f.name: f for f in dataclasses.fields(SolverConfig)}
+
+
 class TestNumberTokens:
     """Every text input reads numbers as ``repr`` writes them.
 
@@ -417,6 +425,24 @@ class TestNumberTokens:
         # Each written line is also a --grid token of one value.
         grid = parse_grid_spec(";".join(lines))
         assert {k: repr(v) for k, (v,) in grid.items()} == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["recon", "tune"]),
+        values=st.fixed_dictionaries(
+            {name: _field_values(_FIELDS[name]) for name in [*_NUMERIC_FLAGS.values(), "dc_nu"]}
+        ),
+    )
+    def test_flags_read_back(self, command, values):
+        # Each token goes as "--flag=TOKEN": argparse reads "--flag -1e-05" as a flag without its value.
+        inputs = {"recon": [], "tune": ["--ref", "r", "--grid", "rho=1"]}[command]
+        flags = [f"--{flag}={values[field]!r}" for flag, field in _NUMERIC_FLAGS.items()]
+        args = build_parser().parse_args([
+            command, "--ksp", "k", "--mask", "m", "--out", "o", *inputs, "--solver", "ista", *flags,
+            f"--dc=weighted:{values['dc_nu']!r}",
+        ])
+        expected = {name: repr(value) for name, value in values.items()} | {"dc_mode": repr("weighted")}
+        assert {name: repr(value) for name, value in _flag_overrides(args).items()} == expected
 
     @pytest.mark.parametrize("line", ["iterations=1_0", "lambda1=+1_0.5e-3", "rank_k= 0_3", "eta2=+1.0"])
     def test_config_file(self, tmp_path, capsys, line):

@@ -361,6 +361,22 @@ class TestSvtProperties:
         ist_svt(x, 0.1 * scale, 1.0, 1.0)
         assert len(calls) == (0 if scale == 1.0 else 2)
 
+    # read_cplx returns F-ordered volumes, and the Gram matrix is formed from
+    # the float64 view of the C-order Casorati matrix; 129x67x32 is above the
+    # row split's floor.
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (129, 67, 32)])
+    @pytest.mark.parametrize("layout", ["fortran", "frame-major"])
+    def test_memory_layout_leaves_the_bits(self, rng, shape, layout):
+        data = rand_volume(rng, shape)
+        if layout == "fortran":
+            other = np.asfortranarray(data)
+        else:
+            other = np.moveaxis(np.moveaxis(data, 2, 0).copy(), 0, 2)
+        x, y = DynamicImage(data), DynamicImage(other)
+        assert x.data.flags.c_contiguous and not y.data.flags.c_contiguous
+        for op, args in ((learned_svt, (3,)), (ist_svt, (5.0, 1.0, 1.0))):
+            assert op(y, *args).data.tobytes() == op(x, *args).data.tobytes()
+
 
 class TestCasoratiRank:
     def test_counts_rank_of_a_rank1_volume(self, rng):

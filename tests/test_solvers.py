@@ -44,7 +44,7 @@ from dynlr import (
     tune_hyperparams,
 )
 from dynlr import core, solvers
-from dynlr.solvers import _check_finite
+from dynlr.solvers import _BLAS_THREAD_VARS, _check_finite
 
 from conftest import rand_image, rand_kspace, rel_err
 
@@ -486,8 +486,6 @@ class TestTraceTermsMatchRecomputation:
             self.assert_sparse_term(record, x, cfg)
             self.assert_close(record.objective, record.data_fidelity + record.sparse_term + nuclear)
 
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Prints, for each solve, its label and the SHA-256 of its final image, of
 # its report metrics and of each trace field over all iterations.  Eight
