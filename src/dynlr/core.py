@@ -110,12 +110,15 @@ def _new_volume(like):
 
 
 def _finite(arr):
-    """Whether the C-contiguous complex ``arr`` is finite.
+    """Whether the non-empty C-contiguous complex ``arr`` is finite.
 
     The test runs on the real view of the same memory, which holds both
-    parts and makes no complex pass.
+    parts and makes no complex pass: its largest and smallest entries are
+    finite exactly when every entry is (a NaN makes both NaN), and the two
+    reductions form no mask.
     """
-    return bool(np.isfinite(arr.view(arr.real.dtype)).all())
+    view = arr.view(arr.real.dtype)
+    return bool(np.isfinite(view.max()) and np.isfinite(view.min()))
 
 
 def _usable_cpus():
@@ -168,12 +171,56 @@ def _pool_of(threads):
         return _pool
 
 
+def _slabs(n, nbytes):
+    """The slices, in order, into which :func:`_split_rows` cuts ``range(n)`` for data of ``nbytes`` bytes.
+
+    Under ``_SPLIT_FLOOR`` bytes that is one slice of all the rows;
+    otherwise fixed slabs of ``max(1, n * _SLAB_BYTES // nbytes)`` rows, the
+    last one shorter if need be.  The list depends on ``n`` and ``nbytes``
+    only, not on the split width, so a sum of per-slab sums taken over it
+    has the same bits at any width.
+    """
+    if nbytes < _SPLIT_FLOOR:
+        return [slice(0, n)]
+    step = max(1, n * _SLAB_BYTES // nbytes)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+class _SlabScratch:
+    """Per-thread scratch for the split passes over volumes shaped as ``like``.
+
+    Each thread that asks gets its own flat complex buffer, made on its
+    first call and kept as long as this object: one slab of
+    :func:`_slabs` (about ``_SLAB_BYTES``, at least one x-row, above
+    ``_SPLIT_FLOOR``; the whole volume under it), or more if a call asks
+    for more.  The passes of a kernel, or of a solve, that share one
+    object share that buffer, which is free again when a pass returns.
+    """
+
+    def __init__(self, like):
+        self._row_shape = tuple(like.shape[1:])
+        self._size = _slabs(like.shape[0], like.nbytes)[0].stop * math.prod(self._row_shape)
+        self._local = threading.local()
+
+    def array(self, shape):
+        """The calling thread's buffer as a C-contiguous complex array of ``shape``."""
+        size = math.prod(shape)
+        flat = getattr(self._local, "flat", None)
+        if flat is None or flat.size < size:
+            flat = self._local.flat = np.empty(max(size, self._size), dtype=np.complex128)
+        return flat[:size].reshape(shape)
+
+    def __call__(self, rows):
+        """The calling thread's buffer as a slab of the x-rows ``rows``."""
+        return self.array((rows.stop - rows.start,) + self._row_shape)
+
+
 def _split_rows(fn, n, nbytes):
     """Call ``fn(rows)`` on slices ``rows`` that cover ``range(n)`` once each.
 
-    ``nbytes`` is the size of the data that the ``n`` rows index.  Under
-    ``_SPLIT_FLOOR`` bytes, one call gets all the rows.  Otherwise the rows
-    go in fixed slabs of about ``_SLAB_BYTES``: the calling thread and up to
+    ``nbytes`` is the size of the data that the ``n`` rows index.  The
+    slices are those of :func:`_slabs`: under ``_SPLIT_FLOOR`` bytes one
+    call gets all the rows; otherwise the calling thread and up to
     ``_split_width - 1`` pool threads each take the next slab until none is
     left.  ``fn`` must write only to its rows, read nothing that another
     slab writes and not split again; then the thread that runs a slab does
@@ -185,21 +232,19 @@ def _split_rows(fn, n, nbytes):
     pool thread that has not started its share; an error of the calling
     thread is raised first, then that of a pool thread.
     """
-    if nbytes < _SPLIT_FLOOR:
-        fn(slice(0, n))
+    slabs = _slabs(n, nbytes)
+    threads = _split_width or _usable_cpus()
+    helpers = min(threads, len(slabs)) - 1
+    if helpers <= 0:
+        for rows in slabs:
+            fn(rows)
         return
-    step = max(1, n * _SLAB_BYTES // nbytes)
-    slabs = iter([slice(a, min(a + step, n)) for a in range(0, n, step)])
+    slabs = iter(slabs)
 
     def run_slabs():
         for rows in slabs:  # the threads share the iterator
             fn(rows)
 
-    threads = _split_width or _usable_cpus()
-    helpers = min(threads, -(-n // step)) - 1
-    if helpers <= 0:
-        run_slabs()
-        return
     pool = _pool_of(threads - 1)
     futures = [pool.submit(contextvars.copy_context().run, run_slabs) for _ in range(helpers)]
     try:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import DynamicImage, FormatError, SamplingMask
+from .core import DynamicImage, FormatError, SamplingMask, _INT_TOKEN, _parse_int
 
 MAGIC = "DYNLR1"
 _SUFFIXES = (".hdr", ".dat")
@@ -68,14 +68,18 @@ def _parse_header(base):
     dim_tokens = lines[1].split()
     if len(dim_tokens) != 4 or dim_tokens[0] != "dims":
         raise FormatError(f"bad dims line {lines[1]!r} in {hdr_path}")
-    # int() would also take signs, underscores and non-ASCII digits, which
-    # the writer never writes.
-    if not all(tok.isascii() and tok.isdigit() for tok in dim_tokens[1:]):
-        raise FormatError(f"dims {' '.join(dim_tokens[1:])!r} in {hdr_path} are not decimal digits")
+    # The integer grammar of config values, grid tokens and numeric flags,
+    # whose "-" a dimension does not take either.
+    tokens = dim_tokens[1:]
+    not_digits = FormatError(f"dims {' '.join(tokens)!r} in {hdr_path} are not decimal digits")
     try:
-        nx, ny, nt = (int(tok) for tok in dim_tokens[1:])
-    except ValueError as exc:  # a token above the interpreter's int-string digit limit
-        raise FormatError(f"dims in {hdr_path} have too many decimal digits") from exc
+        nx, ny, nt = (_parse_int(tok) for tok in tokens)
+    except ValueError as exc:
+        if all(_INT_TOKEN.fullmatch(tok) for tok in tokens):  # int() refused one above its digit limit
+            raise FormatError(f"dims in {hdr_path} have too many decimal digits") from exc
+        raise not_digits from exc
+    if any(tok.startswith("-") for tok in tokens):
+        raise not_digits
     if min(nx, ny, nt) < 1:
         raise FormatError(f"non-positive dims {nx} {ny} {nt} in {hdr_path}")
     if 8 * nx * ny * nt > sys.maxsize:  # no file is that large, and the size may not print

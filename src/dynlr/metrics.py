@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DataError, DimensionError, DynamicImage, _split_rows
+from .core import DataError, DimensionError, DynamicImage, _SlabScratch, _split_rows
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -35,21 +35,63 @@ def _norm2(arr, pair=None) -> float:
     return float(_abs2(arr, *(pair if pair is not None else (None, None))).sum())
 
 
+def _abs_max(arr):
+    """``max |arr|`` of a volume, the largest of the maxima of its x-row slabs; inf where a magnitude overflows.
+
+    A NaN anywhere gives NaN, whatever order the slabs finish in.
+    """
+    maxima = []
+
+    def slab_max(rows):
+        maxima.append(np.abs(arr[rows]).max())
+
+    with np.errstate(over="ignore"):  # the pool threads copy the caller's error state
+        _split_rows(slab_max, arr.shape[0], arr.nbytes)
+    return float(np.max(maxima))
+
+
 def _scaled_error(ref: DynamicImage, rec: DynamicImage):
-    """``(e, err2)``: :func:`mse` of ``ref`` and ``rec`` is ``err2 * 2**(2e)``.
+    """``(e, err2, peak)``: :func:`mse` of ``ref`` and ``rec`` is ``err2 * 2**(2e)``, and ``peak`` is ``max|ref|``.
 
     The difference is scaled by ``2**-e`` before it is squared, where
     ``2**e`` bounds its largest magnitude, so no square overflows.  Scaling
     by a power of two is exact, so ``err2 * 2**(2e)`` has the bits of the
     unscaled sum wherever that one neither overflows nor underflows.
+
+    Two passes run on x-row slabs (:func:`~dynlr.core._split_rows`), each
+    slab's difference in a per-thread slab buffer: the first takes the slab
+    maxima of ``|ref - rec|`` and ``|ref|``, the second writes each scaled
+    ``|ref - rec|^2`` into one real volume laid out as numpy lays out
+    ``ref.data - rec.data``, whose one ``sum()`` then has the bits of the
+    sum over that difference, for C- and F-ordered inputs alike.
     """
     _check_dims(ref, rec)
-    with np.errstate(over="ignore"):  # only magnitudes beyond the largest float become inf
-        diff = ref.data - rec.data
-        e = math.frexp(float(np.abs(diff).max()))[1]
+    a, b = ref.data, rec.data
+    scratch = _SlabScratch(a)
+    maxima = []
+
+    def slab_maxima(rows):
+        diff = np.subtract(a[rows], b[rows], out=scratch(rows))
+        maxima.append((float(np.abs(diff).max()), float(np.abs(a[rows]).max())))
+
+    # The real volume that numpy's ``a - b`` would lay out, for a float64 result.
+    squares = np.nditer(
+        [a, b, None], op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+        op_dtypes=[None, None, np.float64],
+    ).operands[2]
+
+    def slab_squares(rows):
+        diff = np.subtract(a[rows], b[rows], out=scratch(rows))
         np.ldexp(diff.real, -e, out=diff.real)
         np.ldexp(diff.imag, -e, out=diff.imag)
-        return e, _norm2(diff)
+        sq = np.square(diff.view(np.float64), out=diff.view(np.float64))
+        np.add(sq[..., 0::2], sq[..., 1::2], out=squares[rows])
+
+    with np.errstate(over="ignore"):  # only magnitudes beyond the largest float become inf
+        _split_rows(slab_maxima, a.shape[0], a.nbytes)
+        e = math.frexp(max(m for m, _ in maxima))[1]
+        _split_rows(slab_squares, a.shape[0], a.nbytes)
+    return e, float(squares.sum()), max(p for _, p in maxima)
 
 
 def _unscaled(value, e):
@@ -65,7 +107,7 @@ def mse(ref: DynamicImage, rec: DynamicImage) -> float:
     count; see :func:`mse_per_element` for the per-element convention.  It
     is ``inf`` when the sum exceeds the largest float.
     """
-    e, err2 = _scaled_error(ref, rec)
+    e, err2, _ = _scaled_error(ref, rec)
     return _unscaled(err2, 2 * e)
 
 
@@ -75,10 +117,8 @@ def mse_per_element(ref: DynamicImage, rec: DynamicImage) -> float:
 
 
 def _mse_psnr(ref: DynamicImage, rec: DynamicImage):
-    """:func:`mse` and :func:`psnr` of ``rec`` against ``ref``, from one pass."""
-    e, err2 = _scaled_error(ref, rec)
-    with np.errstate(over="ignore"):
-        peak = float(np.abs(ref.data).max())
+    """:func:`mse` and :func:`psnr` of ``rec`` against ``ref``, from the same two passes."""
+    e, err2, peak = _scaled_error(ref, rec)
     if peak == 0:
         raise DataError("PSNR undefined for an all-zero reference")
     err = _unscaled(math.sqrt(err2), e)

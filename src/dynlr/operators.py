@@ -10,6 +10,15 @@ One pair of kernels applies ``A`` and ``A^H`` on the S sampled ``(ky, t)``
 columns, for the loops and every public operator (``fft2c`` and ``ifft2c``
 sample every column), and data consistency is the one correction
 ``x - w A^H (A x - y)``: ``w = 1`` replaces and ``w = nu / (1 + nu)`` blends.
+
+Each kernel of the pair runs in two stages: an x stage on the ``(nx, S)``
+block of sampled columns, in column slabs, and a row stage on x-row slabs
+of the volume (:func:`_fft_rows`; :func:`_ifft_rows` and
+:func:`_shift_y_into`).  A row stage works in one per-thread slab buffer
+(:class:`~dynlr.core._SlabScratch`) and reads only the rows that its
+shifts bring into its slab, so no kernel takes a whole-volume scratch and
+no pass waits for another; the solver loops run the row stages inside
+their own row passes.
 """
 
 import numpy as np
@@ -21,28 +30,27 @@ from .core import (
     KSpaceData,
     SamplingMask,
     SolverConfig,
+    _finite,
     _new_volume,
+    _SlabScratch,
     _split_rows,
 )
 
 
-def _roll_into(out, arr, rows, inverse=False):
-    """Write ``fftshift(arr)`` (``ifftshift`` if ``inverse``) over x and y into ``out``.
+def _row_pieces(rows, shift, n):
+    """Where the rows ``rows`` of ``np.roll(arr, shift, axis)`` come from, for an axis of length ``n``.
 
-    Only the output x-rows in the slice ``rows`` are written.  The shift is
-    an exact permutation, done as block copies; ``out`` must not overlap
-    ``arr``.
+    Returns ``(out, src)`` slice pairs: the rolled rows ``rows.start +
+    out`` are ``arr``'s rows ``src``.  A roll is an exact permutation, so
+    block copies along these pairs give its bits.
     """
-    nx, ny = arr.shape[:2]
-    lo, hi, _ = rows.indices(nx)
-    sx, sy = ((n - n // 2 if inverse else n // 2) % n for n in (nx, ny))
-    ys = ((slice(sy, None), slice(None, ny - sy)), (slice(None, sy), slice(ny - sy, None)))
-    # Output rows [a, b) come from input rows [a + d, b + d).
-    for a, b, d in ((max(sx, lo), hi, -sx), (lo, min(sx, hi), nx - sx)):
-        if a < b:
-            for out_y, arr_y in ys:
-                out[a:b, out_y] = arr[a + d : b + d, arr_y]
-    return out
+    lo, hi, _ = rows.indices(n)
+    s = shift % n
+    return [
+        (slice(a - lo, b - lo), slice(a + d, b + d))
+        for a, b, d in ((max(s, lo), hi, -s), (lo, min(s, hi), n - s))
+        if a < b
+    ]
 
 
 def _sampled_columns(sampled):
@@ -67,74 +75,146 @@ def _sampled_data(y: KSpaceData):
     return _sampled_columns(sampled), np.ascontiguousarray(y.data[:, sampled])
 
 
-def _sampled_fft2c_arr(arr, cols, out, work):
-    """``fft2c(arr)[:, sampled]`` into the C-contiguous ``(nx, S)`` array ``out``.
+def _fft_rows(arr, cols, rows, buf, out):
+    """The row stage of ``A``: the sampled columns of the rows ``rows`` into ``out[rows]``.
 
-    ``cols`` comes from :func:`_sampled_columns`.  Like ``np.fft.fft2``, the
-    y-axis transform runs first, over the whole volume in ``work``, from
-    which each x-row gathers its S columns; the x-axis transform and the x
-    shift then run on the S columns only.  ``work`` must be a C-contiguous
-    volume other than ``arr``.  The volume pass runs on x-row slabs and the
-    block pass on column slabs (:func:`~dynlr.core._split_rows`), each
-    line's transform as a whole.
+    The ``ifftshift`` of ``arr`` over x and y goes into ``buf``, a slab of
+    ``len(rows)`` rows other than ``arr``; each row runs its y-axis FFT
+    there, as ``np.fft.fft2`` runs the y axis first, and gathers its S
+    columns at the positions ``cols`` of :func:`_sampled_columns`.  It reads
+    the rows of ``arr`` that the x shift brings into ``rows``.
     """
-    nx = arr.shape[0]
+    nx, ny = arr.shape[:2]
+    ys = _row_pieces(slice(0, ny), -(ny // 2), ny)
+    for out_x, arr_x in _row_pieces(rows, -(nx // 2), nx):
+        for out_y, arr_y in ys:
+            buf[out_x, out_y] = arr[arr_x, arr_y]
+    np.fft.fft(buf, axis=1, norm="ortho", out=buf)
+    np.take(buf.reshape(len(buf), -1), cols, axis=1, out=out[rows], mode="clip")
 
-    def roll_fft_y_and_gather(rows):
-        w = _roll_into(work, arr, rows, inverse=True)[rows]
-        np.fft.fft(w, axis=1, norm="ortho", out=w)
-        np.take(w.reshape(len(w), -1), cols, axis=1, out=out[rows], mode="clip")
 
-    _split_rows(roll_fft_y_and_gather, nx, work.nbytes)
-    # The x-axis transform reuses the front of ``work``, whose data it no longer needs.
-    block = work.reshape(-1)[: out.size].reshape(out.shape)
+def _fft_x_stage(out, acq=None, scratch=None):
+    """The x stage of ``A`` in place on the C-contiguous ``(nx, S)`` block ``out``, minus ``acq`` if given.
+
+    Each column slab (:func:`~dynlr.core._split_rows`) runs its x-axis FFTs
+    into the calling thread's buffer of ``scratch``, a
+    :class:`~dynlr.core._SlabScratch` (None: a new one), from which the x
+    shift writes them back.
+    """
+    nx, n_cols = out.shape
     s = nx // 2
+    scratch = _SlabScratch(out) if scratch is None else scratch
 
-    def fft_x_and_roll(c):
-        np.fft.fft(out[:, c], axis=0, norm="ortho", out=block[:, c])
-        out[s:, c] = block[: nx - s, c]
-        out[:s, c] = block[nx - s :, c]
+    def fft_x_and_roll(cs):
+        b = scratch.array((nx, cs.stop - cs.start))
+        np.fft.fft(out[:, cs], axis=0, norm="ortho", out=b)
+        out[s:, cs] = b[: nx - s]
+        out[:s, cs] = b[nx - s :]
+        if acq is not None:
+            np.subtract(out[:, cs], acq[:, cs], out=out[:, cs])
 
-    _split_rows(fft_x_and_roll, out.shape[1], out.nbytes)
+    _split_rows(fft_x_and_roll, n_cols, out.nbytes)
     return out
 
 
-def _sampled_ifft2c_arr(c, cols, out, work):
+def _sampled_fft2c_arr(arr, cols, out, acq=None, scratch=None):
+    """``fft2c(arr)[:, sampled]``, minus ``acq`` if given, into the C-contiguous ``(nx, S)`` array ``out``.
+
+    ``cols`` comes from :func:`_sampled_columns`.  The row stage
+    (:func:`_fft_rows`) runs on x-row slabs, each in the calling thread's
+    buffer of ``scratch``, a :class:`~dynlr.core._SlabScratch` for volumes
+    shaped as ``arr`` (None: a new one); the x stage
+    (:func:`_fft_x_stage`) then runs on the S columns only.  Each line's
+    transform runs as a whole, so the slabs do not change a bit.
+    """
+    scratch = _SlabScratch(arr) if scratch is None else scratch
+    _split_rows(lambda rows: _fft_rows(arr, cols, rows, scratch(rows), out), arr.shape[0], arr.nbytes)
+    return _fft_x_stage(out, acq, scratch)
+
+
+def _ifft_x_stage(c, block, scratch=None):
+    """The x stage of ``A^H``: ``block`` is the inverse x-axis FFT of the ``ifftshift`` over x of ``c``.
+
+    Both are C-contiguous ``(nx, S)`` arrays, and ``block`` may be ``c``.
+    The columns run on slabs, each through the calling thread's buffer of
+    ``scratch``, as in :func:`_fft_x_stage`.
+    """
+    nx, n_cols = c.shape
+    s = nx // 2
+    scratch = _SlabScratch(c) if scratch is None else scratch
+
+    def roll_and_ifft_x(cs):
+        b = scratch.array((nx, cs.stop - cs.start))
+        b[: nx - s] = c[s:, cs]
+        b[nx - s :] = c[:s, cs]
+        np.fft.ifft(b, axis=0, norm="ortho", out=block[:, cs])
+
+    _split_rows(roll_and_ifft_x, n_cols, c.nbytes)
+    return block
+
+
+def _ifft_rows(block, cols, rows, buf):
+    """The row stage of ``A^H`` before its y shift: the rows ``rows`` into the slab ``buf``.
+
+    ``block`` comes from :func:`_ifft_x_stage`.  The x shift is done by
+    reading the rows of ``block`` that it brings into ``rows``; each row
+    of ``buf`` is zeroed, takes its S columns at ``cols`` and runs its
+    inverse y-axis FFT.  :func:`_shift_y_into` finishes the rows.
+    """
+    nx = block.shape[0]
+    buf.fill(0)
+    flat = buf.reshape(len(buf), -1)
+    for out_x, src_x in _row_pieces(rows, nx // 2, nx):
+        flat[out_x, cols] = block[src_x]
+    np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
+    return buf
+
+
+def _shift_y_into(dest, buf, add=False):
+    """``dest = fftshift(buf)`` over y, or ``dest = fftshift(buf) + dest`` if ``add``; ``dest`` other than ``buf``.
+
+    Both are C-contiguous slabs.  The sums run one x-row at a time, on
+    contiguous pieces: numpy buffers a ufunc over a strided piece of a
+    slab, in about 400 KB of its own.
+    """
+    ny = buf.shape[1]
+    pieces = _row_pieces(slice(0, ny), ny // 2, ny)
+    if not add:
+        for out_y, src_y in pieces:
+            dest[:, out_y] = buf[:, src_y]
+        return
+    for d, b in zip(dest, buf):
+        for out_y, src_y in pieces:
+            np.add(b[src_y], d[out_y], out=d[out_y])
+
+
+def _sampled_ifft2c_arr(c, cols, out, block=None, scratch=None):
     """``A^H c``, the centred inverse FFT of the volume that is ``c`` at the sampled columns and 0 elsewhere.
 
     ``c`` is a C-contiguous ``(nx, S)`` array laid out as ``k[:, sampled]``
-    and ``cols`` comes from :func:`_sampled_columns`.  The x shift and
-    inverse x-axis FFT run on the S columns only, in the front of ``out``;
-    then each x-row of ``work`` is zeroed, takes its S columns and runs its
-    inverse y-axis FFT.  With every column sampled this is ``ifft2c``.
-    ``out`` and ``work`` are distinct C-contiguous volumes, other than
-    ``c``.  The passes are split as in :func:`_sampled_fft2c_arr`.
+    and ``cols`` comes from :func:`_sampled_columns`.  The x stage
+    (:func:`_ifft_x_stage`) runs on the S columns only, into ``block``, a
+    C-contiguous ``(nx, S)`` array that may be ``c`` (which it then
+    overwrites), or None for a new one.  The row stage
+    (:func:`_ifft_rows`, :func:`_shift_y_into`) then writes each x-row slab
+    of the C-contiguous volume ``out`` from the calling thread's buffer of
+    ``scratch``, as in :func:`_sampled_fft2c_arr`; every row reads only
+    ``block``, so no pass waits for another.  With every column sampled
+    this is ``ifft2c``.
     """
-    nx = c.shape[0]
-    s = nx // 2
-    block = out.reshape(-1)[: c.size].reshape(c.shape)
+    scratch = _SlabScratch(out) if scratch is None else scratch
+    block = _ifft_x_stage(c, np.empty_like(c) if block is None else block, scratch)
 
-    def roll_and_ifft_x(cs):
-        block[: nx - s, cs] = c[s:, cs]
-        block[nx - s :, cs] = c[:s, cs]
-        np.fft.ifft(block[:, cs], axis=0, norm="ortho", out=block[:, cs])
+    def rows_stage(rows):
+        _shift_y_into(out[rows], _ifft_rows(block, cols, rows, scratch(rows)))
 
-    def scatter_and_ifft_y(rows):
-        w = work[rows]
-        w.fill(0)
-        w.reshape(len(w), -1)[:, cols] = block[rows]
-        np.fft.ifft(w, axis=1, norm="ortho", out=w)
-
-    _split_rows(roll_and_ifft_x, c.shape[1], c.nbytes)
-    _split_rows(scatter_and_ifft_y, nx, work.nbytes)
-    # The x roll reads other rows of ``work`` than it writes, so it waits for the whole y pass.
-    _split_rows(lambda rows: _roll_into(out, work, rows), nx, out.nbytes)
+    _split_rows(rows_stage, out.shape[0], out.nbytes)
     return out
 
 
-def _residual(out, x, cols, acq, work):
-    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``work`` is scratch."""
-    return np.subtract(_sampled_fft2c_arr(x, cols, out, work), acq, out=out)
+def _residual(out, x, cols, acq, scratch=None):
+    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``scratch`` as in :func:`_sampled_fft2c_arr`."""
+    return _sampled_fft2c_arr(x, cols, out, acq, scratch)
 
 
 def fft2c(img: DynamicImage) -> DynamicImage:
@@ -146,7 +226,7 @@ def fft2c(img: DynamicImage) -> DynamicImage:
     """
     out = _new_volume(img.data)
     every = _sampled_columns(np.ones(img.shape[1:], dtype=bool))
-    _sampled_fft2c_arr(img.data, every, out.reshape(img.nx, -1), _new_volume(out))
+    _sampled_fft2c_arr(img.data, every, out.reshape(img.nx, -1))
     return DynamicImage(out)
 
 
@@ -154,8 +234,7 @@ def ifft2c(ksp: DynamicImage) -> DynamicImage:
     """Inverse of :func:`fft2c`: ``A^H`` with every column sampled, which runs the x axis first."""
     c = np.ascontiguousarray(ksp.data).reshape(ksp.nx, -1)  # a read volume may be F-ordered
     every = _sampled_columns(np.ones(ksp.shape[1:], dtype=bool))
-    out = _new_volume(ksp.data)
-    return DynamicImage(_sampled_ifft2c_arr(c, every, out, _new_volume(out)))
+    return DynamicImage(_sampled_ifft2c_arr(c, every, _new_volume(ksp.data)))
 
 
 def encode(img: DynamicImage, mask: SamplingMask) -> KSpaceData:
@@ -165,7 +244,7 @@ def encode(img: DynamicImage, mask: SamplingMask) -> KSpaceData:
     sampled = mask.entries.astype(bool)
     k = np.zeros(img.shape, dtype=np.complex128)
     c = np.empty((img.nx, int(sampled.sum())), dtype=np.complex128)
-    k[:, sampled] = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), c, _new_volume(k))
+    k[:, sampled] = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), c)
     return KSpaceData(k, mask)
 
 
@@ -178,8 +257,7 @@ def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
     unsampled columns, which are zero.
     """
     cols, acq = _sampled_data(ksp)
-    out, work = _new_volume(ksp.data), _new_volume(ksp.data)
-    return DynamicImage(_sampled_ifft2c_arr(acq, cols, out, work))
+    return DynamicImage(_sampled_ifft2c_arr(acq, cols, _new_volume(ksp.data), acq))
 
 
 def _dc_weight(mode, nu):
@@ -187,18 +265,32 @@ def _dc_weight(mode, nu):
     return 1.0 if mode == "replace" else nu / (1.0 + nu)
 
 
-def _dc_arr(arr, acq, cols, w, out, c, g, work):
-    """Data consistency ``out = arr - w A^H (A arr - y)``; ``out`` may be ``arr``.
+def _dc_arr(arr, c, cols, w, out, g, scratch=None):
+    """Data consistency ``out = arr - w A^H c`` from the residual ``c = A arr - y``; ``out`` may be ``arr``.
 
-    ``acq`` is ``y[:, sampled]``, ``cols`` comes from :func:`_sampled_columns`
-    and ``w`` from :func:`_dc_weight`.  The ``(nx, S)`` array ``c`` receives
-    the residual ``A arr - y`` and the volume ``g`` its adjoint
-    ``A^H (A arr - y)``; the residual of the output is ``(1 - w) c`` to
-    rounding.  ``g`` and ``work`` are C-contiguous volumes other than each
-    other, than ``arr`` and, unless ``g`` is ``out``, than ``out``.
+    ``c`` is the C-contiguous ``(nx, S)`` residual (:func:`_residual`), which
+    the adjoint's x stage overwrites in place; ``cols`` comes from
+    :func:`_sampled_columns` and ``w`` from :func:`_dc_weight`.  The volume
+    ``g`` receives ``A^H c``; the residual of the output is ``(1 - w) c`` to
+    rounding.  ``g`` is a C-contiguous volume other than ``arr`` and, unless
+    ``g`` is ``out``, than ``out``; ``scratch`` is as in
+    :func:`_sampled_fft2c_arr`.  The adjoint's row stage writes each slab of
+    ``g``, then the slab's correction, and checks that slab of ``out`` for
+    finiteness.  Returns whether ``out`` is finite.
     """
-    _sampled_ifft2c_arr(_residual(c, arr, cols, acq, work), cols, g, work)
-    return np.subtract(arr, g if w == 1.0 else np.multiply(g, w, out=work), out=out)
+    scratch = _SlabScratch(g) if scratch is None else scratch
+    _ifft_x_stage(c, c, scratch)
+    failed = []
+
+    def correct(rows):
+        buf = _ifft_rows(c, cols, rows, scratch(rows))
+        gs = g[rows]
+        _shift_y_into(gs, buf)
+        if not _finite(np.subtract(arr[rows], gs if w == 1.0 else np.multiply(gs, w, out=buf), out=out[rows])):
+            failed.append(rows)
+
+    _split_rows(correct, g.shape[0], g.nbytes)
+    return not failed
 
 
 def data_consistency(
@@ -226,6 +318,8 @@ def data_consistency(
         raise ConfigError("weighted data consistency requires nu")
     SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
     cols, acq = _sampled_data(acquired)
-    out, work = _new_volume(pred.data), _new_volume(pred.data)
-    w = _dc_weight(mode, nu)
-    return DynamicImage(_dc_arr(pred.data, acq, cols, w, out, np.empty_like(acq), out, work))
+    out = _new_volume(pred.data)
+    scratch = _SlabScratch(out)
+    c = _residual(np.empty_like(acq), pred.data, cols, acq, scratch)
+    _dc_arr(pred.data, c, cols, _dc_weight(mode, nu), out, out, scratch)
+    return DynamicImage(out)

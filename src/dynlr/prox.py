@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DynamicImage, SolverConfig, _finite, _new_volume, _one_blas_thread, _split_rows
+from .core import (
+    ConfigError,
+    DynamicImage,
+    SolverConfig,
+    _finite,
+    _new_volume,
+    _one_blas_thread,
+    _SlabScratch,
+    _split_rows,
+)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -161,7 +170,7 @@ def _shrink(sigma, cfg):
     return np.maximum(shrunk, 0.0)
 
 
-def _svt_arr(arr3d, cfg, out=None):
+def _svt_arr(arr3d, cfg, out=None, scratch=None):
     """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
 
     ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
@@ -189,8 +198,13 @@ def _svt_arr(arr3d, cfg, out=None):
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
     of the Casorati matrix is used instead.
 
-    The result is written into ``out``, a C-contiguous complex volume other
-    than ``arr3d``, or None for a new one.
+    The result is written into ``out``, a C-contiguous complex volume, or
+    None for a new one.  ``out`` may be ``arr3d``, which must then be
+    C-contiguous: the Gram matrix (or the SVD) is formed first, and each
+    slab's product rows go through the calling thread's buffer of
+    ``scratch``, a :class:`~dynlr.core._SlabScratch` for volumes of this
+    shape (None: a new one), before they overwrite the slab, with the bits
+    of the product into a separate ``out``.
     """
     nx, ny = arr3d.shape[:2]
     m = _casorati(arr3d)
@@ -211,11 +225,20 @@ def _svt_arr(arr3d, cfg, out=None):
         s_new = _shrink(sigma, cfg)
         gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
         project = (v * gain) @ v.conj().T
+        # In place, a slab's product goes through a buffer: its rows are its own input.
+        in_place = out is arr3d
+        if in_place and scratch is None:
+            scratch = _SlabScratch(arr3d)
         failed = []
 
         def product(rows):
             span = slice(rows.start * ny, rows.stop * ny)
-            if not _finite(np.matmul(m[span], project, out=dest[span])):
+            if in_place:
+                result = np.matmul(m[span], project, out=_casorati(scratch(rows)))
+                dest[span] = result
+            else:
+                result = np.matmul(m[span], project, out=dest[span])
+            if not _finite(result):
                 failed.append(rows)
 
         _split_rows(product, nx, arr3d.nbytes)

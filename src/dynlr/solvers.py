@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataError,
     DimensionError,
     DynamicImage,
     KSpaceData,
@@ -44,12 +45,23 @@ from .core import (
     _new_volume,
     _one_blas_thread,
     _set_split_width,
+    _SlabScratch,
+    _slabs,
     _split_rows,
     _usable_cpus,
 )
-from .metrics import _abs2, _mse_psnr, _norm2, fits_ssim_window, psnr, ssim
+from .metrics import _abs_max, _mse_psnr, _norm2, fits_ssim_window, psnr, ssim
 from .operators import (
-    _dc_arr, _dc_weight, _residual, _sampled_data, _sampled_ifft2c_arr, encode_adjoint,
+    _dc_arr,
+    _dc_weight,
+    _fft_rows,
+    _fft_x_stage,
+    _ifft_rows,
+    _ifft_x_stage,
+    _residual,
+    _sampled_data,
+    _sampled_ifft2c_arr,
+    _shift_y_into,
 )
 from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
 
@@ -124,44 +136,83 @@ def _check_finite(arr, step, iteration):
         raise _numeric_error(step, iteration)
 
 
-def _split_checked(fn, like, n, *steps):
-    """Run ``fn(rows, failed)`` on the x-row slabs of volumes shaped as ``like``.
+def _split_pass(fn, like, n, *steps, terms=0):
+    """Run ``fn(rows, sums, failed)`` on the x-row slabs of volumes shaped as ``like``; return the term totals.
 
-    Then raise the first of ``steps`` that a slab added to ``failed``, as
-    the step of iteration ``n``.
+    ``sums`` is the slab's own row of ``terms`` per-slab sums, which ``fn``
+    fills, and ``failed`` a set to which it adds the steps that fail.  The
+    first of ``steps`` that a slab added is raised as the step of iteration
+    ``n``.  Each term's total is the exactly rounded sum (``math.fsum``) of
+    its per-slab sums over the slabs of :func:`~dynlr.core._slabs`, which
+    do not depend on the split width; under the split floor it is the one
+    slab's sum.
     """
+    nx = like.shape[0]
+    index = {rows.start: k for k, rows in enumerate(_slabs(nx, like.nbytes))}
+    sums = np.zeros((len(index), terms))
     failed = set()
-    _split_rows(partial(fn, failed=failed), like.shape[0], like.nbytes)
+    _split_rows(lambda rows: fn(rows, sums[index[rows.start]], failed), nx, like.nbytes)
     for step in steps:
         if step in failed:
             raise _numeric_error(step, n)
+    return [math.fsum(column) for column in sums.T]
 
 
-def _lagrangian(fid, sparse, nuclear, gap, gap2, beta, rho):
-    """Add the multiplier and penalty terms of raw ``gap = x - t`` and ``beta`` to the others.
+def _pair_sum(flat):
+    """The sum, over the complex elements that the ``float64`` array ``flat`` views, of each real and imaginary pair.
 
-    ``gap2`` is ``||gap||^2``.
+    Each pair is added in place, into the real positions, and the sum is
+    one ``sum()`` over them, with the bits of a sum over a contiguous copy.
     """
-    multiplier = rho * float(np.real(np.vdot(beta, gap)))
+    return float(np.add(flat[..., 0::2], flat[..., 1::2], out=flat[..., 0::2]).sum())
+
+
+def _sum_abs2(arr, scratch):
+    """``sum(|arr|^2)`` with the bits of :func:`~dynlr.metrics._norm2`, squared into ``scratch``, which may be ``arr``.
+
+    Both are C-contiguous complex arrays of one shape; the squares run on
+    their contiguous ``float64`` views, so no pass writes a strided view.
+    """
+    return _pair_sum(np.square(arr.view(np.float64), out=scratch.view(np.float64)))
+
+
+def _slab_norm2(arr, scratch, n):
+    """``||arr||^2`` of a volume, summed as :func:`_split_pass` sums, with a :class:`~dynlr.core._SlabScratch`."""
+
+    def norm2(rows, sums, failed):
+        sums[0] = _sum_abs2(arr[rows], scratch(rows))
+
+    return _split_pass(norm2, arr, n, terms=1)[0]
+
+
+def _lagrangian(fid, sparse, nuclear, inner, gap2, rho):
+    """Add the multiplier and penalty terms to the others.
+
+    ``inner`` is ``Re <beta, gap>`` and ``gap2`` is ``||gap||^2``, for the
+    raw ``gap = x - t``.
+    """
+    multiplier = rho * inner
     penalty = 0.5 * rho * gap2
     total = fid + sparse + nuclear + multiplier + penalty
     return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
 
 
-def _low_rank_step(arr, cfg: SolverConfig, n, out):
+def _low_rank_step(arr, cfg: SolverConfig, n, out, scratch):
     """The configured SVT of ``arr`` into ``out``, checked as the low-rank step of iteration ``n``.
 
-    Returns the singular values of the output.
+    ``out`` may be ``arr``; ``scratch`` is the loop's
+    :class:`~dynlr.core._SlabScratch`.  Returns the singular values of the
+    output.
     """
-    _, s_new, finite = _svt_arr(arr, cfg, out)
+    _, s_new, finite = _svt_arr(arr, cfg, out, scratch)
     if not finite:
         raise _numeric_error("low-rank", n)
     return s_new
 
 
-def _real_pair(work, shape):
-    """Two C-contiguous real arrays of ``shape`` in the memory of the complex volume ``work``."""
-    flat = work.reshape(-1).view(np.float64)
+def _real_pair(arr, shape):
+    """Two C-contiguous real arrays of ``shape`` in the memory of the C-contiguous complex ``arr``."""
+    flat = arr.reshape(-1).view(np.float64)
     size = math.prod(shape)
     return flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape)
 
@@ -199,11 +250,12 @@ def objective_slr(
     cfg.validate()
     cols, acq = _sampled_data(y)
     with _one_blas_thread():
-        fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq, _new_volume(x.data)))
+        fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq))
         sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
         nuclear = cfg.lambda2 * _nuclear_arr(t.data)
         gap = x.data - t.data
-        return _lagrangian(fid, sparse, nuclear, gap, _norm2(gap), beta.data, cfg.rho)
+        inner = float(np.real(np.vdot(beta.data, gap)))
+        return _lagrangian(fid, sparse, nuclear, inner, _norm2(gap), cfg.rho)
 
 
 def default_config(y: KSpaceData, **overrides) -> SolverConfig:
@@ -212,8 +264,13 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     The sparse and low-rank weights default to 1e-3 of the peak magnitude
     of the zero-filled reconstruction; the step size is 1 (the encoding
     operator has unit norm).  Keyword overrides replace individual fields.
+    The peak is taken on x-row slabs of the sampled adjoint's output, with
+    no copy of the volume.
     """
-    peak = float(np.abs(encode_adjoint(y).data).max())
+    cols, acq = _sampled_data(y)
+    peak = _abs_max(_sampled_ifft2c_arr(acq, cols, _new_volume(y.data), acq))
+    if not math.isfinite(peak):
+        raise DataError("the zero-filled reconstruction contains non-finite values")
     lam = 1e-3 * peak
     cfg = SolverConfig(lambda1=lam, lambda2=lam, rank_k=min(4, y.shape[2]))
     if overrides:
@@ -241,29 +298,29 @@ def _scores(reference, image):
 def _solve(y, cfg, reference, callback, iterations):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    Every loop gets one working set: ``iterations(cfg, cols, acq, x, c, r,
-    work, v)`` gets the indices and acquired samples of
+    Every loop gets one working set: ``iterations(cfg, cols, acq, x, c, u,
+    v)`` gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
-    ``(nx, S)`` residual buffer ``c`` and three more volumes.  ``v`` is
-    ``slr``'s ``t`` and the sparse loop's ``A^H c``; each loop sums its
-    trace terms in rows of its volumes that nothing reads any more.  The
-    generator yields ``(record, x, state)`` after each iteration; ``state``
-    holds the callback's extra volumes.  The objective's finite check, the
-    trace, the callback and the report are here.  The loop, callbacks
-    included, runs with BLAS on one thread
-    (:func:`~dynlr.core._one_blas_thread`), so the row split is its only
-    parallelism.
+    ``(nx, S)`` residual buffer ``c`` and two more volumes: ``slr``'s ``t``
+    and ``beta``, the sparse loop's ``r`` and ``A^H c``.  Any other scratch
+    is one per-thread slab buffer, a :class:`~dynlr.core._SlabScratch` that
+    every pass and kernel of the loop shares.  The generator yields
+    ``(record, x, state)`` after each iteration; ``state`` holds the
+    callback's extra volumes.  The objective's finite check, the trace, the
+    callback and the report are here.  The loop, callbacks included, runs
+    with BLAS on one thread (:func:`~dynlr.core._one_blas_thread`), so the
+    row split is its only parallelism.
     """
     _check_reference(reference, y)
     started = time.perf_counter()
-    work = _new_volume(y.data)
     cols, acq = _sampled_data(y)
-    x = _sampled_ifft2c_arr(acq, cols, _new_volume(work), work)  # the zero-filled start
-    c, r, v = np.empty_like(acq), _new_volume(x), _new_volume(x)
+    c = np.empty_like(acq)
+    x = _sampled_ifft2c_arr(acq, cols, _new_volume(y.data), c)  # the zero-filled start; c is its scratch
+    u, v = _new_volume(x), _new_volume(x)
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
-            for record, x, state in iterations(cfg, cols, acq, x, c, r, work, v):
+            for record, x, state in iterations(cfg, cols, acq, x, c, u, v):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -278,7 +335,7 @@ def _solve(y, cfg, reference, callback, iterations):
     # Freed before the report copies x, and x, t and beta before it is scored.
     # They are allocated here and not in the generator: buffers that a
     # generator allocated and freed raised peak RSS.
-    del c, r, work, v, state
+    del acq, c, u, v, state
     image = DynamicImage(x)
     del x
     return ReconReport(
@@ -345,81 +402,87 @@ def solve_slr(
     return _solve(y, cfg, reference, callback, _slr_iterations)
 
 
-def _slr_iterations(cfg, cols, acq, x, c, r, work, t):
+def _slr_iterations(cfg, cols, acq, x, c, t, beta):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
-    ``c`` holds the sampled residual; ``r`` holds its adjoint, then the
-    gradient step, then the new ``x``, then ``x - t``, which the Lagrangian
-    reads before the next adjoint overwrites it; ``work`` is scratch for
-    every step; ``t`` is zero-filled here.  The steps between the FFTs and
-    the SVT run in two passes over x-row slabs
-    (:func:`~dynlr.core._split_rows`): every step there is elementwise or
-    acts on whole temporal rows.  The per-element terms of the sums go into
-    rows that nothing reads any more.  The gradient pass puts the soft
-    threshold's scratch, ``|D r|`` and ``|r - x|^2`` into its rows of ``t``
-    once they have given the gradient (the low-rank step overwrites all of
-    ``t``), and ``|r|^2``, the next ``rel_change``'s denominator, into its
-    rows of ``work``.  The multiplier pass puts ``|x - t|^2`` into its rows
-    of ``work``.  Each sum is one ``sum()`` over the real or imaginary part
-    of a whole volume, which has the bits of a sum over a contiguous copy,
-    so the slabs do not change a bit.  A slab's non-finite step is raised
-    as :func:`_split_checked` says.
+    The loop holds ``x``, ``t``, ``beta`` and the ``(nx, S)`` residual
+    ``c``; ``t`` and ``beta`` are zero-filled here.  Every pass and kernel
+    shares one per-thread slab buffer (:class:`~dynlr.core._SlabScratch`).
+    Each slab of the two passes over x-rows (:func:`_split_pass`) acts on
+    whole temporal rows or whole y-rows:
+
+    * The adjoint pass reads ``c`` after the adjoint's x stage, which runs
+      in place (:func:`~dynlr.operators._ifft_x_stage`).  It forms the
+      multiplier coupling in ``t``'s rows, adds the adjoint's row stage to
+      it, and takes the gradient step and the sparse step there, with
+      ``t``'s rows as the soft threshold's scratch; it sums ``|D r|``,
+      ``|x_new - x|^2`` and ``|x_new|^2``, writes ``x_new`` into ``x`` and
+      the low-rank step's input ``x_new + beta`` into ``t``.
+    * The low-rank step runs in place on ``t`` (or from ``x`` into it).
+    * The multiplier pass updates ``beta``, sums ``|x - t|^2`` and
+      ``Re(conj(beta) (x - t))``, the Lagrangian's multiplier term, forming
+      ``x - t`` afresh for each, and runs the forward's row stage on ``x``
+      into ``c``; no slab writes the rows of ``x`` that it reads.  The
+      forward's x stage then forms the residual.
+
+    Each sum is :func:`_split_pass`'s sum of per-slab sums.  A slab's
+    non-finite step is raised as :func:`_split_pass` says.
     """
     kind = cfg.transform
     t.fill(0)
-    beta = np.zeros_like(x)
+    beta.fill(0)
     tau = cfg.lambda1 * cfg.eta2
+    into_t = cfg.t_step_input == "x_plus_beta"
+    scratch = _SlabScratch(x)
 
-    def gradient_and_sparse(rows, failed):
-        xs, rs, ws, ts = x[rows], r[rows], work[rows], t[rows]
-        # r = x - eta2 * (A^H c + rho * (x + beta - t)), with A^H c in r
-        np.add(xs, beta[rows], out=ws)
-        np.subtract(ws, ts, out=ws)
-        np.multiply(ws, cfg.rho, out=ws)
-        np.add(rs, ws, out=rs)
-        np.multiply(rs, cfg.eta2, out=rs)
-        np.subtract(xs, rs, out=rs)
-        if not _finite(rs):
+    def adjoint_gradient_sparse(rows, sums, failed):
+        xs, ts, bs = x[rows], t[rows], beta[rows]
+        buf = scratch(rows)
+        # t = x - eta2 * (A^H c + rho * (x + beta - t)), the coupling term formed in t first
+        np.subtract(np.add(xs, bs, out=buf), ts, out=ts)
+        np.multiply(ts, cfg.rho, out=ts)
+        _shift_y_into(ts, _ifft_rows(c, cols, rows, buf), add=True)
+        np.multiply(ts, cfg.eta2, out=ts)
+        np.subtract(xs, ts, out=ts)
+        if not _finite(ts):
             failed.add("gradient")
             return
-        # r = D^H soft(D r, tau), keeping |D r| for the sparse term; from here on
-        # the rows of t are scratch
-        if not _sparse_step(rs, rs, tau, kind, ws, (ts.real, ts.imag)):
+        # t = D^H z with z = soft(D t, tau) in buf; once D t is formed, t's rows are scratch
+        pair = _real_pair(ts, ts.shape)
+        _soft_arr(_transform_fwd_arr(ts, kind, buf), tau, buf, pair)
+        sums[0] = np.abs(buf, out=pair[0]).sum()
+        if not _finite(_transform_adj_arr(buf, kind, ts)):
             failed.add("sparse")
-        np.abs(ws, out=ts.real)
-        # |r - x|^2 for rel_change; the imaginary part of the difference is its own scratch
-        diff = np.subtract(rs, xs, out=ws)
-        _abs2(diff, ts.imag, diff.imag)
-        _abs2(rs, ws.real, ws.imag)  # |r|^2, the next rel_change's denominator
-        if cfg.t_step_input == "x_plus_beta":
-            np.add(rs, beta[rows], out=xs)  # the low-rank step's input; x is no longer needed
+        sums[1] = _sum_abs2(np.subtract(ts, xs, out=buf), buf)  # |x_new - x|^2 for rel_change
+        sums[2] = _sum_abs2(ts, buf)  # |x_new|^2, the next rel_change's denominator
+        xs[...] = ts
+        if into_t:
+            np.add(ts, bs, out=ts)
 
-    def multiplier(rows, failed):
-        # beta += eta1 * (x - t), keeping x - t in r and |x - t|^2 for the Lagrangian
-        xs, rs, ws = x[rows], r[rows], work[rows]
-        np.subtract(xs, t[rows], out=rs)
-        np.add(beta[rows], np.multiply(rs, cfg.eta1, out=ws), out=beta[rows])
-        if not _finite(beta[rows]):
+    def multiplier_and_forward(rows, sums, failed):
+        # beta += eta1 * (x - t); then |x - t|^2 and Re(conj(beta) (x - t)) for the Lagrangian
+        xs, ts, bs = x[rows], t[rows], beta[rows]
+        gap = scratch(rows)
+        np.add(bs, np.multiply(np.subtract(xs, ts, out=gap), cfg.eta1, out=gap), out=bs)
+        if not _finite(bs):
             failed.add("multiplier")
-        _abs2(rs, ws.real, ws.imag)
+        sums[0] = _sum_abs2(np.subtract(xs, ts, out=gap), gap)
+        flat = np.subtract(xs, ts, out=gap).view(np.float64)
+        sums[1] = _pair_sum(np.multiply(bs.view(np.float64), flat, out=flat))
+        _fft_rows(x, cols, rows, gap, c)
 
-    _residual(c, x, cols, acq, work)
-    x2 = _norm2(x, _real_pair(work, x.shape))
+    _residual(c, x, cols, acq, scratch)
+    x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
-        _sampled_ifft2c_arr(c, cols, r, work)
-        _split_checked(gradient_and_sparse, x, n, "gradient", "sparse")
-        sparse = cfg.lambda1 * float(t.real.sum())
-        rel_change = _rel_change(float(t.imag.sum()), x2)
-        x2 = float(work.real.sum())
-        x, r = r, x
-        s_new = _low_rank_step(r if cfg.t_step_input == "x_plus_beta" else x, cfg, n, t)
-        _split_checked(multiplier, x, n, "multiplier")
-        gap2 = float(work.real.sum())
-        _residual(c, x, cols, acq, work)
-        terms = _lagrangian(
-            0.5 * _norm2(c, _real_pair(work, c.shape)), sparse, cfg.lambda2 * float(s_new.sum()),
-            r, gap2, beta, cfg.rho,
-        )
+        _ifft_x_stage(c, c, scratch)
+        sparse, diff2, new2 = _split_pass(adjoint_gradient_sparse, x, n, "gradient", "sparse", terms=3)
+        rel_change = _rel_change(diff2, x2)
+        x2 = new2
+        s_new = _low_rank_step(t if into_t else x, cfg, n, t, scratch)
+        gap2, inner = _split_pass(multiplier_and_forward, x, n, "multiplier", terms=2)
+        _fft_x_stage(c, acq, scratch)
+        fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
+        terms = _lagrangian(fid, cfg.lambda1 * sparse, cfg.lambda2 * float(s_new.sum()), inner, gap2, cfg.rho)
         record = IterationRecord(
             n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
             rel_change, split_gap=float(np.sqrt(gap2)),
@@ -452,81 +515,83 @@ def solve_ista_lr(
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
 
 
-def _ista_iterations(cfg, cols, acq, x, c, r, work, resid, placement=None):
+def _ista_iterations(cfg, cols, acq, x, c, r, resid, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
-    ``c`` holds the sampled residual and ``resid`` its adjoint; ``r`` holds
-    the gradient step (unless its size is 0: then the next step reads ``x``),
-    then the new ``x``.  The low-rank steps write into
-    ``resid`` after the gradient step and swap it with ``r``.  Unless a
-    low-rank step follows data consistency (L3), the gradient step reuses
-    the ``c`` and ``resid`` of that step, as :func:`solve_ista_sparse` says.
-    The sparse step and the trace terms run on x-row slabs, each on whole
-    temporal rows, and put their scratch into rows that nothing reads any
-    more, as in :func:`_slr_iterations`: the soft threshold's into
-    ``resid``, which the gradient step has read and data consistency not
-    yet written; ``|x - x_prev|^2`` and ``|D x|`` into the real and
-    imaginary parts of the previous iterate; ``|x|^2``, the next
-    ``rel_change``'s denominator, into ``work``.
+    ``c`` holds the sampled residual, until the adjoint's x stage
+    overwrites it, and ``resid`` its adjoint; ``r`` holds the gradient step
+    (unless its size is 0: then the next step reads ``x``), then the new
+    ``x``.  The low-rank steps write into ``resid`` after the gradient step
+    and swap it with ``r``.  Unless a low-rank step follows data consistency
+    (L3), the gradient step reuses the ``resid`` of that step, and the
+    fidelity is that of ``(1 - w) c``, as :func:`solve_ista_sparse` says.
+    The sparse step and the trace terms run on x-row slabs
+    (:func:`_split_pass`), each on whole temporal rows, in the per-thread
+    slab buffer (:class:`~dynlr.core._SlabScratch`) that every pass and
+    kernel of the loop shares; the soft threshold's real scratch is the
+    slab's rows of ``resid``, which the gradient step has read and data
+    consistency not yet written, and the trace pass puts ``|D x|`` into the
+    previous iterate's rows once it has given ``|x - x_prev|^2``.  Data
+    consistency checks its output slab by slab
+    (:func:`~dynlr.operators._dc_arr`).
     """
     kind = cfg.transform
     keeps_residual = placement != "L3"
     w = _dc_weight(cfg.dc_mode, cfg.dc_nu)
     step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
+    scratch = _SlabScratch(x)
 
-    def sparse_step(rows, failed, src, out, free):
-        ws = work[rows]
-        if not _sparse_step(src[rows], out[rows], tau, kind, ws, _real_pair(free[rows], ws.shape)):
+    def sparse_step(rows, sums, failed, src, out, free):
+        z = scratch(rows)
+        if not _sparse_step(src[rows], out[rows], tau, kind, z, _real_pair(free[rows], z.shape)):
             failed.add("sparse")
 
-    def trace_terms(rows, new, prev):
-        # Each |.|^2 has _abs2's bits, squared in a contiguous float64 view: no writes to strided views.
-        ns, ps, ws = new[rows], prev[rows], work[rows]
-        sq = np.square(np.subtract(ns, ps, out=ws).view(np.float64), out=ws.view(np.float64))
-        np.add(sq[..., 0::2], sq[..., 1::2], out=ps.real)
-        np.abs(_transform_fwd_arr(ns, kind, ws), out=ps.imag)
-        sq = np.square(ns.view(np.float64), out=ws.view(np.float64))
-        np.add(sq[..., 0::2], sq[..., 1::2], out=ws.real)
+    def trace_terms(rows, sums, failed, new, prev):
+        ns, ps = new[rows], prev[rows]
+        buf = scratch(rows)
+        sums[0] = _sum_abs2(np.subtract(ns, ps, out=buf), buf)
+        sums[1] = np.abs(_transform_fwd_arr(ns, kind, buf), out=_real_pair(ps, ns.shape)[0]).sum()
+        sums[2] = _sum_abs2(ns, buf)
 
     if keeps_residual:
-        c.fill(0)  # the zero-filled start counts as consistent
-        resid.fill(0)
+        resid.fill(0)  # the zero-filled start counts as consistent
     else:
-        _residual(c, x, cols, acq, work)
-    x2 = _norm2(x, _real_pair(work, x.shape))
+        _residual(c, x, cols, acq, scratch)
+    x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
         src = x  # the gradient step leaves x as it is when the residual is exactly 0
         if step != 0:
             if not keeps_residual:
-                _sampled_ifft2c_arr(c, cols, resid, work)
+                _sampled_ifft2c_arr(c, cols, resid, c, scratch)
             src = np.subtract(x, np.multiply(resid, step, out=r), out=r)
             _check_finite(r, "gradient", n)
         if placement == "L1":
-            _low_rank_step(src, cfg, n, resid)
+            _low_rank_step(src, cfg, n, resid, scratch)
             src, r, resid = resid, resid, r
-        _split_checked(partial(sparse_step, src=src, out=r, free=resid), x, n, "sparse")
+        _split_pass(partial(sparse_step, src=src, out=r, free=resid), x, n, "sparse")
         if placement == "L2":
-            _low_rank_step(r, cfg, n, resid)
+            _low_rank_step(r, cfg, n, resid, scratch)
             r, resid = resid, r
-        _dc_arr(r, acq, cols, w, r, c, resid, work)
-        _check_finite(r, "data-consistency", n)
+        _residual(c, r, cols, acq, scratch)
+        if keeps_residual:  # the output's residual is (1 - w) c
+            resid_out = np.multiply(c, 1.0 - w, out=scratch.array(c.shape))
+            fid = 0.5 * _sum_abs2(resid_out, resid_out)
+        if not _dc_arr(r, c, cols, w, r, resid, scratch):
+            raise _numeric_error("data-consistency", n)
         if placement is None:
             nuclear = 0.0
         elif placement == "L3":
-            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid).sum())
+            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, scratch).sum())
             r, resid = resid, r
+            _residual(c, r, cols, acq, scratch)
+            fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)
-        if keeps_residual:
-            np.multiply(c, 1.0 - w, out=c)
-        else:
-            _residual(c, r, cols, acq, work)
-        fid = 0.5 * _norm2(c, _real_pair(work, c.shape))
-        _split_rows(partial(trace_terms, new=r, prev=x), x.shape[0], x.nbytes)
-        sparse = cfg.lambda1 * float(x.imag.sum())
-        rel_change = _rel_change(float(x.real.sum()), x2)
-        x2 = float(work.real.sum())
+        diff2, sparse, new2 = _split_pass(partial(trace_terms, new=r, prev=x), x, n, terms=3)
+        sparse *= cfg.lambda1
+        rel_change = _rel_change(diff2, x2)
+        x2 = new2
         x, r = r, x
         yield IterationRecord(n, float(fid + sparse + nuclear), fid, sparse, nuclear, rel_change), x, {}
 

@@ -165,6 +165,20 @@ class TestCorruptFiles:
         with pytest.raises(FormatError, match="decimal digits"):
             read_cplx(base)
 
+    @pytest.mark.parametrize(
+        "token, match",
+        [("+16", "not decimal digits"), ("1_6", "not decimal digits"), ("\u0661\u0666", "not ASCII"),
+         ("1" * 5000, "too many decimal digits")],
+        ids=["plus", "underscore", "non-ascii-digits", "5000-digits"],
+    )
+    def test_dims_are_read_in_the_number_grammar(self, tmp_path, token, match):
+        """The dims tokens that ``int()`` reads as 16 or as a number, and the grammar of ``core._parse_int`` refuses."""
+        base = str(tmp_path / "v")
+        write_cplx(base, np.ones((16, 16, 8), dtype=complex))
+        (tmp_path / "v.hdr").write_bytes(f"DYNLR1\ndims {token} 16 8\ndtype c64le\n".encode())
+        with pytest.raises(FormatError, match=match):
+            read_cplx(base)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         dims=st.one_of(

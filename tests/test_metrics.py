@@ -119,6 +119,38 @@ class TestPsnr:
         assert values[0] > values[1] > values[2]
 
 
+def whole_volume_mse_psnr(ref, rec):
+    """``mse`` and ``psnr`` from one whole-volume difference, as numpy lays it out, in one scaled sum."""
+    diff = ref.data - rec.data
+    e = math.frexp(float(np.abs(diff).max()))[1]
+    scaled = np.ldexp(diff.real, -e) ** 2 + np.ldexp(diff.imag, -e) ** 2
+    err2 = float(scaled.sum())
+    err = math.ldexp(math.sqrt(err2), e)
+    peak = float(np.abs(ref.data).max())
+    return math.ldexp(err2, 2 * e), 20.0 * math.log10(peak * math.sqrt(ref.data.size) / err)
+
+
+class TestSlabScoring:
+    """``mse`` and ``psnr`` score on x-row slabs with the bits of one whole-volume sum.
+
+    The squares are summed in the layout that numpy gives ``ref.data -
+    rec.data``: C for C-ordered inputs, F for F-ordered ones (such as
+    volumes that ``read_cplx`` returns), and numpy's choice for a mix.
+    129x67x32 is above the row split's floor, 20x12x6 under it.
+    """
+
+    @pytest.mark.parametrize("shape", [(20, 12, 6), (129, 67, 32)])
+    @pytest.mark.parametrize("layouts", ["C/C", "F/F", "F/C"])
+    def test_bits_of_the_whole_volume_sum(self, rng, shape, layouts):
+        ref, rec = (rand_volume(rng, shape) for _ in range(2))
+        ref_order, rec_order = layouts.split("/")
+        ref = DynamicImage(np.asfortranarray(ref) if ref_order == "F" else ref)
+        rec = DynamicImage(np.asfortranarray(rec) if rec_order == "F" else rec)
+        assert ref.data.flags.f_contiguous == (ref_order == "F")
+        assert rec.data.flags.f_contiguous == (rec_order == "F")
+        assert (mse(ref, rec), psnr(ref, rec)) == whole_volume_mse_psnr(ref, rec)
+
+
 class TestSsim:
     def test_identical_is_exactly_one(self, rng):
         img = rand_image(rng, (16, 12, 3))

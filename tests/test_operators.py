@@ -292,7 +292,7 @@ class TestSampledKernels:
     def test_forward_is_fft2c_at_the_sampled_columns(self, shape, density, blank_frame, seed):
         _, img, sampled = _sampled_case(shape, density, blank_frame, seed)
         out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
-        ours = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), out, np.empty(shape, complex))
+        ours = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), out)
         assert ours.tobytes() == fft2c(img).data[:, sampled].tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -301,9 +301,7 @@ class TestSampledKernels:
         """Bit for bit the x-first order in numpy calls, and ``ifft2c`` of the zero-filled volume to 4 eps."""
         rng, _, sampled = _sampled_case(shape, density, blank_frame, seed)
         c = rand_volume(rng, (shape[0], int(sampled.sum())))
-        ours = _sampled_ifft2c_arr(
-            c, _sampled_columns(sampled), np.empty(shape, complex), np.empty(shape, complex)
-        )
+        ours = _sampled_ifft2c_arr(c, _sampled_columns(sampled), np.empty(shape, complex))
         assert ours.tobytes() == numpy_sampled_adjoint(c, sampled).tobytes()
         full = np.zeros(shape, dtype=complex)
         full[:, sampled] = c
@@ -322,10 +320,10 @@ class TestSampledKernels:
         out = np.empty((shape[0], int(sampled.sum())), dtype=complex)
         assert img.data.nbytes > core._SPLIT_FLOOR
         assert (out.nbytes > core._SPLIT_FLOOR) == (density > 0.5)
-        ours = _sampled_fft2c_arr(img.data, cols, out, np.empty(shape, complex))
+        ours = _sampled_fft2c_arr(img.data, cols, out)
         assert ours.tobytes() == numpy_fft2c(img.data)[:, sampled].tobytes()
         c = rand_volume(rng, out.shape)
-        ours = _sampled_ifft2c_arr(c, cols, np.empty(shape, complex), np.empty(shape, complex))
+        ours = _sampled_ifft2c_arr(c, cols, np.empty(shape, complex))
         assert ours.tobytes() == numpy_sampled_adjoint(c, sampled).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

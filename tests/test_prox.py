@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from dynlr import (
     ConfigError,
     DynamicImage,
+    SolverConfig,
     SparseTransform,
     casorati_rank,
     from_casorati,
@@ -19,7 +20,7 @@ from dynlr import (
     transform_adjoint,
     transform_forward,
 )
-from dynlr import prox
+from dynlr import core, prox
 from dynlr.core import CasoratiView
 
 from conftest import rand_image, rand_volume, rel_err, svt_oracle_hard, svt_oracle_soft
@@ -360,6 +361,24 @@ class TestSvtProperties:
         learned_svt(x, 2)
         ist_svt(x, 0.1 * scale, 1.0, 1.0)
         assert len(calls) == (0 if scale == 1.0 else 2)
+
+    # 129x67x32 is above the row split's floor, on slabs that no whole number
+    # of slabs covers; the SVD fallback runs at the smallest scale.
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (129, 67, 32)])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(rank_k=3), SolverConfig(lr_mode="soft", lambda2=5.0, rho=1.0, p=0.5),
+    ], ids=["hard", "soft"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    def test_in_place_equals_out_of_place(self, rng, shape, cfg, scale):
+        data = scale * rand_volume(rng, shape)
+        cfg = cfg.validate_for(shape[2])
+        with core._one_blas_thread():
+            out, s_out, finite_out = prox._svt_arr(data, cfg)
+            arr = data.copy()
+            same, s_in, finite_in = prox._svt_arr(arr, cfg, arr)
+        assert same is arr and finite_in and finite_out
+        assert arr.tobytes() == out.tobytes()
+        assert s_in.tobytes() == s_out.tobytes()
 
     # read_cplx returns F-ordered volumes, and the Gram matrix is formed from
     # the float64 view of the C-order Casorati matrix; 129x67x32 is above the
