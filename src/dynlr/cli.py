@@ -28,7 +28,7 @@ from .core import (
     _parse_float,
     _parse_int,
 )
-from .dataio import read_cplx, read_mask, write_cplx, write_mask
+from .dataio import _write_whole, read_cplx, read_mask, write_cplx, write_mask
 # psnr and ssim stay module attributes, so that callers can wrap every layer by name.
 from .metrics import psnr, ssim  # noqa: F401
 from .operators import encode
@@ -82,11 +82,12 @@ def read_config_file(path) -> dict:
 
 
 def write_config_file(path, cfg: SolverConfig) -> None:
-    """Write ``cfg`` as key=value lines, formatted by field type so that numpy scalars read back."""
-    with open(path, "w", encoding="ascii") as fh:
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(cfg, name)
-            fh.write(f"{name}={repr(float(value)) if kind is float else value}\n")
+    """Write ``cfg`` as key=value lines, formatted by field type so that numpy scalars read back; whole or not at all."""
+    lines = []
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        lines.append(f"{name}={repr(float(value)) if kind is float else value}\n")
+    _write_whole(path, "".join(lines).encode("ascii"))
 
 
 def parse_grid_spec(spec: str) -> dict:
@@ -251,9 +252,8 @@ def cmd_encode(args):
 
 
 def _write_trace(path, records):
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
+    """Write one JSON line per record to ``path``, whole or not at all."""
+    _write_whole(path, "".join(json.dumps(dataclasses.asdict(rec)) + "\n" for rec in records).encode("ascii"))
 
 
 def cmd_recon(args):

@@ -239,9 +239,12 @@ def _split_rows(fn, n, nbytes):
         for rows in slabs:
             fn(rows)
         return
-    slabs = iter(slabs)
+    # Emptied when the pass ends: a pool thread, or the queue, lets go of a
+    # share some time later, and would keep fn's arrays alive until then.
+    work = [fn, iter(slabs)]
 
     def run_slabs():
+        fn, slabs = work
         for rows in slabs:  # the threads share the iterator
             fn(rows)
 
@@ -253,6 +256,7 @@ def _split_rows(fn, n, nbytes):
         # A share that no pool thread has started would find no slab left, or
         # only those of a failed pass: it is cancelled, not waited for.
         errors = [None if future.cancel() else future.exception() for future in futures]
+        work.clear()
     for error in errors:
         if error is not None:
             raise error

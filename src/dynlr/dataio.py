@@ -9,6 +9,12 @@ A volume is stored as a pair of files sharing a base path:
 
 Round trips are lossless at float32 precision regardless of host byte
 order.  Sampling masks are stored as 0/1-valued volumes with nx = 1.
+
+Every file is written whole or not at all: to a new temporary file beside
+it, which then takes its name (:func:`_write_whole`).  A volume removes its
+old ``.hdr``, then its old ``.dat``, before its new files take their names,
+``.hdr`` last, so a failed write leaves the old pair or no readable pair,
+never a header that describes other data.
 """
 
 import os
@@ -31,11 +37,17 @@ def _base_path(path):
 
 
 def write_cplx(path, volume) -> None:
-    """Write a complex volume to ``<path>.hdr`` / ``<path>.dat``.
+    """Write a complex volume to ``<path>.hdr`` / ``<path>.dat``, whole or not at all.
 
-    A volume that is not finite at complex64 precision (a part above about
-    3.4e38 in magnitude, or NaN or infinity) raises FormatError before
-    either file is opened, since no reader would accept the file.
+    Both files are written to temporary names first; then the old
+    ``.hdr`` and ``.dat`` are removed, and the new ``.dat`` and ``.hdr``
+    take their names, in that order.  A failure at any step removes the
+    temporary files and leaves the old pair, or no readable pair.  The
+    removals keep the renames from replacing a file, which on ext4 would
+    write the new data out at once (``auto_da_alloc``), several times
+    slower.  A volume that is not finite at complex64 precision (a part
+    above about 3.4e38 in magnitude, or NaN or infinity) raises FormatError
+    before any file is opened, since no reader would accept the file.
     """
     data = volume.data if isinstance(volume, DynamicImage) else np.asarray(volume)
     if data.ndim != 3:
@@ -46,10 +58,57 @@ def write_cplx(path, volume) -> None:
     if not np.isfinite(flat).all():
         raise FormatError("volume has values that are not finite at complex64 precision")
     base = _base_path(path)
-    with open(base + ".hdr", "w", encoding="ascii") as fh:
-        fh.write(f"{MAGIC}\ndims {nx} {ny} {nt}\ndtype c64le\n")
-    with open(base + ".dat", "wb") as fd:
-        fd.write(flat.tobytes())
+    written = []
+    try:
+        written.append(_write_new(base + ".dat", flat.tobytes()))
+        header = f"{MAGIC}\ndims {nx} {ny} {nt}\ndtype c64le\n"
+        written.append(_write_new(base + ".hdr", header.encode("ascii")))
+        _remove(base + ".hdr")
+        _remove(base + ".dat")
+        os.replace(written[0], base + ".dat")
+        os.replace(written[1], base + ".hdr")
+    except BaseException:
+        for tmp in written:
+            _remove(tmp)
+        raise
+
+
+def _remove(path):
+    """Remove the file ``path`` if there is one."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def _write_new(path, data):
+    """Write the bytes ``data`` to a new temporary file beside ``path``, and return its name.
+
+    The temporary file is removed again if the write fails.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+    except BaseException:
+        _remove(tmp)
+        raise
+    return tmp
+
+
+def _write_whole(path, data):
+    """Replace the file ``path`` with one that holds the bytes ``data``, or leave it as it was.
+
+    ``data`` goes to a new temporary file beside ``path``
+    (:func:`_write_new`), which then replaces it with ``os.replace``; the
+    temporary file is removed if either step fails.
+    """
+    tmp = _write_new(path, data)
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        _remove(tmp)
+        raise
 
 
 def _parse_header(base):

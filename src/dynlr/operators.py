@@ -99,7 +99,8 @@ def _fft_x_stage(out, acq=None, scratch=None):
     Each column slab (:func:`~dynlr.core._split_rows`) runs its x-axis FFTs
     into the calling thread's buffer of ``scratch``, a
     :class:`~dynlr.core._SlabScratch` (None: a new one), from which the x
-    shift writes them back.
+    shift writes them back.  ``acq`` is then subtracted on contiguous x-row
+    slabs: numpy buffers a ufunc over a column slab's strided rows.
     """
     nx, n_cols = out.shape
     s = nx // 2
@@ -110,10 +111,10 @@ def _fft_x_stage(out, acq=None, scratch=None):
         np.fft.fft(out[:, cs], axis=0, norm="ortho", out=b)
         out[s:, cs] = b[: nx - s]
         out[:s, cs] = b[nx - s :]
-        if acq is not None:
-            np.subtract(out[:, cs], acq[:, cs], out=out[:, cs])
 
     _split_rows(fft_x_and_roll, n_cols, out.nbytes)
+    if acq is not None:
+        _split_rows(lambda rows: np.subtract(out[rows], acq[rows], out=out[rows]), nx, out.nbytes)
     return out
 
 
@@ -170,22 +171,22 @@ def _ifft_rows(block, cols, rows, buf):
     return buf
 
 
-def _shift_y_into(dest, buf, add=False):
-    """``dest = fftshift(buf)`` over y, or ``dest = fftshift(buf) + dest`` if ``add``; ``dest`` other than ``buf``.
+def _shift_y_into(dest, buf, op=None):
+    """``dest = fftshift(buf)`` over y, or ``dest = op(dest, fftshift(buf))`` for a ufunc ``op``; ``dest`` other than ``buf``.
 
-    Both are C-contiguous slabs.  The sums run one x-row at a time, on
+    Both are C-contiguous slabs.  ``op`` runs one x-row at a time, on
     contiguous pieces: numpy buffers a ufunc over a strided piece of a
     slab, in about 400 KB of its own.
     """
     ny = buf.shape[1]
     pieces = _row_pieces(slice(0, ny), ny // 2, ny)
-    if not add:
+    if op is None:
         for out_y, src_y in pieces:
             dest[:, out_y] = buf[:, src_y]
         return
     for d, b in zip(dest, buf):
         for out_y, src_y in pieces:
-            np.add(b[src_y], d[out_y], out=d[out_y])
+            op(d[out_y], b[src_y], out=d[out_y])
 
 
 def _sampled_ifft2c_arr(c, cols, out, block=None, scratch=None):
@@ -265,32 +266,22 @@ def _dc_weight(mode, nu):
     return 1.0 if mode == "replace" else nu / (1.0 + nu)
 
 
-def _dc_arr(arr, c, cols, w, out, g, scratch=None):
-    """Data consistency ``out = arr - w A^H c`` from the residual ``c = A arr - y``; ``out`` may be ``arr``.
+def _dc_rows(arr, block, cols, w, rows, buf):
+    """Data consistency ``arr = arr - w A^H c`` in place on the x-rows ``rows``; whether they are finite.
 
-    ``c`` is the C-contiguous ``(nx, S)`` residual (:func:`_residual`), which
-    the adjoint's x stage overwrites in place; ``cols`` comes from
-    :func:`_sampled_columns` and ``w`` from :func:`_dc_weight`.  The volume
-    ``g`` receives ``A^H c``; the residual of the output is ``(1 - w) c`` to
-    rounding.  ``g`` is a C-contiguous volume other than ``arr`` and, unless
-    ``g`` is ``out``, than ``out``; ``scratch`` is as in
-    :func:`_sampled_fft2c_arr`.  The adjoint's row stage writes each slab of
-    ``g``, then the slab's correction, and checks that slab of ``out`` for
-    finiteness.  Returns whether ``out`` is finite.
+    ``block`` is the adjoint's x stage (:func:`_ifft_x_stage`) of the
+    residual ``c = A arr - y`` (:func:`_residual`), ``w`` comes from
+    :func:`_dc_weight` and ``buf`` is a slab buffer.  The slab's row stage,
+    unshifted, is scaled by ``w`` in ``buf`` and subtracted one x-row at a
+    time (:func:`_shift_y_into`), with the value of ``arr - w * (A^H c)`` in
+    each element; no volume holds ``A^H c``.  The residual of the output is
+    ``(1 - w) c`` to rounding.
     """
-    scratch = _SlabScratch(g) if scratch is None else scratch
-    _ifft_x_stage(c, c, scratch)
-    failed = []
-
-    def correct(rows):
-        buf = _ifft_rows(c, cols, rows, scratch(rows))
-        gs = g[rows]
-        _shift_y_into(gs, buf)
-        if not _finite(np.subtract(arr[rows], gs if w == 1.0 else np.multiply(gs, w, out=buf), out=out[rows])):
-            failed.append(rows)
-
-    _split_rows(correct, g.shape[0], g.nbytes)
-    return not failed
+    _ifft_rows(block, cols, rows, buf)
+    if w != 1.0:
+        np.multiply(buf, w, out=buf)
+    _shift_y_into(arr[rows], buf, np.subtract)
+    return _finite(arr[rows])
 
 
 def data_consistency(
@@ -301,9 +292,10 @@ def data_consistency(
 ) -> DynamicImage:
     """Enforce agreement with the acquired k-space samples.
 
-    Returns ``pred - w A^H (A pred - y)``, the DC-CNN layer that the sparse
-    loops share, with ``w = 1`` (``mode="replace"``, the noiseless default)
-    or ``w = nu / (1 + nu)`` (``mode="weighted"``, which requires ``nu``).
+    Returns ``pred - w A^H (A pred - y)``, the DC-CNN layer whose row
+    stage (:func:`_dc_rows`) the sparse loop shares, with ``w = 1``
+    (``mode="replace"``, the noiseless default) or ``w = nu / (1 + nu)``
+    (``mode="weighted"``, which requires ``nu``).
     In k-space, unsampled coefficients keep the predicted values and sampled
     ones become the acquired values or ``(pred + nu*acq) / (1 + nu)``, to
     rounding, not bit for bit.  ``nu = 0`` leaves the prediction untouched
@@ -318,8 +310,10 @@ def data_consistency(
         raise ConfigError("weighted data consistency requires nu")
     SolverConfig(dc_mode=mode, dc_nu=1.0 if nu is None else nu).validate()
     cols, acq = _sampled_data(acquired)
-    out = _new_volume(pred.data)
+    out = np.array(pred.data, order="C")  # corrected in place, on contiguous rows whatever the input's layout
     scratch = _SlabScratch(out)
-    c = _residual(np.empty_like(acq), pred.data, cols, acq, scratch)
-    _dc_arr(pred.data, c, cols, _dc_weight(mode, nu), out, out, scratch)
+    c = _residual(np.empty_like(acq), out, cols, acq, scratch)
+    _ifft_x_stage(c, c, scratch)
+    w = _dc_weight(mode, nu)
+    _split_rows(lambda rows: _dc_rows(out, c, cols, w, rows, scratch(rows)), out.shape[0], out.nbytes)
     return DynamicImage(out)

@@ -52,7 +52,7 @@ from .core import (
 )
 from .metrics import _abs_max, _mse_psnr, _norm2, fits_ssim_window, psnr, ssim
 from .operators import (
-    _dc_arr,
+    _dc_rows,
     _dc_weight,
     _fft_rows,
     _fft_x_stage,
@@ -130,12 +130,6 @@ def _numeric_error(step, iteration):
     return NumericError(message, step=step, iteration=iteration)
 
 
-def _check_finite(arr, step, iteration):
-    """Raise NumericError unless the C-contiguous complex ``arr`` is finite."""
-    if not _finite(arr):
-        raise _numeric_error(step, iteration)
-
-
 def _split_pass(fn, like, n, *steps, terms=0):
     """Run ``fn(rows, sums, failed)`` on the x-row slabs of volumes shaped as ``like``; return the term totals.
 
@@ -145,7 +139,8 @@ def _split_pass(fn, like, n, *steps, terms=0):
     ``n``.  Each term's total is the exactly rounded sum (``math.fsum``) of
     its per-slab sums over the slabs of :func:`~dynlr.core._slabs`, which
     do not depend on the split width; under the split floor it is the one
-    slab's sum.
+    slab's sum.  A total too large for a float is an infinity (or NaN), as
+    a plain sum gives it, for the objective's finite check to report.
     """
     nx = like.shape[0]
     index = {rows.start: k for k, rows in enumerate(_slabs(nx, like.nbytes))}
@@ -155,7 +150,15 @@ def _split_pass(fn, like, n, *steps, terms=0):
     for step in steps:
         if step in failed:
             raise _numeric_error(step, n)
-    return [math.fsum(column) for column in sums.T]
+    return [_total(column) for column in sums.T]
+
+
+def _total(sums):
+    """``math.fsum(sums)``, or the plain sum, an infinity or NaN, where ``fsum`` overflows or meets both infinities."""
+    try:
+        return math.fsum(sums)
+    except (OverflowError, ValueError):
+        return sum(map(float, sums))
 
 
 def _pair_sum(flat):
@@ -221,12 +224,6 @@ def _rel_change(diff2, prev2):
     """``rel_change`` from ``||x_n - x_{n-1}||^2`` and ``||x_{n-1}||^2``; a zero ``x_{n-1}`` divides by 1."""
     denom = np.sqrt(prev2)
     return float(np.sqrt(diff2) / (1.0 if denom == 0 else denom))
-
-
-def _sparse_step(arr, out, tau, kind, z, pair):
-    """Whether ``out = D^H z`` with ``z = soft(D arr, tau)`` is finite; ``out`` may be ``arr``."""
-    _soft_arr(_transform_fwd_arr(arr, kind, z), tau, z, pair)
-    return _finite(_transform_adj_arr(z, kind, out))
 
 
 def objective_slr(
@@ -295,15 +292,15 @@ def _scores(reference, image):
     return scores
 
 
-def _solve(y, cfg, reference, callback, iterations):
+def _solve(y, cfg, reference, callback, iterations, held):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
-    Every loop gets one working set: ``iterations(cfg, cols, acq, x, c, u,
-    v)`` gets the indices and acquired samples of
+    Every loop gets the working set it holds: ``iterations(cfg, cols, acq,
+    x, c, *volumes)`` gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
-    ``(nx, S)`` residual buffer ``c`` and two more volumes: ``slr``'s ``t``
-    and ``beta``, the sparse loop's ``r`` and ``A^H c``.  Any other scratch
-    is one per-thread slab buffer, a :class:`~dynlr.core._SlabScratch` that
+    ``(nx, S)`` residual buffer ``c`` and ``held`` more volumes: ``slr``'s
+    ``t`` and ``beta``, or the sparse loop's ``r``.  Any other scratch is
+    one per-thread slab buffer, a :class:`~dynlr.core._SlabScratch` that
     every pass and kernel of the loop shares.  The generator yields
     ``(record, x, state)`` after each iteration; ``state`` holds the
     callback's extra volumes.  The objective's finite check, the trace, the
@@ -316,11 +313,11 @@ def _solve(y, cfg, reference, callback, iterations):
     cols, acq = _sampled_data(y)
     c = np.empty_like(acq)
     x = _sampled_ifft2c_arr(acq, cols, _new_volume(y.data), c)  # the zero-filled start; c is its scratch
-    u, v = _new_volume(x), _new_volume(x)
+    volumes = [_new_volume(x) for _ in range(held)]
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
-            for record, x, state in iterations(cfg, cols, acq, x, c, u, v):
+            for record, x, state in iterations(cfg, cols, acq, x, c, *volumes):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -335,7 +332,7 @@ def _solve(y, cfg, reference, callback, iterations):
     # Freed before the report copies x, and x, t and beta before it is scored.
     # They are allocated here and not in the generator: buffers that a
     # generator allocated and freed raised peak RSS.
-    del acq, c, u, v, state
+    del acq, c, volumes, state
     image = DynamicImage(x)
     del x
     return ReconReport(
@@ -361,17 +358,19 @@ def solve_ista_sparse(
     step.  ``lambda2``, ``rho`` and the low-rank fields are ignored.
 
     The data-consistency step is the correction ``x = r - w g`` of
-    :func:`~dynlr.operators.data_consistency` (one shared kernel), with
+    :func:`~dynlr.operators.data_consistency` (one shared row stage), with
     ``g = A^H c`` and ``c = A r - y`` on the sampled columns.  The residual
     of ``x`` is ``(1 - w) c`` and its gradient ``(1 - w) g``, so the next
-    gradient step is ``x - eta2 * (1 - w) * g`` with no further FFT; the
-    zero-filled start counts as consistent, and the first gradient step
-    leaves it as it is.  In replace mode ``w = 1``: the residual is exactly
-    0, the gradient step changes nothing, and the image depends on ``eta2`` only
-    through the threshold.
+    gradient step is ``x - eta2 * (1 - w) * g`` with no forward FFT: ``c``
+    keeps the adjoint's x stage, from which that step rebuilds the rows of
+    ``g``, and no volume holds ``g``.  The loop holds two volumes, ``x`` and
+    the next iterate.  The zero-filled start counts as consistent, and the
+    first gradient step leaves it as it is.  In replace mode ``w = 1``: the
+    residual is exactly 0, the gradient step changes nothing, and the image
+    depends on ``eta2`` only through the threshold.
     """
     cfg.validate()
-    return _solve(y, cfg, reference, callback, _ista_iterations)
+    return _solve(y, cfg, reference, callback, _ista_iterations, 1)
 
 
 def solve_slr(
@@ -399,7 +398,7 @@ def solve_slr(
     after each iteration.
     """
     cfg.validate_for(y.shape[2])
-    return _solve(y, cfg, reference, callback, _slr_iterations)
+    return _solve(y, cfg, reference, callback, _slr_iterations, 2)
 
 
 def _slr_iterations(cfg, cols, acq, x, c, t, beta):
@@ -441,7 +440,7 @@ def _slr_iterations(cfg, cols, acq, x, c, t, beta):
         # t = x - eta2 * (A^H c + rho * (x + beta - t)), the coupling term formed in t first
         np.subtract(np.add(xs, bs, out=buf), ts, out=ts)
         np.multiply(ts, cfg.rho, out=ts)
-        _shift_y_into(ts, _ifft_rows(c, cols, rows, buf), add=True)
+        _shift_y_into(ts, _ifft_rows(c, cols, rows, buf), np.add)
         np.multiply(ts, cfg.eta2, out=ts)
         np.subtract(xs, ts, out=ts)
         if not _finite(ts):
@@ -512,28 +511,27 @@ def solve_ista_lr(
     forward/adjoint pairs.
     """
     cfg.validate_for(y.shape[2])
-    return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement))
+    return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement), 1)
 
 
-def _ista_iterations(cfg, cols, acq, x, c, r, resid, placement=None):
+def _ista_iterations(cfg, cols, acq, x, c, r, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
-    ``c`` holds the sampled residual, until the adjoint's x stage
-    overwrites it, and ``resid`` its adjoint; ``r`` holds the gradient step
-    (unless its size is 0: then the next step reads ``x``), then the new
-    ``x``.  The low-rank steps write into ``resid`` after the gradient step
-    and swap it with ``r``.  Unless a low-rank step follows data consistency
-    (L3), the gradient step reuses the ``resid`` of that step, and the
-    fidelity is that of ``(1 - w) c``, as :func:`solve_ista_sparse` says.
-    The sparse step and the trace terms run on x-row slabs
-    (:func:`_split_pass`), each on whole temporal rows, in the per-thread
-    slab buffer (:class:`~dynlr.core._SlabScratch`) that every pass and
-    kernel of the loop shares; the soft threshold's real scratch is the
-    slab's rows of ``resid``, which the gradient step has read and data
-    consistency not yet written, and the trace pass puts ``|D x|`` into the
-    previous iterate's rows once it has given ``|x - x_prev|^2``.  Data
-    consistency checks its output slab by slab
-    (:func:`~dynlr.operators._dc_arr`).
+    The loop holds ``x``, ``r`` and the ``(nx, S)`` residual ``c``, and one
+    per-thread slab buffer (:class:`~dynlr.core._SlabScratch`) that every
+    pass and kernel shares; no volume holds ``A^H c``.  ``c`` keeps the
+    adjoint's x stage (:func:`~dynlr.operators._ifft_x_stage`), whose row
+    stage the gradient step reruns slab by slab: outside L3 the block that
+    data consistency left, as :func:`solve_ista_sparse` says; at L3 that of
+    the residual of ``x``.  Each pass (:func:`_split_pass`) acts on whole
+    temporal rows.  The sparse pass takes the gradient step and its check
+    in ``r``'s rows (at L1 in a pass of its own, before the low-rank step),
+    then the sparse step there, with ``r``'s rows as the soft threshold's
+    real scratch.  The low-rank steps run in place on ``r``.  The
+    data-consistency pass (:func:`~dynlr.operators._dc_rows`) corrects
+    ``r`` and, outside L3, sums ``|r - x|^2``, ``|D r|`` (into ``x``'s
+    rows, once read) and ``|r|^2``; at L3 those sums run after the SVT,
+    in a pass with the forward's row stage.  ``r`` then becomes ``x``.
     """
     kind = cfg.transform
     keeps_residual = placement != "L3"
@@ -541,59 +539,84 @@ def _ista_iterations(cfg, cols, acq, x, c, r, resid, placement=None):
     step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
     scratch = _SlabScratch(x)
+    block = None  # c holds the adjoint's x stage of the gradient's residual; None: the residual is 0
+    # Where the gradient step is the identity the sparse step reads x, else r;
+    # outside L1 the gradient step runs in the sparse pass.
+    reads_x = step == 0 and placement != "L1"
+    fused = step != 0 and placement != "L1"
 
-    def sparse_step(rows, sums, failed, src, out, free):
-        z = scratch(rows)
-        if not _sparse_step(src[rows], out[rows], tau, kind, z, _real_pair(free[rows], z.shape)):
+    def gradient(rows, sums, failed):
+        """``r = x - step A^H c`` on the slab; whether it is finite."""
+        rs = r[rows]
+        if block is None:
+            rs.fill(0)
+        else:
+            _shift_y_into(rs, _ifft_rows(block, cols, rows, scratch(rows)))
+        np.subtract(x[rows], np.multiply(rs, step, out=rs), out=rs)
+        if not _finite(rs):
+            failed.add("gradient")
+            return False
+        return True
+
+    def sparse(rows, sums, failed):
+        if fused and not gradient(rows, sums, failed):
+            return
+        z, rs = scratch(rows), r[rows]
+        _soft_arr(_transform_fwd_arr(x[rows] if reads_x else rs, kind, z), tau, z, _real_pair(rs, rs.shape))
+        if not _finite(_transform_adj_arr(z, kind, rs)):
             failed.add("sparse")
 
-    def trace_terms(rows, sums, failed, new, prev):
-        ns, ps = new[rows], prev[rows]
+    def trace_terms(rows, sums):
+        rs, xs = r[rows], x[rows]
         buf = scratch(rows)
-        sums[0] = _sum_abs2(np.subtract(ns, ps, out=buf), buf)
-        sums[1] = np.abs(_transform_fwd_arr(ns, kind, buf), out=_real_pair(ps, ns.shape)[0]).sum()
-        sums[2] = _sum_abs2(ns, buf)
+        sums[0] = _sum_abs2(np.subtract(rs, xs, out=buf), buf)
+        sums[1] = np.abs(_transform_fwd_arr(rs, kind, buf), out=_real_pair(xs, rs.shape)[0]).sum()
+        sums[2] = _sum_abs2(rs, buf)
 
-    if keeps_residual:
-        resid.fill(0)  # the zero-filled start counts as consistent
-    else:
+    def consistency(rows, sums, failed):
+        if not _dc_rows(r, block, cols, w, rows, scratch(rows)):
+            failed.add("data-consistency")
+        elif keeps_residual:
+            trace_terms(rows, sums)
+
+    def trace_and_forward(rows, sums, failed):
+        trace_terms(rows, sums)
+        _fft_rows(r, cols, rows, scratch(rows), c)
+
+    if not keeps_residual:
         _residual(c, x, cols, acq, scratch)
     x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
-        src = x  # the gradient step leaves x as it is when the residual is exactly 0
-        if step != 0:
-            if not keeps_residual:
-                _sampled_ifft2c_arr(c, cols, resid, c, scratch)
-            src = np.subtract(x, np.multiply(resid, step, out=r), out=r)
-            _check_finite(r, "gradient", n)
+        if not keeps_residual:
+            block = _ifft_x_stage(c, c, scratch)
         if placement == "L1":
-            _low_rank_step(src, cfg, n, resid, scratch)
-            src, r, resid = resid, resid, r
-        _split_pass(partial(sparse_step, src=src, out=r, free=resid), x, n, "sparse")
+            if step != 0:
+                _split_pass(gradient, x, n, "gradient")
+            _low_rank_step(x if step == 0 else r, cfg, n, r, scratch)
+        _split_pass(sparse, x, n, "gradient", "sparse")
         if placement == "L2":
-            _low_rank_step(r, cfg, n, resid, scratch)
-            r, resid = resid, r
+            _low_rank_step(r, cfg, n, r, scratch)
         _residual(c, r, cols, acq, scratch)
         if keeps_residual:  # the output's residual is (1 - w) c
             resid_out = np.multiply(c, 1.0 - w, out=scratch.array(c.shape))
             fid = 0.5 * _sum_abs2(resid_out, resid_out)
-        if not _dc_arr(r, c, cols, w, r, resid, scratch):
-            raise _numeric_error("data-consistency", n)
+        block = _ifft_x_stage(c, c, scratch)
+        terms = _split_pass(consistency, x, n, "data-consistency", terms=3)
         if placement is None:
             nuclear = 0.0
         elif placement == "L3":
-            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, resid, scratch).sum())
-            r, resid = resid, r
-            _residual(c, r, cols, acq, scratch)
+            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, r, scratch).sum())
+            terms = _split_pass(trace_and_forward, x, n, terms=3)
+            _fft_x_stage(c, acq, scratch)
             fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)
-        diff2, sparse, new2 = _split_pass(partial(trace_terms, new=r, prev=x), x, n, terms=3)
-        sparse *= cfg.lambda1
+        diff2, sparse_sum, new2 = terms
+        sparse_term = cfg.lambda1 * sparse_sum
         rel_change = _rel_change(diff2, x2)
         x2 = new2
         x, r = r, x
-        yield IterationRecord(n, float(fid + sparse + nuclear), fid, sparse, nuclear, rel_change), x, {}
+        yield IterationRecord(n, float(fid + sparse_term + nuclear), fid, sparse_term, nuclear, rel_change), x, {}
 
 
 _SOLVERS = {

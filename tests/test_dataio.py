@@ -1,3 +1,5 @@
+import errno
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,13 +11,18 @@ from hypothesis import given, settings, strategies as st
 from dynlr import (
     DynamicImage,
     FormatError,
+    IterationRecord,
     SamplingMask,
+    SolverConfig,
     make_vd_mask,
     read_cplx,
     read_mask,
     write_cplx,
     write_mask,
 )
+
+from dynlr import dataio
+from dynlr.cli import _write_trace, read_config_file, write_config_file
 
 from conftest import rand_image
 
@@ -273,3 +280,117 @@ class TestMaskIo:
         vol = read_cplx(str(tmp_path / "m"))
         assert vol.shape == (1, 8, 2)
         assert set(np.unique(vol.data.real)) <= {0.0, 1.0}
+
+
+class _HalfWrite:
+    """A file whose ``write`` writes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise _no_space()
+
+
+def _no_space():
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+def _inject(monkeypatch, action, target):
+    """Make ``action`` fail: open or write for the paths that hold ``target``, remove or replace for those that end in it."""
+    real_open, real_remove, real_replace = open, os.remove, os.replace
+
+    def fake_open(path, *args, **kwargs):
+        if action == "open" and target in str(path):
+            raise _no_space()
+        fh = real_open(path, *args, **kwargs)
+        return _HalfWrite(fh) if action == "write" and target in str(path) else fh
+
+    def fake_remove(path):
+        if action == "remove" and str(path).endswith(target):
+            raise PermissionError(errno.EACCES, "Permission denied")
+        real_remove(path)
+
+    def fake_replace(src, dst):
+        if action == "replace" and str(dst).endswith(target):
+            raise _no_space()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(dataio, "open", fake_open, raising=False)
+    monkeypatch.setattr(os, "remove", fake_remove)
+    monkeypatch.setattr(os, "replace", fake_replace)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestWholeOrNothing:
+    """A write that fails at any step leaves the old files, or no readable pair, and no temporary file."""
+
+    # Up to the removal of the old header the old pair stays; after it, no pair reads.
+    @pytest.mark.parametrize("step, old_pair_stays", [
+        ("open .dat", True), ("write .dat", True), ("open .hdr", True), ("write .hdr", True),
+        ("remove .hdr", True), ("remove .dat", False), ("replace .dat", False), ("replace .hdr", False),
+    ])
+    def test_failed_volume_write(self, rng, tmp_path, monkeypatch, step, old_pair_stays):
+        base = str(tmp_path / "v")
+        old = rand_image(rng, (4, 2, 3))
+        write_cplx(base, old)
+        before = _files(tmp_path)
+        action, suffix = step.split()
+        _inject(monkeypatch, action, suffix if action in ("remove", "replace") else suffix + ".")
+        with pytest.raises(OSError):
+            write_cplx(base, rand_image(rng, (2, 4, 3)))
+        monkeypatch.undo()
+        if old_pair_stays:
+            assert _files(tmp_path) == before
+            assert np.array_equal(read_cplx(base).data, old.data.astype(np.complex64))
+        else:
+            assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+            assert not (tmp_path / "v.hdr").exists()
+            with pytest.raises(FormatError, match="cannot read header"):
+                read_cplx(base)
+
+    def test_failed_mask_write_keeps_the_old_mask(self, tmp_path, monkeypatch):
+        base = str(tmp_path / "m")
+        write_mask(base, make_vd_mask(32, 4, 4.0, seed=2))
+        before = _files(tmp_path)
+        _inject(monkeypatch, "write", ".dat.")
+        with pytest.raises(OSError):
+            write_mask(base, make_vd_mask(16, 8, 4.0, seed=3))
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("action", ["open", "write", "replace"])
+    @pytest.mark.parametrize("writer", ["config", "trace"])
+    def test_failed_text_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer, action):
+        path = tmp_path / "out.txt"
+        if writer == "config":
+            write, old, new = write_config_file, SolverConfig(), SolverConfig(lambda1=0.5)
+        else:
+            write = _write_trace
+            old, new = ([IterationRecord(n, 1.0, 0.5, 0.25, 0.25, 0.1) for n in range(1, k)] for k in (3, 5))
+        write(path, old)
+        before = _files(tmp_path)
+        _inject(monkeypatch, action, "out.txt")
+        with pytest.raises(OSError):
+            write(path, new)
+        assert _files(tmp_path) == before
+
+    def test_a_write_replaces_every_file_and_leaves_no_other(self, rng, tmp_path):
+        base = str(tmp_path / "v")
+        write_cplx(base, rand_image(rng, (4, 2, 3)))
+        new = rand_image(rng, (2, 4, 3))
+        write_cplx(base, new)
+        write_config_file(tmp_path / "cfg.txt", SolverConfig())
+        write_config_file(tmp_path / "cfg.txt", SolverConfig(lambda1=0.5))
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "v.dat", "v.hdr"]
+        assert np.array_equal(read_cplx(base).data, new.data.astype(np.complex64))
+        assert read_config_file(tmp_path / "cfg.txt")["lambda1"] == 0.5

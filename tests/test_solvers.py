@@ -45,7 +45,7 @@ from dynlr import (
     tune_hyperparams,
 )
 from dynlr import core, solvers
-from dynlr.solvers import _BLAS_THREAD_VARS, _check_finite
+from dynlr.solvers import _BLAS_THREAD_VARS, _split_pass
 
 from conftest import rand_image, rand_kspace, rel_err
 
@@ -322,21 +322,39 @@ def test_failure_contract(solver, cfg, step, failed_at):
     assert called == completed
 
 
-# slr on 129x67x32 (phantom seed 21, mask seed 13, 8x) runs its steps on
-# x-row slabs.  Each entry's step and iteration are those that checks of the
-# whole volume after each step give.  In the first, some slabs fail the
-# gradient step and others only the sparse step that follows it.
+# Solves on 129x67x32 (phantom seed 21, mask seed 13, 8x), which run their
+# steps on x-row slabs.  Each entry's step and iteration are those that
+# checks of the whole volume after each step give.  In the first, some slabs
+# fail the gradient step and others only the sparse step that follows it.
+# The sparse loop's entries are weighted (nu = 4) and fused the same way:
+# the gradient step and its check run inside the sparse pass, and data
+# consistency checks each slab.  In the last two the per-slab sums of a
+# trace term are finite but their total is not.
+_SPARSE_SPLIT = SolverConfig(dc_mode="weighted", dc_nu=4.0, rank_k=2, iterations=8, lambda1=0.0)
 _SPLIT_FAILURES = [
-    (SolverConfig(rho=10.0, eta2=2e307, lambda1=1e-3, rank_k=2, iterations=3), "gradient", 1),
-    (SolverConfig(rho=10.0, eta2=1e307, lambda1=1e-3, rank_k=2, iterations=3), "sparse", 1),
-    (SolverConfig(rho=1.0, eta2=1e306, lambda1=1e-3, rank_k=2, iterations=3), "low-rank", 1),
-    (SolverConfig(rho=1.0, eta1=1e300, rank_k=2, iterations=5), "multiplier", 3),
-    (SolverConfig(rho=1e4, eta2=1e4, rank_k=2, iterations=50), "objective", 19),
+    ("slr", SolverConfig(rho=10.0, eta2=2e307, lambda1=1e-3, rank_k=2, iterations=3), "gradient", 1),
+    ("slr", SolverConfig(rho=10.0, eta2=1e307, lambda1=1e-3, rank_k=2, iterations=3), "sparse", 1),
+    ("slr", SolverConfig(rho=1.0, eta2=1e306, lambda1=1e-3, rank_k=2, iterations=3), "low-rank", 1),
+    ("slr", SolverConfig(rho=1.0, eta1=1e300, rank_k=2, iterations=5), "multiplier", 3),
+    ("slr", SolverConfig(rho=1e4, eta2=1e4, rank_k=2, iterations=50), "objective", 19),
+    ("ista", _SPARSE_SPLIT.replaced(eta2=1e168), "gradient", 3),
+    ("ista", _SPARSE_SPLIT.replaced(eta2=1e162), "sparse", 3),
+    ("ista", _SPARSE_SPLIT.replaced(eta2=1e307, lambda1=1e-3), "data-consistency", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L1", eta2=1e307, lambda1=1e-3), "low-rank", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L2", eta2=5e307), "data-consistency", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L3", eta2=1e162), "gradient", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L3", eta2=1e308, lambda1=1e-3), "sparse", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L1", eta2=1e306), "objective", 2),
+    ("ista-lr", _SPARSE_SPLIT.replaced(placement="L2", eta2=1e306), "objective", 2),
 ]
 
 
-@pytest.mark.parametrize("cfg, step, failed_at", _SPLIT_FAILURES, ids=[row[1] for row in _SPLIT_FAILURES])
-def test_failure_contract_above_the_split_floor(cfg, step, failed_at):
+@pytest.mark.parametrize(
+    "solver, cfg, step, failed_at", _SPLIT_FAILURES,
+    ids=[step if s == "slr" else f"{s}-{c.placement + '-' if s == 'ista-lr' else ''}{step}"
+         for s, c, step, _ in _SPLIT_FAILURES],
+)
+def test_failure_contract_above_the_split_floor(solver, cfg, step, failed_at):
     """The first failing step in program order is raised, and no thread warns."""
     img = make_phantom(129, 67, 32, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
     y = encode(img, make_vd_mask(67, 32, 8.0, seed=13))
@@ -344,13 +362,13 @@ def test_failure_contract_above_the_split_floor(cfg, step, failed_at):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError) as err:
-            run_solver("slr", y, cfg)
+            run_solver(solver, y, cfg)
     assert (err.value.step, err.value.iteration) == (step, failed_at)
     assert [r.iteration for r in err.value.trace] == list(range(1, failed_at))
 
 
 class TestFiniteCheck:
-    """The finite check sees a non-finite value in either part of a complex volume."""
+    """The loops' per-slab finite check sees a non-finite value in either part of a complex volume."""
 
     @pytest.mark.parametrize(
         "bad", [complex(0.0, np.nan), complex(np.inf, 0.0), complex(-np.inf, 1.0), complex(np.nan, 0.0),
@@ -361,8 +379,13 @@ class TestFiniteCheck:
     def test_one_bad_part_raises_naming_step_and_iteration(self, shape, bad):
         arr = np.ones(shape, dtype=complex)
         arr[shape[0] // 2, -1, -1] = bad
+
+        def check(rows, sums, failed):
+            if not core._finite(arr[rows]):
+                failed.add("sparse")
+
         with pytest.raises(NumericError) as err:
-            _check_finite(arr, "sparse", 7)
+            _split_pass(check, arr, 7, "sparse")
         assert (err.value.step, err.value.iteration) == ("sparse", 7)
 
 
@@ -493,10 +516,11 @@ class TestTraceTermsMatchRecomputation:
 # solves run on the 64x64x16 standard instance (phantom seed 21, mask seed
 # 13, 8x): low-rank solves, slr with either low-rank step input, and the
 # weighted data-consistency correction with and without a low-rank step.
-# The last four run on 129x67x32, above the row split's size floor, whose
+# The last six run on 129x67x32, above the row split's size floor, whose
 # 129 x-rows are not a whole number of slabs: the weighted sparse loop
-# without and with a low-rank step, then two slr solves.  The first
-# argument, if any, is the split width.
+# without a low-rank step and with one at L3, L1 and L2 (whose gradient
+# steps rebuild A^H c from the block that data consistency left), then two
+# slr solves.  The first argument, if any, is the split width.
 _SOLVE_HASHES = """
 import dataclasses, hashlib, json, sys
 from dynlr import IterationRecord, core, default_config, encode, make_phantom, make_vd_mask, run_solver
@@ -525,6 +549,10 @@ runs = [
     (odd, 4, "ista", {"dc_mode": "weighted", "dc_nu": 4.0}),
     (odd, 4, "ista-lr", {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar",
                          "dc_mode": "weighted", "dc_nu": 4.0}),
+    (odd, 4, "ista-lr", {"placement": "L1", "lr_mode": "soft", "transform": "temporal_haar",
+                         "dc_mode": "weighted", "dc_nu": 4.0}),
+    (odd, 4, "ista-lr", {"placement": "L2", "lr_mode": "soft", "transform": "temporal_haar",
+                         "dc_mode": "weighted", "dc_nu": 4.0}),
     (odd, 4, "slr", {"lr_mode": "soft", "transform": "temporal_haar"}),
     (odd, 4, "slr", {"lr_mode": "soft"}),
 ]
@@ -542,7 +570,7 @@ print(json.dumps(results))
 
 @functools.cache
 def solve_hashes(blas_threads=None, split_width=None):
-    """Run the twelve solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
+    """Run the fourteen solves in a fresh interpreter; ``None`` leaves BLAS or the split at its default."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(blas_threads)))
@@ -853,13 +881,15 @@ class TestIterationOracle:
 _STANDARD, _ODD = (64, 64, 16), (129, 67, 32)
 _L3_HAAR = {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar", "dc_mode": "weighted", "dc_nu": 4.0}
 _MEMORY_RUNS = [
-    ("ista", {}, _STANDARD, 3.49),
-    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _STANDARD, 3.49),
-    ("ista-lr", _L3_HAAR, _STANDARD, 3.49),
-    ("ista-lr", _L3_HAAR, _ODD, 3.51),
+    ("ista", {}, _STANDARD, 2.49),
+    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _STANDARD, 2.49),
+    ("ista-lr", _L3_HAAR, _STANDARD, 2.49),
+    ("ista-lr", _L3_HAAR, _ODD, 2.51),
     ("slr", {"lr_mode": "hard"}, _STANDARD, 3.49),
     ("slr", {"lr_mode": "soft"}, _STANDARD, 3.49),
     ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 3.51),
+    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _ODD, 2.51),
+    ("ista-lr", {**_L3_HAAR, "placement": "L2"}, _ODD, 2.51),
 ]
 
 
@@ -869,19 +899,20 @@ class TestLoopMemory:
     The bounds are tracemalloc peaks in volumes of the k-space: a fixed part
     plus one slab buffer (:class:`~dynlr.core._SlabScratch`) for each thread
     that the row split runs, a whole volume under the split floor and about
-    ``_SLAB_BYTES`` above it.  Both loops hold three volumes, ``x`` and
-    ``slr``'s ``t`` and ``beta`` or the sparse loop's ``r`` and ``A^H c``,
-    and the ``(nx, S)`` residual and samples; the fixed part is the peak
-    less the slab buffers, plus 0.1.  On 64x64x16 both loops peak at 4.38
-    to 4.39 with their one whole-volume buffer; on 129x67x32, above the
-    floor, at 3.52 with one thread and 3.64 with two.  The sparse loop had
-    4.38 to 4.40 with a fourth volume for scratch, 5.51 with real scratch
-    volumes for its sums and 7.02 while every step allocated its result.
-    ``slr`` had 5.40 on 64x64x16 and 5.33 on 129x67x32 with five volumes,
-    7.51 with real scratch volumes for its sums and 10.01 while every step
-    allocated.  The peaks are the same through the report: the scratch,
-    ``x``, ``t`` and ``beta`` are freed before it is scored, and the
-    scoring holds less.
+    ``_SLAB_BYTES`` above it.  ``slr`` holds three volumes (``x``, ``t`` and
+    ``beta``), the sparse loop two (``x`` and ``r``), and each the ``(nx,
+    S)`` residual and samples; the fixed part is the peak less the slab
+    buffers, plus 0.1.  On 64x64x16, with their one whole-volume buffer,
+    ``slr`` peaks at 4.38 to 4.39 and the sparse loop at 3.38; on 129x67x32,
+    above the floor, on two threads, ``slr`` at 3.64 and the sparse loop at
+    2.64 at every placement (2.52 on one thread; 2.50 at 128x128x32, L3).
+    The sparse loop had 3.64 with a third volume for ``A^H c``, 4.38 to 4.40
+    with a fourth for scratch, 5.51 with real scratch volumes for its sums
+    and 7.02 while every step allocated its result.  ``slr`` had 5.40 on
+    64x64x16 and 5.33 on 129x67x32 with five volumes, 7.51 with real
+    scratch volumes for its sums and 10.01 while every step allocated.  The
+    peaks are the same through the report: the scratch, ``x``, ``t`` and
+    ``beta`` are freed before it is scored, and the scoring holds less.
     """
 
     @staticmethod

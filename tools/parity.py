@@ -17,7 +17,8 @@ records before it.  The matrix:
 
 on 64x64x16, 129x67x32 (above the row split's floor, and no whole number
 of slabs) and 128x128x32, and with ``--big`` ``slr`` hard/soft on
-256x256x32; then a fixed list of diverging configs, the public operators,
+256x256x32; then a fixed list of diverging configs (the sparse loop's on
+129x67x32 end at each of its steps), the public operators,
 ``default_config`` and the metrics on C- and F-ordered volumes.
 ``--match`` keeps the entries whose label contains ``TEXT``.
 ``--split-width`` and ``--blas-threads`` set the row split's width and the
@@ -95,6 +96,23 @@ def failure_matrix():
         (_label(ODD, "fail slr low-rank"), ODD, "slr",
          {"rho": 1.0, "eta2": 1e306, "lambda1": 1e-3, "rank_k": 2, "iterations": 3}),
         (_label(ODD, "fail slr multiplier"), ODD, "slr", {"rho": 1.0, "eta1": 1e300, "rank_k": 2, "iterations": 5}),
+    ] + [
+        (_label(ODD, "fail", *filter(None, (solver, placement, step))), ODD, solver,
+         {"dc_mode": "weighted", "dc_nu": 4.0, "rank_k": 2, "iterations": 8, "eta2": eta2, "lambda1": lambda1,
+          **({"placement": placement} if placement else {})})
+        for solver, placement, step, eta2, lambda1 in (
+            ("ista", None, "gradient", 1e168, 0.0),
+            ("ista", None, "sparse", 1e162, 0.0),
+            ("ista", None, "data-consistency", 1e307, 1e-3),
+            ("ista-lr", "L1", "low-rank", 1e307, 1e-3),
+            ("ista-lr", "L1", "data-consistency", 5e307, 0.0),
+            ("ista-lr", "L2", "sparse", 1e308, 1e-3),
+            ("ista-lr", "L2", "low-rank", 1e307, 1e-3),
+            ("ista-lr", "L2", "data-consistency", 5e307, 0.0),
+            ("ista-lr", "L3", "gradient", 1e162, 0.0),
+            ("ista-lr", "L3", "sparse", 1e308, 1e-3),
+            ("ista-lr", "L3", "data-consistency", 1e307, 1e-3),
+        )
     ]
 
 
@@ -174,6 +192,7 @@ class Recorder:
         entry["encode_adjoint"] = self.array(zero_filled.data)
         entry["data_consistency replace"] = self.array(d.data_consistency(zero_filled, y).data)
         entry["data_consistency weighted"] = self.array(d.data_consistency(img, y, "weighted", 4.0).data)
+        entry["data_consistency weighted F"] = self.array(d.data_consistency(f_img, y, "weighted", 4.0).data)
         entry["nuclear_norm"] = [d.nuclear_norm(img)]
         entry["casorati_rank"] = [d.casorati_rank(img)]
         entry["default_config lambda1"] = [d.default_config(y).lambda1]
