@@ -63,7 +63,7 @@ def _as_locked_complex(data, ndim, name):
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{name} must have at least one element per axis")
-    if not np.isfinite(arr).all():
+    if not _finite(arr.ravel(order="K")):  # a view: np.array lays the copy out in one block
         raise DataError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr

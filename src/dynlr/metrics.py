@@ -63,10 +63,15 @@ def _scaled_error(ref: DynamicImage, rec: DynamicImage):
     maxima of ``|ref - rec|`` and ``|ref|``, the second writes each scaled
     ``|ref - rec|^2`` into one real volume laid out as numpy lays out
     ``ref.data - rec.data``, whose one ``sum()`` then has the bits of the
-    sum over that difference, for C- and F-ordered inputs alike.
+    sum over that difference, for C- and F-ordered inputs alike.  Two
+    F-ordered inputs run as their transposes, the same memory in C order,
+    so that every slab is contiguous: numpy buffers a ufunc over strided
+    slabs.  The maxima and the one sum keep their bits.
     """
     _check_dims(ref, rec)
     a, b = ref.data, rec.data
+    if a.flags.f_contiguous and b.flags.f_contiguous and not a.flags.c_contiguous:
+        a, b = a.T, b.T
     scratch = _SlabScratch(a)
     maxima = []
 

@@ -6,10 +6,14 @@ the Casorati matrix (soft shrinkage or hard-rank truncation) that realizes
 the low-rank prior.
 
 Both thresholdings of the Casorati matrix ``M`` are computed from its
-``nt x nt`` Gram matrix ``M^H M``, one real product of the ``float64`` view
-of ``M``, rather than from a thin SVD, which would form the ``(nx*ny) x nt``
-factor ``U``.  An SVD is used only when the Gram matrix would overflow or
-underflow.
+``nt x nt`` Gram matrix ``M^H M``, a sum of per-slab real products of the
+``float64`` view of ``M``, rather than from a thin SVD.  The result is kept
+as rank-``k`` factors, ``U = M W`` (``(nx*ny) x k``) and ``V_k^H``, where
+``k`` counts the directions whose gain is nonzero, and each output slab is
+their product; where more than half the directions are kept, or the volume
+is under the row split's floor, the output is one product with the
+``nt x nt`` projector instead.  An SVD is used only when the Gram matrix
+would overflow or underflow; it gives the same two forms.
 
 Every public operator here that reaches BLAS or LAPACK (the SVTs, the
 nuclear norm, the rank and the transforms) runs under
@@ -25,17 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _SPLIT_FLOOR,
     ConfigError,
     DynamicImage,
     SolverConfig,
     _finite,
     _new_volume,
     _one_blas_thread,
-    _SlabScratch,
+    _slabs,
     _split_rows,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_SMALLEST = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ def _soft_arr(arr, tau, out=None, pair=None):
     mag, scale = np.empty((2,) + arr.shape) if pair is None else pair
     np.abs(arr, out=mag)
     np.maximum(np.subtract(mag, tau, out=scale), 0.0, out=scale)
-    # Where mag is 0 (or NaN) scale is left as it is, the same bits as dividing by 1.
-    np.divide(scale, mag, out=scale, where=mag > 0)
+    # Where mag is 0, scale is 0 and stays 0 over the smallest subnormal; a NaN stays NaN.
+    np.divide(scale, np.maximum(mag, _SMALLEST, out=mag), out=scale)
     return np.multiply(arr, scale, out=out)
 
 
@@ -170,82 +176,178 @@ def _shrink(sigma, cfg):
     return np.maximum(shrunk, 0.0)
 
 
-def _svt_arr(arr3d, cfg, out=None, scratch=None):
-    """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
+def _gram_partial(block, out=None):
+    """``R^T R`` for the ``float64`` view ``R`` of the C-contiguous Casorati rows ``block``, into ``out``.
 
-    ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
-    Returns the volume, the new singular values, in the descending order
-    of ``sigma``, and whether the volume is finite.  The matrix is tall and
-    skinny, so the SVT is computed from its ``nt x nt`` Gram matrix
-    ``G = M^H M = V diag(sigma**2) V^H`` as ``M V diag(g) V^H``, with gain
-    ``g = _shrink(sigma) / sigma`` (0 where sigma is 0), where ``M`` is
-    :func:`_casorati` of the volume.
+    The columns of ``R`` alternate real and imaginary parts, so the partial
+    is a ``2nt x 2nt`` real matrix; :func:`_low_rank_factors` adds the
+    partials of all slabs and folds the sum into ``M^H M``.
+    """
+    r = block.view(np.float64)
+    return np.matmul(r.T, r, out=out)
 
-    ``G`` comes from one real product ``q = R^T R`` of the free ``float64``
-    view ``R`` of ``M``, whose columns alternate real and imaginary parts:
-    ``Re G = q_ee + q_oo`` and ``Im G = q_eo - q_oe`` (even and odd rows and
-    columns), exactly Hermitian.  The output product runs on x-row slabs
-    (:func:`~dynlr.core._split_rows`), whose Casorati rows are
-    ``rows.start*ny : rows.stop*ny``, and each slab of the output checks
-    its own finiteness.  On one BLAS thread
-    (:func:`~dynlr.core._one_blas_thread`, which the solvers and the public
-    operators enter) a slab's product rows have the bits of the same rows
-    of the whole product, so the result does not depend on the split width
-    (checked with OpenBLAS 0.3.31 on 64x64x16, 129x67x32, 128x128x32 and
-    256x256x32).
 
+class _GramPartials:
+    """One :func:`_gram_partial` slot for each x-row slab of :func:`~dynlr.core._slabs` of volumes shaped as ``like``."""
+
+    def __init__(self, like):
+        nt = like.shape[2]
+        self.nbytes = like.nbytes
+        self._index = {rows.start: i for i, rows in enumerate(_slabs(like.shape[0], like.nbytes))}
+        self.parts = np.empty((len(self._index), 2 * nt, 2 * nt))
+
+    def add(self, rows, block):
+        """Set the partial of the slab ``rows`` from its Casorati rows ``block``."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            _gram_partial(block, self.parts[self._index[rows.start]])
+
+
+@dataclass(frozen=True)
+class _LowRank:
+    """The SVT's output as factors: each slab of its Casorati rows is ``U_s V_k^H``.
+
+    ``k`` directions are kept.  While :func:`_factored`, ``vh`` is ``V_k^H``
+    (``k x nt``) and ``U_s`` is ``M_s w`` on the Gram route, with ``w =
+    V_k diag(g_k)`` (``nt x k``), or the rows of ``u = U_k diag(s_k)`` on
+    the SVD route.  Otherwise ``vh`` is None and ``U_s`` is the output
+    itself: ``M_s w`` with the ``nt x nt`` projector ``w = V diag(g) V^H``,
+    or the rows of the SVD route's whole output ``u``.  ``s_new`` holds
+    every new singular value, zeros included.
+    """
+
+    s_new: np.ndarray
+    w: np.ndarray | None
+    vh: np.ndarray | None
+    u: np.ndarray | None = None
+
+    @property
+    def width(self):
+        """The columns of ``U``."""
+        return (self.w if self.u is None else self.u).shape[1]
+
+
+def _factored(k, nt, nbytes):
+    """Whether the SVT of a volume of ``nbytes`` keeps its ``k`` directions of ``nt`` as factors, or as the output itself.
+
+    Past half the frames, two ``k``-wide products take longer than one with
+    the ``nt x nt`` projector, and ``U`` would hold more than half a volume.
+    Under the split floor the volume is one slab: a loop's second slab
+    buffer would be a whole volume, and the factor products took longer
+    than the projector's (8% of an ``slr`` iteration at 64x64x16, hard,
+    ``k = 2``).
+    """
+    return 2 * k <= nt and nbytes >= _SPLIT_FLOOR
+
+
+def _low_rank_factors(partials, cfg, source):
+    """The SVT of ``cfg`` as :class:`_LowRank` factors, from the slab partials of a :class:`_GramPartials`.
+
+    ``G = M^H M`` folds the sum of the partials, added in slab order, from
+    ``q = sum R_s^T R_s``: ``Re G = q_ee + q_oo`` and ``Im G = q_eo - q_oe``
+    (even and odd rows and columns), exactly Hermitian.  With ``G = V
+    diag(sigma**2) V^H`` the gain is ``g = _shrink(sigma) / sigma`` (0
+    where sigma is 0), and the ``k`` directions with nonzero gain are kept.
     When ``G`` or its trace overflows (entries above about 1e154) or ``G``
     underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
-    of the Casorati matrix is used instead.
-
-    The result is written into ``out``, a C-contiguous complex volume, or
-    None for a new one.  ``out`` may be ``arr3d``, which must then be
-    C-contiguous: the Gram matrix (or the SVD) is formed first, and each
-    slab's product rows go through the calling thread's buffer of
-    ``scratch``, a :class:`~dynlr.core._SlabScratch` for volumes of this
-    shape (None: a new one), before they overwrite the slab, with the bits
-    of the product into a separate ``out``.
+    of the Casorati matrix of ``source()``, the input volume, is used
+    instead.
     """
-    nx, ny = arr3d.shape[:2]
-    m = _casorati(arr3d)
-    r = m.view(np.float64)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q = r.T @ r
+        q = partials.parts[0]
+        for part in partials.parts[1:]:
+            q += part
         gram = (q[0::2, 0::2] + q[1::2, 1::2]) + 1j * (q[0::2, 1::2] - q[1::2, 0::2])
         diag = gram.diagonal().real
         # trace(G) = ||M||_F^2 bounds every eigenvalue, so a finite trace keeps sigma finite.
         finite = np.isfinite(gram).all() and np.isfinite(diag.sum())
-    if out is None:
-        out = _new_volume(arr3d)
-    dest = _casorati(out)
+    nt = q.shape[0] // 2
     if finite and diag.max() >= _GRAM_UNDERFLOW:
         w, v = np.linalg.eigh(gram)
         sigma = np.sqrt(np.maximum(w[::-1], 0.0))
         v = v[:, ::-1]
         s_new = _shrink(sigma, cfg)
         gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        project = (v * gain) @ v.conj().T
-        # In place, a slab's product goes through a buffer: its rows are its own input.
-        in_place = out is arr3d
-        if in_place and scratch is None:
-            scratch = _SlabScratch(arr3d)
-        failed = []
-
-        def product(rows):
-            span = slice(rows.start * ny, rows.stop * ny)
-            if in_place:
-                result = np.matmul(m[span], project, out=_casorati(scratch(rows)))
-                dest[span] = result
-            else:
-                result = np.matmul(m[span], project, out=dest[span])
-            if not _finite(result):
-                failed.append(rows)
-
-        _split_rows(product, nx, arr3d.nbytes)
-        return out, s_new, not failed
-    u, s, vh = _casorati_svd(arr3d)
+        keep = gain != 0
+        if not _factored(np.count_nonzero(keep), nt, partials.nbytes):
+            return _LowRank(s_new, (v * gain) @ v.conj().T, None)
+        return _LowRank(s_new, v[:, keep] * gain[keep], np.ascontiguousarray(v[:, keep].conj().T))
+    u, s, vh = _casorati_svd(source())
     s_new = _shrink(s, cfg)
-    return out, s_new, _finite(np.matmul(u * s_new, vh, out=dest))
+    keep = s_new != 0
+    if not _factored(np.count_nonzero(keep), nt, partials.nbytes):
+        return _LowRank(s_new, None, None, (u * s_new) @ vh)
+    return _LowRank(s_new, None, vh[keep], u[:, keep] * s_new[keep])
+
+
+def _svt_arr(arr3d, cfg, out=None, scratch=None):
+    """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
+
+    ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
+    Returns the volume, the new singular values, in the descending order
+    of ``sigma``, and whether the volume is finite.  The matrix ``M``
+    (:func:`_casorati` of the volume) is tall and skinny, so the SVT is
+    computed from its ``nt x nt`` Gram matrix as factors
+    (:func:`_low_rank_factors`): each slab of output rows is ``(M_s W)
+    V_k^H``, or ``M_s (V diag(g) V^H)`` where more than half the
+    directions are kept or the volume is under the split floor
+    (:func:`_factored`).
+
+    Both the Gram partials and the output products run on x-row slabs
+    (:func:`~dynlr.core._split_rows`), whose Casorati rows are
+    ``rows.start*ny : rows.stop*ny``, and each slab of the output checks
+    its own finiteness.  The partials are added in the order of
+    :func:`~dynlr.core._slabs`, which does not depend on the split width;
+    under the split floor the one partial is the whole product.  On one
+    BLAS thread (:func:`~dynlr.core._one_blas_thread`, which the solvers
+    and the public operators enter) a slab's product rows have the bits of
+    the same rows of the whole product, so the result does not depend on
+    the split width (checked with OpenBLAS 0.3.31 on 64x64x16, 129x67x32,
+    128x128x32 and 256x256x32).
+
+    The result is written into ``out``, a C-contiguous complex volume, or
+    None for a new one.  ``out`` may be ``arr3d``, which must then be
+    C-contiguous: a slab's ``U_s`` is formed before its rows are
+    overwritten, in the calling thread's buffer of ``scratch``, a
+    :class:`~dynlr.core._SlabScratch` for volumes of this shape, or in a
+    new array where that is None.
+    """
+    nx, ny = arr3d.shape[:2]
+    m = _casorati(arr3d)
+    partials = _GramPartials(arr3d)
+
+    def gram(rows):
+        partials.add(rows, m[rows.start * ny : rows.stop * ny])
+
+    _split_rows(gram, nx, arr3d.nbytes)
+    factors = _low_rank_factors(partials, cfg, lambda: arr3d)
+    out = _new_volume(arr3d) if out is None else out
+    dest = _casorati(out)
+    # M_s W goes into dest's rows where it is the output and they are not its input.
+    direct = factors.vh is None and out is not arr3d
+    failed = []
+
+    def product(rows):
+        span = slice(rows.start * ny, rows.stop * ny)
+        t_s = dest[span]
+        if factors.u is not None:
+            u_s = factors.u[span]
+        else:
+            if direct:
+                u_s = t_s
+            elif scratch is None:
+                u_s = np.empty((span.stop - span.start, factors.width), dtype=np.complex128)
+            else:
+                u_s = scratch.array((span.stop - span.start, factors.width))
+            np.matmul(m[span], factors.w, out=u_s)
+        if factors.vh is not None:
+            np.matmul(u_s, factors.vh, out=t_s)
+        elif u_s is not t_s:
+            t_s[...] = u_s
+        if not _finite(t_s):
+            failed.append(rows)
+
+    _split_rows(product, nx, arr3d.nbytes)
+    return out, factors.s_new, not failed
 
 
 def ist_svt(x: DynamicImage, lambda2: float, rho: float, p: float = 1.0) -> DynamicImage:

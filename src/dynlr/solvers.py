@@ -63,7 +63,18 @@ from .operators import (
     _sampled_ifft2c_arr,
     _shift_y_into,
 )
-from .prox import _nuclear_arr, _soft_arr, _svt_arr, _transform_adj_arr, _transform_fwd_arr
+from .prox import (
+    _casorati,
+    _factored,
+    _GramPartials,
+    _low_rank_factors,
+    _LowRank,
+    _nuclear_arr,
+    _soft_arr,
+    _svt_arr,
+    _transform_adj_arr,
+    _transform_fwd_arr,
+)
 
 SOLVER_NAMES = ("ista", "slr", "ista-lr")
 
@@ -299,11 +310,12 @@ def _solve(y, cfg, reference, callback, iterations, held):
     x, c, *volumes)`` gets the indices and acquired samples of
     :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
     ``(nx, S)`` residual buffer ``c`` and ``held`` more volumes: ``slr``'s
-    ``t`` and ``beta``, or the sparse loop's ``r``.  Any other scratch is
-    one per-thread slab buffer, a :class:`~dynlr.core._SlabScratch` that
-    every pass and kernel of the loop shares.  The generator yields
-    ``(record, x, state)`` after each iteration; ``state`` holds the
-    callback's extra volumes.  The objective's finite check, the trace, the
+    ``beta``, or the sparse loop's ``r``.  Any other scratch is per-thread
+    slab buffers (:class:`~dynlr.core._SlabScratch`) that every pass and
+    kernel of the loop shares, and ``slr``'s factor of ``t``.  The
+    generator yields ``(record, x, state)`` after each iteration;
+    ``state`` maps the callback's extra volumes to functions that make
+    them.  The objective's finite check, the trace, the
     callback and the report are here.  The loop, callbacks included, runs
     with BLAS on one thread (:func:`~dynlr.core._one_blas_thread`), so the
     row split is its only parallelism.
@@ -325,11 +337,11 @@ def _solve(y, cfg, reference, callback, iterations, held):
                     )
                 trace.append(record)
                 if callback is not None:
-                    callback(n, DynamicImage(x), **{k: DynamicImage(v) for k, v in state.items()})
+                    callback(n, DynamicImage(x), **{k: DynamicImage(make()) for k, make in state.items()})
     except NumericError as exc:
         exc.trace = tuple(trace)
         raise
-    # Freed before the report copies x, and x, t and beta before it is scored.
+    # Freed before the report copies x, and x and the loop's other volumes before it is scored.
     # They are allocated here and not in the generator: buffers that a
     # generator allocated and freed raised peak RSS.
     del acq, c, volumes, state
@@ -393,51 +405,87 @@ def solve_slr(
     4. multiplier step: ``beta += eta1 * (x - t)``
 
     ``A x - y`` is formed on the S sampled ``(ky, t)`` columns only, and
-    ``A^H`` starts from them.  Returns the final sparse-step iterate ``x``.
-    A callback, if given, is invoked as ``callback(n, x, t=..., beta=...)``
-    after each iteration.
+    ``A^H`` starts from them.  ``t`` has rank ``k``, the number of singular
+    values that the low-rank step kept, and the loop keeps it as the
+    ``(nx*ny) x k`` factor ``U = (x + beta) W`` and ``V_k^H``, not as a
+    volume, while ``2k <= nt`` and the volume is above the row split's
+    floor; the Gram matrix of the low-rank step's input is summed from slab
+    partials inside the pass that forms it.
+    Returns the final sparse-step iterate ``x``.  A callback, if given, is
+    invoked as ``callback(n, x, t=..., beta=...)`` after each iteration,
+    with ``t`` made from the factors.
     """
     cfg.validate_for(y.shape[2])
-    return _solve(y, cfg, reference, callback, _slr_iterations, 2)
+    return _solve(y, cfg, reference, callback, _slr_iterations, 1)
 
 
-def _slr_iterations(cfg, cols, acq, x, c, t, beta):
+def _slr_iterations(cfg, cols, acq, x, c, beta):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
-    The loop holds ``x``, ``t``, ``beta`` and the ``(nx, S)`` residual
-    ``c``; ``t`` and ``beta`` are zero-filled here.  Every pass and kernel
-    shares one per-thread slab buffer (:class:`~dynlr.core._SlabScratch`).
-    Each slab of the two passes over x-rows (:func:`_split_pass`) acts on
-    whole temporal rows or whole y-rows:
+    The loop holds ``x``, ``beta``, the ``(nx, S)`` residual ``c`` and the
+    low-rank surrogate ``t`` as factors (:class:`~dynlr.prox._LowRank`):
+    ``V_k^H`` and the ``(nx*ny) x k`` factor ``U``, with ``t_s = U_s
+    V_k^H`` on each slab of Casorati rows.  Where more than half the
+    directions are kept, or the volume is under the split floor
+    (:func:`~dynlr.prox._factored`), ``U`` is ``t`` itself, one volume.
+    ``beta`` is zero-filled here, and ``t`` starts at 0: an empty factor,
+    or a zero ``U`` under the floor.  Every
+    pass and kernel shares one per-thread slab buffer
+    (:class:`~dynlr.core._SlabScratch`), and ``t_s`` is formed in a second
+    one while ``t`` is factored.  Each slab of the two passes over x-rows
+    (:func:`_split_pass`) acts on whole temporal rows or whole y-rows:
 
     * The adjoint pass reads ``c`` after the adjoint's x stage, which runs
       in place (:func:`~dynlr.operators._ifft_x_stage`).  It forms the
-      multiplier coupling in ``t``'s rows, adds the adjoint's row stage to
-      it, and takes the gradient step and the sparse step there, with
-      ``t``'s rows as the soft threshold's scratch; it sums ``|D r|``,
-      ``|x_new - x|^2`` and ``|x_new|^2``, writes ``x_new`` into ``x`` and
-      the low-rank step's input ``x_new + beta`` into ``t``.
-    * The low-rank step runs in place on ``t`` (or from ``x`` into it).
-    * The multiplier pass updates ``beta``, sums ``|x - t|^2`` and
-      ``Re(conj(beta) (x - t))``, the Lagrangian's multiplier term, forming
-      ``x - t`` afresh for each, and runs the forward's row stage on ``x``
-      into ``c``; no slab writes the rows of ``x`` that it reads.  The
-      forward's x stage then forms the residual.
+      multiplier coupling over ``t_s`` (in the second buffer, or in
+      ``t``'s rows), adds the adjoint's row stage to it, and takes the
+      gradient step and the sparse step there, with those rows as the soft
+      threshold's scratch; it sums ``|D r|``, ``|x_new - x|^2`` and
+      ``|x_new|^2``, writes ``x_new`` into ``x`` and takes the Gram
+      partial (:func:`~dynlr.prox._gram_partial`) of the low-rank step's
+      input ``x_new + beta`` (or ``x_new``) from the same rows.
+    * The low-rank step folds the partials into the new factors
+      (:func:`~dynlr.prox._low_rank_factors`).  Its SVD route builds
+      ``x + beta`` in a temporary volume.
+    * The multiplier pass forms the input rows ``M_s`` from ``x`` and the
+      old ``beta``, writes ``U_s = M_s W`` into ``U``, forms ``t_s``,
+      checks it (the low-rank step's check), updates ``beta`` and checks
+      it, sums ``|x - t|^2`` and ``Re(conj(beta) (x - t))``, the
+      Lagrangian's multiplier term, forming ``x - t`` afresh for each, and
+      runs the forward's row stage on ``x`` into ``c``; no slab writes the
+      rows of ``x`` that it reads.  The forward's x stage then forms the
+      residual.
 
-    Each sum is :func:`_split_pass`'s sum of per-slab sums.  A slab's
-    non-finite step is raised as :func:`_split_pass` says.
+    A callback's ``t`` is a volume made from the factors.  Each sum is
+    :func:`_split_pass`'s sum of per-slab sums.  A slab's non-finite step
+    is raised as :func:`_split_pass` says.
     """
     kind = cfg.transform
-    t.fill(0)
+    nx, ny, nt = x.shape
     beta.fill(0)
     tau = cfg.lambda1 * cfg.eta2
     into_t = cfg.t_step_input == "x_plus_beta"
-    scratch = _SlabScratch(x)
+    scratch, second = _SlabScratch(x), _SlabScratch(x)
+    partials = _GramPartials(x)
+    # t = 0 to start with: an empty factor, or a zero volume where U will be t
+    width = 0 if _factored(0, nt, x.nbytes) else nt
+    factors = _LowRank(np.zeros(0), None, np.zeros((0, nt), complex) if width == 0 else None)
+    store = np.zeros(nx * ny * width, complex)  # U on the Gram route
+    u = store.reshape(nx * ny, width)
+
+    def t_rows(rows):
+        """``t`` on the slab ``rows``: ``U_s V_k^H`` in the second buffer, or ``U``'s rows where ``U`` is ``t``."""
+        span = slice(rows.start * ny, rows.stop * ny)
+        if factors.vh is None:
+            return u[span].reshape((-1, ny, nt))
+        ts = second(rows)
+        np.matmul(u[span], factors.vh, out=_casorati(ts))
+        return ts
 
     def adjoint_gradient_sparse(rows, sums, failed):
-        xs, ts, bs = x[rows], t[rows], beta[rows]
-        buf = scratch(rows)
-        # t = x - eta2 * (A^H c + rho * (x + beta - t)), the coupling term formed in t first
+        xs, bs = x[rows], beta[rows]
+        buf, ts = scratch(rows), t_rows(rows)
+        # r = x - eta2 * (A^H c + rho * (x + beta - t)), the coupling term formed over t's rows
         np.subtract(np.add(xs, bs, out=buf), ts, out=ts)
         np.multiply(ts, cfg.rho, out=ts)
         _shift_y_into(ts, _ifft_rows(c, cols, rows, buf), np.add)
@@ -446,7 +494,7 @@ def _slr_iterations(cfg, cols, acq, x, c, t, beta):
         if not _finite(ts):
             failed.add("gradient")
             return
-        # t = D^H z with z = soft(D t, tau) in buf; once D t is formed, t's rows are scratch
+        # x_new = D^H z with z = soft(D r, tau) in buf; once D r is formed, r's rows are scratch
         pair = _real_pair(ts, ts.shape)
         _soft_arr(_transform_fwd_arr(ts, kind, buf), tau, buf, pair)
         sums[0] = np.abs(buf, out=pair[0]).sum()
@@ -457,11 +505,19 @@ def _slr_iterations(cfg, cols, acq, x, c, t, beta):
         xs[...] = ts
         if into_t:
             np.add(ts, bs, out=ts)
+        partials.add(rows, _casorati(ts))
 
     def multiplier_and_forward(rows, sums, failed):
-        # beta += eta1 * (x - t); then |x - t|^2 and Re(conj(beta) (x - t)) for the Lagrangian
-        xs, ts, bs = x[rows], t[rows], beta[rows]
+        # U = M W; beta += eta1 * (x - t); then |x - t|^2 and Re(conj(beta) (x - t)) for the Lagrangian
+        xs, bs = x[rows], beta[rows]
         gap = scratch(rows)
+        if factors.u is None:
+            block = np.add(xs, bs, out=gap) if into_t else xs
+            np.matmul(_casorati(block), factors.w, out=u[rows.start * ny : rows.stop * ny])
+        ts = t_rows(rows)
+        if not _finite(ts):
+            failed.add("low-rank")
+            return
         np.add(bs, np.multiply(np.subtract(xs, ts, out=gap), cfg.eta1, out=gap), out=bs)
         if not _finite(bs):
             failed.add("multiplier")
@@ -470,6 +526,14 @@ def _slr_iterations(cfg, cols, acq, x, c, t, beta):
         sums[1] = _pair_sum(np.multiply(bs.view(np.float64), flat, out=flat))
         _fft_rows(x, cols, rows, gap, c)
 
+    def low_rank_input():
+        return np.add(x, beta) if into_t else x
+
+    def t_volume():
+        t = _new_volume(x)
+        _split_rows(lambda rows: np.copyto(t[rows], t_rows(rows)), nx, x.nbytes)
+        return t
+
     _residual(c, x, cols, acq, scratch)
     x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
@@ -477,16 +541,28 @@ def _slr_iterations(cfg, cols, acq, x, c, t, beta):
         sparse, diff2, new2 = _split_pass(adjoint_gradient_sparse, x, n, "gradient", "sparse", terms=3)
         rel_change = _rel_change(diff2, x2)
         x2 = new2
-        s_new = _low_rank_step(t if into_t else x, cfg, n, t, scratch)
-        gap2, inner = _split_pass(multiplier_and_forward, x, n, "multiplier", terms=2)
+        u = factors = None  # the old t is dead: an SVD route's U goes before the next is made
+        factors = _low_rank_factors(partials, cfg, low_rank_input)
+        if factors.vh is None:  # U is t, whose rows the next adjoint pass works in
+            second = _SlabScratch(x)
+        if factors.u is not None:
+            u = factors.u
+        else:
+            size = nx * ny * factors.width
+            if store.size != size:
+                store = None
+                store = np.empty(size, complex)
+            u = store.reshape(nx * ny, factors.width)
+        gap2, inner = _split_pass(multiplier_and_forward, x, n, "low-rank", "multiplier", terms=2)
         _fft_x_stage(c, acq, scratch)
         fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
-        terms = _lagrangian(fid, cfg.lambda1 * sparse, cfg.lambda2 * float(s_new.sum()), inner, gap2, cfg.rho)
+        nuclear = cfg.lambda2 * float(factors.s_new.sum())
+        terms = _lagrangian(fid, cfg.lambda1 * sparse, nuclear, inner, gap2, cfg.rho)
         record = IterationRecord(
             n, float(terms.total), terms.data_fidelity, terms.sparse_term, terms.nuclear_term,
             rel_change, split_gap=float(np.sqrt(gap2)),
         )
-        yield record, x, {"t": t, "beta": beta}
+        yield record, x, {"t": t_volume, "beta": lambda: beta}
 
 
 def solve_ista_lr(

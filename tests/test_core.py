@@ -2,6 +2,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,6 +48,33 @@ class TestDynamicImage:
         data[1, 1, 1] = np.inf * 1j
         with pytest.raises(DataError):
             DynamicImage(data)
+
+    # C-ordered, F-ordered, frame-major and strided inputs, each with one bad part.
+    @pytest.mark.parametrize("layout", ["C", "F", "frame-major", "strided"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+    def test_rejects_non_finite_in_any_layout(self, layout, bad):
+        data = np.ones((6, 5, 4), dtype=complex)
+        data[4, 3, 2] = bad
+        arr = {
+            "C": data,
+            "F": np.asfortranarray(data),
+            "frame-major": np.moveaxis(np.moveaxis(data, 2, 0).copy(), 0, 2),
+            "strided": np.repeat(data, 2, axis=1)[:, ::2],
+        }[layout]
+        with pytest.raises(DataError, match="non-finite"):
+            DynamicImage(arr)
+        DynamicImage(np.where(np.isfinite(arr), arr, 0))
+
+    def test_finite_check_makes_no_mask(self, rng):
+        """The check reads the copy's memory in place: the copy is the only volume allocated."""
+        data = rand_volume(rng, (64, 64, 16))
+        tracemalloc.start()
+        try:
+            DynamicImage(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.01 * data.nbytes
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DimensionError):

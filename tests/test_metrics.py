@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -149,6 +150,22 @@ class TestSlabScoring:
         assert ref.data.flags.f_contiguous == (ref_order == "F")
         assert rec.data.flags.f_contiguous == (rec_order == "F")
         assert (mse(ref, rec), psnr(ref, rec)) == whole_volume_mse_psnr(ref, rec)
+
+    def test_fortran_inputs_score_in_no_more_memory(self, rng):
+        """Two F-ordered volumes, as ``read_cplx`` returns them, run on contiguous slabs: numpy buffers none of the passes."""
+
+        def peak(ref, rec):
+            mse(ref, rec)
+            tracemalloc.start()
+            try:
+                mse(ref, rec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ref, rec = (rand_volume(rng, (129, 67, 32)) for _ in range(2))
+        c_peak = peak(DynamicImage(ref), DynamicImage(rec))
+        assert peak(DynamicImage(np.asfortranarray(ref)), DynamicImage(np.asfortranarray(rec))) <= c_peak
 
 
 class TestSsim:

@@ -165,6 +165,26 @@ class TestSoftThreshold:
         with pytest.raises(ConfigError):
             soft_threshold(rand_image(rng, (2, 2, 2)), -0.1)
 
+    # Parts that are zeros of either sign, subnormals, extremes, inf and NaN,
+    # on arrays that end inside and past numpy's 8192-element buffers.
+    @pytest.mark.parametrize("size", [7, 8193, 20000])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1e-310, 1e300, math.inf])
+    def test_kernel_bits_of_the_masked_division(self, rng, size, tau):
+        """``_soft_arr`` has the bits of ``arr * (max(|arr| - tau, 0) / |arr|)``, the scale left as is where ``|arr|`` is 0 or NaN."""
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan])
+        parts = rng.standard_normal((2, size)) * rng.choice([1e-300, 1.0, 1e300], (2, size))
+        picks = rng.integers(0, size, (2, size // 3 + 1))
+        for part, pick in zip(parts, picks):
+            part[pick] = rng.choice(special, pick.size)
+        arr = parts.T.copy().view(np.complex128).reshape(1, 1, size)
+        with np.errstate(all="ignore"):
+            mag = np.abs(arr)
+            scale = np.maximum(mag - tau, 0.0)
+            np.divide(scale, mag, out=scale, where=mag > 0)
+            expected = arr * scale
+            got = prox._soft_arr(arr, tau)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestIstSvt:
     def test_zero_lambda_is_identity(self, rng):

@@ -44,7 +44,7 @@ from dynlr import (
     transform_forward,
     tune_hyperparams,
 )
-from dynlr import core, solvers
+from dynlr import core, prox, solvers
 from dynlr.solvers import _BLAS_THREAD_VARS, _split_pass
 
 from conftest import rand_image, rand_kspace, rel_err
@@ -847,9 +847,14 @@ class TestIterationOracle:
     @pytest.mark.parametrize("shape", [(64, 64, 16), (33, 17, 8)])
     @pytest.mark.parametrize("solver, overrides", _ORACLE_RUNS, ids=_ORACLE_IDS)
     def test_next_iterate_bitwise(self, shape, solver, overrides):
+        self.check(shape, solver, overrides)
+
+    @staticmethod
+    def check(shape, solver, overrides, scale=1.0):
+        """Run ``solver`` on the phantom times ``scale`` and check each iteration against the oracle's."""
         nx, ny, nt = shape
         img = make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
-        y = encode(img, make_vd_mask(ny, nt, 4.0, seed=13))
+        y = encode(DynamicImage(img.data * scale), make_vd_mask(ny, nt, 4.0, seed=13))
         cfg = default_config(y, rank_k=2, iterations=4, **overrides)
         zero = DynamicImage(np.zeros(shape, dtype=complex))
         states = [(encode_adjoint(y), zero, zero) if solver == "slr" else (encode_adjoint(y),)]
@@ -869,13 +874,26 @@ class TestIterationOracle:
                 assert np.array_equal(ours.data, oracle.data)
             assert {name: getattr(record, name) for name in terms} == terms
 
-    # ista weighted Haar, ista-lr L1 hard and ista-lr L3 soft weighted, whose
-    # row passes run on slabs: 129x67x32 is above the split floor
+    # ista weighted Haar, ista-lr L1 hard, ista-lr L3 soft weighted, and slr
+    # hard (k = 2, as factors) and soft Haar (k = nt), whose row passes, Gram
+    # partials and factor rows run on slabs: 129x67x32 is above the split floor
     @pytest.mark.parametrize(
-        "solver, overrides", [_ORACLE_RUNS[i] for i in (1, 5, 10)], ids=[_ORACLE_IDS[i] for i in (1, 5, 10)]
+        "solver, overrides", [_ORACLE_RUNS[i] for i in (1, 5, 10, 2, 3)],
+        ids=[_ORACLE_IDS[i] for i in (1, 5, 10, 2, 3)],
     )
     def test_next_iterate_bitwise_above_split_floor(self, solver, overrides):
-        self.test_next_iterate_bitwise((129, 67, 32), solver, overrides)
+        self.check((129, 67, 32), solver, overrides)
+
+    # Scaled by 1e-150, the Gram matrix underflows: every SVT, the loop's and
+    # the oracle's, takes the SVD route.
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (129, 67, 32)], ids=["64x64x16", "129x67x32"])
+    @pytest.mark.parametrize("solver, overrides", _ORACLE_RUNS[2:5], ids=_ORACLE_IDS[2:5])
+    def test_next_iterate_bitwise_on_the_svd_route(self, monkeypatch, shape, solver, overrides):
+        calls = []
+        svd = prox._casorati_svd
+        monkeypatch.setattr(prox, "_casorati_svd", lambda arr: calls.append(arr.shape) or svd(arr))
+        self.check(shape, solver, overrides, scale=1e-150)
+        assert len(calls) == 8  # four iterations, each with its oracle
 
 
 _STANDARD, _ODD = (64, 64, 16), (129, 67, 32)
@@ -890,6 +908,7 @@ _MEMORY_RUNS = [
     ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 3.51),
     ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _ODD, 2.51),
     ("ista-lr", {**_L3_HAAR, "placement": "L2"}, _ODD, 2.51),
+    ("slr", {"lr_mode": "hard"}, _ODD, 2.82),
 ]
 
 
@@ -899,20 +918,27 @@ class TestLoopMemory:
     The bounds are tracemalloc peaks in volumes of the k-space: a fixed part
     plus one slab buffer (:class:`~dynlr.core._SlabScratch`) for each thread
     that the row split runs, a whole volume under the split floor and about
-    ``_SLAB_BYTES`` above it.  ``slr`` holds three volumes (``x``, ``t`` and
-    ``beta``), the sparse loop two (``x`` and ``r``), and each the ``(nx,
-    S)`` residual and samples; the fixed part is the peak less the slab
-    buffers, plus 0.1.  On 64x64x16, with their one whole-volume buffer,
-    ``slr`` peaks at 4.38 to 4.39 and the sparse loop at 3.38; on 129x67x32,
-    above the floor, on two threads, ``slr`` at 3.64 and the sparse loop at
-    2.64 at every placement (2.52 on one thread; 2.50 at 128x128x32, L3).
-    The sparse loop had 3.64 with a third volume for ``A^H c``, 4.38 to 4.40
-    with a fourth for scratch, 5.51 with real scratch volumes for its sums
-    and 7.02 while every step allocated its result.  ``slr`` had 5.40 on
-    64x64x16 and 5.33 on 129x67x32 with five volumes, 7.51 with real
-    scratch volumes for its sums and 10.01 while every step allocated.  The
-    peaks are the same through the report: the scratch, ``x``, ``t`` and
-    ``beta`` are freed before it is scored, and the scoring holds less.
+    ``_SLAB_BYTES`` above it.  ``slr`` holds two volumes (``x`` and
+    ``beta``) and its low-rank surrogate ``t`` as a ``k``-wide factor
+    above the floor (hard mode here), or as a third volume where more than
+    half the directions are kept (soft mode here) or under the floor; the
+    sparse loop holds two volumes (``x`` and ``r``); each holds the ``(nx,
+    S)`` residual and samples.  The fixed part is the peak less one slab
+    buffer per thread, plus 0.1: with a factor, ``slr`` has a second slab
+    buffer per thread, counted in its fixed part.  On 64x64x16, under the
+    floor, with their one whole-volume buffer, ``slr`` peaks at 4.40 and
+    the sparse loop at 3.38; on 129x67x32, above the floor, on two
+    threads, ``slr`` at 2.92 to 2.95 (hard, ``k = 2`` of 32) and 3.63 to
+    3.65 (soft, as a volume), and the sparse loop at 2.64 at every
+    placement (2.52 on one thread; 2.50 at 128x128x32, L3).  ``slr`` had
+    3.64 with ``t`` as a volume in both modes, and the sparse loop 3.64
+    with a third volume for ``A^H c``, 4.38 to 4.40 with a fourth for
+    scratch, 5.51 with real scratch volumes for its sums and 7.02 while
+    every step allocated its result.  ``slr`` had 5.40 on 64x64x16 and
+    5.33 on 129x67x32 with five volumes, 7.51 with real scratch volumes
+    for its sums and 10.01 while every step allocated.  The peaks are the
+    same through the report: the scratch, ``x``, ``beta`` and the factor
+    are freed before it is scored, and the scoring holds less.
     """
 
     @staticmethod

@@ -17,17 +17,24 @@ records before it.  The matrix:
 
 on 64x64x16, 129x67x32 (above the row split's floor, and no whole number
 of slabs) and 128x128x32, and with ``--big`` ``slr`` hard/soft on
-256x256x32; then a fixed list of diverging configs (the sparse loop's on
-129x67x32 end at each of its steps), the public operators,
-``default_config`` and the metrics on C- and F-ordered volumes.
-``--match`` keeps the entries whose label contains ``TEXT``.
+256x256x32; ``slr`` hard/soft on the phantom scaled by 1e-150, where every
+SVT takes the SVD route; then a fixed list of diverging configs (the
+sparse loop's on 129x67x32 end at each of its steps), the public
+operators, the SVTs at scales 1, 1e-150 and 1e160 (the last two on the
+SVD route), ``default_config`` and the metrics on C- and F-ordered
+volumes.  Where the ``dynlr`` has ``prox._low_rank_factors``, a solve also
+keeps the number of directions that each low-rank step kept
+(``factor_width``).  ``--match`` keeps the entries whose label contains
+``TEXT``.
 ``--split-width`` and ``--blas-threads`` set the row split's width and the
 BLAS thread-count variables before anything is imported.
 
 ``compare`` prints each entry that is in one record only or whose values
 differ, with the largest relative move of each differing field: exact for
-scalars, and over a fixed sample of 4096 elements for arrays (marked
-``sampled``).  It exits with 1 if anything differs, else 0.  Records are
+scalars, and over a fixed sample of 4096 elements for arrays (256 of the
+last iterate for callback states; marked ``sampled``).  A field that only one record has, such as
+``factor_width`` against an older tree, is counted and named once, not
+compared.  It exits with 1 if anything differs, else 0.  Records are
 comparable only when made with the same numpy, BLAS and CPU kernels.
 """
 
@@ -43,9 +50,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SAMPLE = 4096
+STATE_SAMPLE = 256  # of the last iterate of each callback state
 
 STANDARD, ODD, MID, BIG = (64, 64, 16), (129, 67, 32), (128, 128, 32), (256, 256, 32)
 ITERATIONS = {STANDARD: 12, ODD: 5, MID: 5, BIG: 3}
+TINY, HUGE = 1e-150, 1e160  # phantom scales at which the SVT's Gram matrix underflows and overflows
 
 
 def _label(shape, *parts):
@@ -77,6 +86,16 @@ def solve_matrix(big):
         for mode in ("hard", "soft"):
             runs.append((_label(BIG, "slr", mode), BIG, "slr", {"lr_mode": mode}))
     return runs
+
+
+def tiny_matrix():
+    """``(label, shape, solver, overrides)`` of the solves on the phantom scaled by ``TINY``."""
+    return [
+        (_label(shape, "slr", mode, step_input, "1e-150"), shape, "slr", {"lr_mode": mode, "t_step_input": step_input})
+        for shape in (STANDARD, ODD)
+        for mode in ("hard", "soft")
+        for step_input in ("x_plus_beta", "x")
+    ]
 
 
 def failure_matrix():
@@ -124,19 +143,21 @@ class Recorder:
         self.entries = {}
         self._problems = {}
 
-    def problem(self, shape):
-        if shape not in self._problems:
+    def problem(self, shape, scale=1.0):
+        if (shape, scale) not in self._problems:
             nx, ny, nt = shape
             d = self.dynlr
             img = d.make_phantom(nx, ny, nt, kind="rank_r_sparse", seed=21, rank=2, sparsity=2)
-            self._problems[shape] = (img, d.encode(img, d.make_vd_mask(ny, nt, 8.0, seed=13)))
-        return self._problems[shape]
+            if scale != 1.0:
+                img = d.DynamicImage(img.data * scale)
+            self._problems[shape, scale] = (img, d.encode(img, d.make_vd_mask(ny, nt, 8.0, seed=13)))
+        return self._problems[shape, scale]
 
-    def array(self, arr):
-        """The hash of ``arr`` and a fixed sample of it, for relative moves."""
+    def array(self, arr, sample=SAMPLE):
+        """The hash of ``arr`` and a fixed sample of ``sample`` elements of it, for relative moves."""
         np = self.np
         flat = np.ascontiguousarray(arr).reshape(-1)
-        picks = np.linspace(0, flat.size - 1, min(SAMPLE, flat.size)).astype(np.int64)
+        picks = np.linspace(0, flat.size - 1, min(sample, flat.size)).astype(np.int64)
         sample = flat[picks]
         return {
             "sha": hashlib.sha256(flat.tobytes()).hexdigest(),
@@ -144,15 +165,38 @@ class Recorder:
         }
 
     def stream(self, arrays):
-        """One hash over a sequence of arrays, such as a callback state at every iteration."""
+        """One hash over a sequence of arrays, such as a callback state at every iteration, and a sample of the last."""
         h = hashlib.sha256()
         for arr in arrays:
             h.update(self.np.ascontiguousarray(arr).tobytes())
-        return {"sha": h.hexdigest(), "count": len(arrays)}
+        return {"sha": h.hexdigest(), "count": len(arrays), "sample": self.array(arrays[-1], STATE_SAMPLE)["sample"]}
 
-    def solve(self, label, shape, solver, overrides=None, fields=None):
+    def widths(self):
+        """Patch ``_low_rank_factors`` where ``prox`` and ``solvers`` call it; return the list it appends to and the undo."""
         d = self.dynlr
-        img, y = self.problem(shape)
+        factors = getattr(d.prox, "_low_rank_factors", None)
+        if factors is None:
+            return None, lambda: None
+        kept = []
+
+        def counting(*args):
+            result = factors(*args)
+            kept.append(int(self.np.count_nonzero(result.s_new)))
+            return result
+
+        modules = [m for m in (d.prox, d.solvers) if getattr(m, "_low_rank_factors", None) is factors]
+        for module in modules:
+            module._low_rank_factors = counting
+
+        def undo():
+            for module in modules:
+                module._low_rank_factors = factors
+
+        return kept, undo
+
+    def solve(self, label, shape, solver, overrides=None, fields=None, scale=1.0):
+        d = self.dynlr
+        img, y = self.problem(shape, scale)
         if fields is None:
             cfg = d.default_config(y, rank_k=2, iterations=ITERATIONS[shape], **overrides)
         else:
@@ -164,6 +208,7 @@ class Recorder:
                 states.setdefault(name, []).append(vol.data.copy())
 
         entry = {}
+        kept, undo = self.widths()
         try:
             report = d.run_solver(solver, y, cfg, reference=img, callback=callback)
         except d.NumericError as exc:
@@ -173,8 +218,12 @@ class Recorder:
             entry["image"] = self.array(report.image.data)
             entry["metrics"] = {k: float(v) for k, v in sorted(report.metrics.items())}
             trace = report.trace
+        finally:
+            undo()
         for field in ("objective", "data_fidelity", "sparse_term", "nuclear_term", "rel_change", "split_gap"):
             entry[field] = [getattr(r, field) for r in trace]
+            if field == "nuclear_term" and kept is not None:
+                entry["factor_width"] = kept
         for name, vols in sorted(states.items()):
             entry["state " + name] = self.stream(vols)
         self.entries[label] = entry
@@ -194,6 +243,11 @@ class Recorder:
         entry["data_consistency weighted"] = self.array(d.data_consistency(img, y, "weighted", 4.0).data)
         entry["data_consistency weighted F"] = self.array(d.data_consistency(f_img, y, "weighted", 4.0).data)
         entry["nuclear_norm"] = [d.nuclear_norm(img)]
+        tau = 0.1 * float(np.linalg.svd(d.to_casorati(img).matrix, compute_uv=False)[0])
+        for scale in (1.0, TINY, HUGE):
+            vol = d.DynamicImage(img.data * scale)
+            entry[f"learned_svt {scale:g}"] = self.array(d.learned_svt(vol, 2).data)
+            entry[f"ist_svt {scale:g}"] = self.array(d.ist_svt(vol, tau * scale, 1.0).data)
         entry["casorati_rank"] = [d.casorati_rank(img)]
         entry["default_config lambda1"] = [d.default_config(y).lambda1]
         f_zero = d.DynamicImage(np.asfortranarray(zero_filled.data))
@@ -227,6 +281,9 @@ def record(args):
         for label, shape, solver, overrides in solve_matrix(args.big):
             if wanted(label):
                 rec.solve(label, shape, solver, overrides)
+        for label, shape, solver, overrides in tiny_matrix():
+            if wanted(label):
+                rec.solve(label, shape, solver, overrides, scale=TINY)
         for label, shape, solver, fields in failure_matrix():
             if wanted(label):
                 rec.solve(label, shape, solver, fields=fields)
@@ -284,6 +341,7 @@ def compare(args):
     if a["machine"] != b["machine"]:
         print(f"note: the records come from different machines: {a['machine']} against {b['machine']}")
     differ = 0
+    one_sided = {}  # (field, the record that has it) -> entries
     ea, eb = a["entries"], b["entries"]
     for label in list(ea) + [label for label in eb if label not in ea]:
         if label not in ea or label not in eb:
@@ -292,10 +350,16 @@ def compare(args):
             continue
         fields = list(ea[label]) + [f for f in eb[label] if f not in ea[label]]
         for field in fields:
-            how = _field_difference(ea[label].get(field), eb[label].get(field))
+            if (field in ea[label]) != (field in eb[label]):
+                key = (field, "A" if field in ea[label] else "B")
+                one_sided[key] = one_sided.get(key, 0) + 1
+                continue
+            how = _field_difference(ea[label][field], eb[label][field])
             if how is not None:
                 print(f"{label} | {field}: {how}")
                 differ += 1
+    for (field, side), count in sorted(one_sided.items()):
+        print(f"note: {field} only in {side}, in {count} entries")
     print(f"parity: {differ} differences over {len(set(ea) | set(eb))} entries")
     return 1 if differ else 0
 
