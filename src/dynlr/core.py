@@ -3,8 +3,10 @@
 All volumes are complex-valued space-time arrays indexed ``[x, y, t]`` with
 shape ``(nx, ny, nt)``.  Whenever a volume is flattened (Casorati matrix,
 file format), the x index varies fastest, then y, then t.  Types are
-immutable after construction: their arrays are copied in and marked
+immutable after construction: the arrays they keep are copies, marked
 read-only, so instances can be shared freely between threads.
+:class:`KSpaceData` keeps only the measured samples, not the volume it is
+given.
 
 The kernels' passes over large volumes run on row slabs, on one thread per
 usable CPU, through :func:`_split_rows`; inside a solve and the public
@@ -57,14 +59,19 @@ class NumericError(DynlrError):
         self.trace = ()
 
 
-def _as_locked_complex(data, ndim, name):
-    arr = np.array(data, dtype=np.complex128)
+def _check_complex(arr, ndim, name):
+    """Raise unless the complex array ``arr`` has ``ndim`` axes, an element, and only finite entries."""
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{name} must have at least one element per axis")
-    if not _finite(arr.ravel(order="K")):  # a view: np.array lays the copy out in one block
+    if not _finite(arr.ravel(order="K")):  # a view of an array laid out in one block; else a copy
         raise DataError(f"{name} contains non-finite values")
+
+
+def _as_locked_complex(data, ndim, name):
+    arr = np.array(data, dtype=np.complex128)
+    _check_complex(arr, ndim, name)
     arr.setflags(write=False)
     return arr
 
@@ -411,24 +418,71 @@ class SamplingMask:
         return self.entries.size / n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KSpaceData:
-    """Measured k-space volume plus the mask it was acquired with."""
+    """Measured k-space: the samples on the sampled ``(ky, t)`` lines, plus the mask they were acquired with.
 
-    data: np.ndarray
+    ``KSpaceData(data, mask)`` takes a k-space volume ``data`` of shape
+    ``(nx, ny, nt)`` that matches ``mask``; it must be finite everywhere,
+    off the mask too.  It keeps only ``samples``, the C-contiguous,
+    read-only ``(nx, S)`` array ``data[:, mask]`` of the S sampled
+    ``(ky, t)`` columns, in the order of ``np.nonzero`` of the mask, which
+    is all that the operators read.  Entries off the mask are not
+    measurements: they are dropped, and :attr:`data` reads them back as 0.
+    """
+
+    samples: np.ndarray
     mask: SamplingMask
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_locked_complex(self.data, 3, "KSpaceData"))
-        if self.mask.ny != self.data.shape[1] or self.mask.nt != self.data.shape[2]:
+    def __init__(self, data, mask: SamplingMask):
+        arr = np.asarray(data, dtype=np.complex128)
+        _check_complex(arr, 3, "KSpaceData")
+        if mask.ny != arr.shape[1] or mask.nt != arr.shape[2]:
             raise DimensionError(
-                f"mask shape (ny={self.mask.ny}, nt={self.mask.nt}) does not match "
-                f"k-space shape {self.data.shape}"
+                f"mask shape (ny={mask.ny}, nt={mask.nt}) does not match "
+                f"k-space shape {arr.shape}"
             )
+        self._keep(np.ascontiguousarray(arr[:, mask.entries.astype(bool)]), mask)
+
+    def _keep(self, samples, mask):
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _of_samples(cls, samples, mask: SamplingMask):
+        """Wrap the C-contiguous complex ``(nx, S)`` array ``samples`` of ``mask``'s S columns, without a copy; it is locked.
+
+        The samples are checked as the constructor checks a volume: an
+        ``(nx, S)`` shape, at least one row, and finite entries.
+        """
+        if samples.ndim != 2 or samples.shape[1] != mask.n_sampled:
+            raise DimensionError(f"samples of shape {samples.shape} do not match a mask of {mask.n_sampled} lines")
+        if samples.shape[0] == 0:
+            raise DimensionError("KSpaceData must have at least one element per axis")
+        if samples.size and not _finite(samples):
+            raise DataError("KSpaceData contains non-finite values")
+        ksp = cls.__new__(cls)
+        ksp._keep(samples, mask)
+        return ksp
+
+    def __reduce__(self):
+        return KSpaceData._of_samples, (self.samples, self.mask)
+
+    @property
+    def data(self):
+        """The zero-filled volume: the samples on the mask, +0.0 elsewhere; read-only.
+
+        It is built anew on each access, a whole complex volume each time.
+        """
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[:, self.mask.entries.astype(bool)] = self.samples
+        out.setflags(write=False)
+        return out
 
     @property
     def shape(self):
-        return self.data.shape
+        return (self.samples.shape[0], self.mask.ny, self.mask.nt)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,13 +66,13 @@ def _sampled_columns(sampled):
 
 
 def _sampled_data(y: KSpaceData):
-    """The positions of :func:`_sampled_columns` and ``y[:, sampled]``.
+    """The positions of :func:`_sampled_columns` and the samples ``y.samples``, which are read in place.
 
-    The samples are C-contiguous, like the residuals made from them, so that
-    every sum over a residual runs in one order.
+    The samples are C-contiguous and read-only, like the residuals made
+    from them, so that every sum over a residual runs in one order; a
+    kernel that would write into them fails.
     """
-    sampled = y.mask.entries.astype(bool)
-    return _sampled_columns(sampled), np.ascontiguousarray(y.data[:, sampled])
+    return _sampled_columns(y.mask.entries.astype(bool)), y.samples
 
 
 def _fft_rows(arr, cols, rows, buf, out):
@@ -239,26 +239,29 @@ def ifft2c(ksp: DynamicImage) -> DynamicImage:
 
 
 def encode(img: DynamicImage, mask: SamplingMask) -> KSpaceData:
-    """Forward measurement ``A x``: the sampled columns of :func:`fft2c`, and +0.0 elsewhere."""
+    """Forward measurement ``A x``: the sampled columns of :func:`fft2c`, kept as the samples of the result.
+
+    The ``(nx, S)`` block is formed once and becomes ``samples`` as it is;
+    no k-space volume is made (``data`` reads +0.0 off the mask).
+    """
     if mask.ny != img.shape[1] or mask.nt != img.shape[2]:
         raise DimensionError(f"mask (ny={mask.ny}, nt={mask.nt}) does not match volume shape {img.shape}")
     sampled = mask.entries.astype(bool)
-    k = np.zeros(img.shape, dtype=np.complex128)
     c = np.empty((img.nx, int(sampled.sum())), dtype=np.complex128)
-    k[:, sampled] = _sampled_fft2c_arr(img.data, _sampled_columns(sampled), c)
-    return KSpaceData(k, mask)
+    return KSpaceData._of_samples(_sampled_fft2c_arr(img.data, _sampled_columns(sampled), c), mask)
 
 
 def encode_adjoint(ksp: KSpaceData) -> DynamicImage:
-    """Adjoint measurement ``A^H y``: mask the k-space, then inverse transform.
+    """Adjoint measurement ``A^H y``: the inverse transform of the samples, zero-filled off the mask.
 
     Satisfies ``<A x, y> == <x, A^H y>`` for every image x and k-space y.
     Applied to acquired data this is the zero-filled reconstruction.  It is
-    ``ifft2c`` of the masked k-space, without the x-axis transforms of the
-    unsampled columns, which are zero.
+    ``ifft2c`` of the zero-filled k-space, without the x-axis transforms of
+    the unsampled columns, which are zero; the x stage runs into a new
+    ``(nx, S)`` block, as the samples are read-only.
     """
     cols, acq = _sampled_data(ksp)
-    return DynamicImage(_sampled_ifft2c_arr(acq, cols, _new_volume(ksp.data), acq))
+    return DynamicImage(_sampled_ifft2c_arr(acq, cols, _new_volume(ksp)))
 
 
 def _dc_weight(mode, nu):

@@ -279,7 +279,7 @@ def _low_rank_factors(partials, cfg, source):
     return _LowRank(s_new, None, vh[keep], u[:, keep] * s_new[keep])
 
 
-def _svt_arr(arr3d, cfg, out=None, scratch=None):
+def _svt_arr(arr3d, cfg, out=None, scratch=None, partials=None):
     """Replace the Casorati singular values by ``_shrink(sigma, cfg)``.
 
     ``cfg`` is a :class:`SolverConfig` that passed ``validate_for(nt)``.
@@ -309,11 +309,13 @@ def _svt_arr(arr3d, cfg, out=None, scratch=None):
     C-contiguous: a slab's ``U_s`` is formed before its rows are
     overwritten, in the calling thread's buffer of ``scratch``, a
     :class:`~dynlr.core._SlabScratch` for volumes of this shape, or in a
-    new array where that is None.
+    new array where that is None.  The Gram partials go into ``partials``,
+    a :class:`_GramPartials` for volumes of this shape that a loop keeps
+    for its solve, or a new one where that is None.
     """
     nx, ny = arr3d.shape[:2]
     m = _casorati(arr3d)
-    partials = _GramPartials(arr3d)
+    partials = _GramPartials(arr3d) if partials is None else partials
 
     def gram(rows):
         partials.add(rows, m[rows.start * ny : rows.stop * ny])

@@ -190,6 +190,26 @@ def _sum_abs2(arr, scratch):
     return _pair_sum(np.square(arr.view(np.float64), out=scratch.view(np.float64)))
 
 
+def _half_norm2(c, squares, like, scratch, scale=None):
+    """``0.5 * ||c||^2`` of the ``(nx, S)`` residual ``c``, or of ``scale * c``, with the bits of :func:`_sum_abs2`.
+
+    Each slab of :func:`~dynlr.core._slabs` of volumes shaped as ``like`` is
+    scaled and squared in the calling thread's buffer of ``scratch``, whose
+    slab of as many volume rows holds it without growing, and each
+    element's ``re^2 + im^2`` goes into ``squares``, the loop's real
+    ``(nx, S)`` array.  The one ``sum()`` over that contiguous array has
+    the bits of :func:`_pair_sum`.
+    """
+    for rows in _slabs(c.shape[0], like.nbytes):
+        block = c[rows]
+        buf = scratch.array(block.shape)
+        if scale is not None:
+            block = np.multiply(block, scale, out=buf)
+        flat = np.square(block.view(np.float64), out=buf.view(np.float64))
+        np.add(flat[:, 0::2], flat[:, 1::2], out=squares[rows])
+    return 0.5 * float(squares.sum())
+
+
 def _slab_norm2(arr, scratch, n):
     """``||arr||^2`` of a volume, summed as :func:`_split_pass` sums, with a :class:`~dynlr.core._SlabScratch`."""
 
@@ -211,14 +231,15 @@ def _lagrangian(fid, sparse, nuclear, inner, gap2, rho):
     return ObjectiveBreakdown(total, fid, sparse, nuclear, multiplier, penalty)
 
 
-def _low_rank_step(arr, cfg: SolverConfig, n, out, scratch):
+def _low_rank_step(arr, cfg: SolverConfig, n, out, scratch, partials):
     """The configured SVT of ``arr`` into ``out``, checked as the low-rank step of iteration ``n``.
 
     ``out`` may be ``arr``; ``scratch`` is the loop's
-    :class:`~dynlr.core._SlabScratch`.  Returns the singular values of the
+    :class:`~dynlr.core._SlabScratch` and ``partials`` its
+    :class:`~dynlr.prox._GramPartials`.  Returns the singular values of the
     output.
     """
-    _, s_new, finite = _svt_arr(arr, cfg, out, scratch)
+    _, s_new, finite = _svt_arr(arr, cfg, out, scratch, partials)
     if not finite:
         raise _numeric_error("low-rank", n)
     return s_new
@@ -276,7 +297,7 @@ def default_config(y: KSpaceData, **overrides) -> SolverConfig:
     no copy of the volume.
     """
     cols, acq = _sampled_data(y)
-    peak = _abs_max(_sampled_ifft2c_arr(acq, cols, _new_volume(y.data), acq))
+    peak = _abs_max(_sampled_ifft2c_arr(acq, cols, _new_volume(y)))
     if not math.isfinite(peak):
         raise DataError("the zero-filled reconstruction contains non-finite values")
     lam = 1e-3 * peak
@@ -307,9 +328,11 @@ def _solve(y, cfg, reference, callback, iterations, held):
     """Run the generator ``iterations`` from the zero-filled start, and report.
 
     Every loop gets the working set it holds: ``iterations(cfg, cols, acq,
-    x, c, *volumes)`` gets the indices and acquired samples of
-    :func:`~dynlr.operators._sampled_data`, the zero-filled ``x``, the
-    ``(nx, S)`` residual buffer ``c`` and ``held`` more volumes: ``slr``'s
+    x, c, squares, *volumes)`` gets the indices and acquired samples of
+    :func:`~dynlr.operators._sampled_data` (``y.samples``, which it reads
+    in place), the zero-filled ``x``, the
+    ``(nx, S)`` residual buffer ``c``, the real ``(nx, S)`` array in which
+    :func:`_half_norm2` squares it, and ``held`` more volumes: ``slr``'s
     ``beta``, or the sparse loop's ``r``.  Any other scratch is per-thread
     slab buffers (:class:`~dynlr.core._SlabScratch`) that every pass and
     kernel of the loop shares, and ``slr``'s factor of ``t``.  The
@@ -324,12 +347,13 @@ def _solve(y, cfg, reference, callback, iterations, held):
     started = time.perf_counter()
     cols, acq = _sampled_data(y)
     c = np.empty_like(acq)
-    x = _sampled_ifft2c_arr(acq, cols, _new_volume(y.data), c)  # the zero-filled start; c is its scratch
+    squares = np.empty(acq.shape)
+    x = _sampled_ifft2c_arr(acq, cols, _new_volume(y), c)  # the zero-filled start; c is its scratch
     volumes = [_new_volume(x) for _ in range(held)]
     trace = []
     try:
         with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
-            for record, x, state in iterations(cfg, cols, acq, x, c, *volumes):
+            for record, x, state in iterations(cfg, cols, acq, x, c, squares, *volumes):
                 n = record.iteration
                 if not np.isfinite(record.objective):
                     raise NumericError(
@@ -344,7 +368,7 @@ def _solve(y, cfg, reference, callback, iterations, held):
     # Freed before the report copies x, and x and the loop's other volumes before it is scored.
     # They are allocated here and not in the generator: buffers that a
     # generator allocated and freed raised peak RSS.
-    del acq, c, volumes, state
+    del c, squares, volumes, state
     image = DynamicImage(x)
     del x
     return ReconReport(
@@ -419,7 +443,7 @@ def solve_slr(
     return _solve(y, cfg, reference, callback, _slr_iterations, 1)
 
 
-def _slr_iterations(cfg, cols, acq, x, c, beta):
+def _slr_iterations(cfg, cols, acq, x, c, squares, beta):
     """The iterations of :func:`solve_slr`, for :func:`_solve`.
 
     The loop holds ``x``, ``beta``, the ``(nx, S)`` residual ``c`` and the
@@ -555,7 +579,7 @@ def _slr_iterations(cfg, cols, acq, x, c, beta):
             u = store.reshape(nx * ny, factors.width)
         gap2, inner = _split_pass(multiplier_and_forward, x, n, "low-rank", "multiplier", terms=2)
         _fft_x_stage(c, acq, scratch)
-        fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
+        fid = _half_norm2(c, squares, x, scratch)
         nuclear = cfg.lambda2 * float(factors.s_new.sum())
         terms = _lagrangian(fid, cfg.lambda1 * sparse, nuclear, inner, gap2, cfg.rho)
         record = IterationRecord(
@@ -590,7 +614,7 @@ def solve_ista_lr(
     return _solve(y, cfg, reference, callback, partial(_ista_iterations, placement=cfg.placement), 1)
 
 
-def _ista_iterations(cfg, cols, acq, x, c, r, placement=None):
+def _ista_iterations(cfg, cols, acq, x, c, squares, r, placement=None):
     """The sparse iteration, with the low-rank module at ``placement`` (None: without it).
 
     The loop holds ``x``, ``r`` and the ``(nx, S)`` residual ``c``, and one
@@ -615,6 +639,7 @@ def _ista_iterations(cfg, cols, acq, x, c, r, placement=None):
     step = cfg.eta2 * (1.0 - w) if keeps_residual else cfg.eta2
     tau = cfg.lambda1 * cfg.eta2
     scratch = _SlabScratch(x)
+    partials = None if placement is None else _GramPartials(x)  # every low-rank step's Gram partials
     block = None  # c holds the adjoint's x stage of the gradient's residual; None: the residual is 0
     # Where the gradient step is the identity the sparse step reads x, else r;
     # outside L1 the gradient step runs in the sparse pass.
@@ -668,23 +693,22 @@ def _ista_iterations(cfg, cols, acq, x, c, r, placement=None):
         if placement == "L1":
             if step != 0:
                 _split_pass(gradient, x, n, "gradient")
-            _low_rank_step(x if step == 0 else r, cfg, n, r, scratch)
+            _low_rank_step(x if step == 0 else r, cfg, n, r, scratch, partials)
         _split_pass(sparse, x, n, "gradient", "sparse")
         if placement == "L2":
-            _low_rank_step(r, cfg, n, r, scratch)
+            _low_rank_step(r, cfg, n, r, scratch, partials)
         _residual(c, r, cols, acq, scratch)
         if keeps_residual:  # the output's residual is (1 - w) c
-            resid_out = np.multiply(c, 1.0 - w, out=scratch.array(c.shape))
-            fid = 0.5 * _sum_abs2(resid_out, resid_out)
+            fid = _half_norm2(c, squares, x, scratch, 1.0 - w)
         block = _ifft_x_stage(c, c, scratch)
         terms = _split_pass(consistency, x, n, "data-consistency", terms=3)
         if placement is None:
             nuclear = 0.0
         elif placement == "L3":
-            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, r, scratch).sum())
+            nuclear = cfg.lambda2 * float(_low_rank_step(r, cfg, n, r, scratch, partials).sum())
             terms = _split_pass(trace_and_forward, x, n, terms=3)
             _fft_x_stage(c, acq, scratch)
-            fid = 0.5 * _sum_abs2(c, scratch.array(c.shape))
+            fid = _half_norm2(c, squares, x, scratch)
         else:
             nuclear = cfg.lambda2 * _nuclear_arr(r)
         diff2, sparse_sum, new2 = terms
@@ -901,7 +925,7 @@ def _run_trajectories(solver, y, reference, jobs):
     start of another worker then fails.
     """
     workers = min(_usable_cpus(), len(jobs))
-    work = y.data.size * sum(stops[-1] for _, stops in jobs)
+    work = math.prod(y.shape) * sum(stops[-1] for _, stops in jobs)
     if workers <= 1 or work < _WORKER_FLOOR or multiprocessing.current_process().daemon:
         return list(map(partial(_run_trajectory, solver, y, reference), jobs))
     # Imported here, so that only a call that starts workers loads the module.

@@ -30,7 +30,7 @@ def rand_mask(rng, ny, nt, density=0.4) -> SamplingMask:
 
 
 def rand_kspace(rng, shape, mask=None) -> KSpaceData:
-    """Random k-space container (not necessarily zero off-mask)."""
+    """Random k-space: a random volume, of which ``KSpaceData`` keeps the entries on the mask; ``data`` reads 0 off it."""
     nx, ny, nt = shape
     if mask is None:
         mask = rand_mask(rng, ny, nt)

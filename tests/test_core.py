@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 import threading
@@ -128,6 +129,75 @@ class TestKSpaceData:
         mask = SamplingMask(np.ones((5, 2)), 1.0)
         ksp = KSpaceData(rand_volume(rng, (4, 5, 2)), mask)
         assert ksp.shape == (4, 5, 2)
+
+    @staticmethod
+    def volume_and_mask(rng, shape=(6, 7, 4)):
+        nx, ny, nt = shape
+        entries = (rng.random((ny, nt)) < 0.4).astype(np.uint8)
+        entries[0, 0] = 1
+        return rand_volume(rng, shape), SamplingMask(entries, 2.5)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_samples_are_the_gather_of_the_volume_bit_for_bit(self, rng, order):
+        """``samples`` is ``data[:, mask]``, C-contiguous and read-only, for C- and F-ordered volumes (``read_cplx`` gives F)."""
+        dense, mask = self.volume_and_mask(rng)
+        dense[1, 2, 3] = complex(-0.0, 5e-324)  # a signed zero and a subnormal keep their bits
+        ksp = KSpaceData(np.asarray(dense, order=order), mask)
+        expected = np.ascontiguousarray(dense[:, mask.entries.astype(bool)])
+        assert ksp.samples.shape == (6, mask.n_sampled)
+        assert ksp.samples.tobytes() == expected.tobytes()
+        assert ksp.samples.flags.c_contiguous and not ksp.samples.flags.writeable
+        with pytest.raises(ValueError):
+            ksp.samples[0, 0] = 0
+
+    def test_data_is_zero_filled_and_read_only(self, rng):
+        dense, mask = self.volume_and_mask(rng)
+        sampled = mask.entries.astype(bool)
+        dense[:, ~sampled] = complex(-0.0, -0.0)  # off-mask entries are not kept, signed zeros neither
+        dense[0, ~sampled] = 7 - 3j
+        ksp = KSpaceData(dense, mask)
+        data = ksp.data
+        assert data.shape == ksp.shape == dense.shape and data.dtype == np.complex128
+        assert not data.flags.writeable
+        assert data[:, sampled].tobytes() == ksp.samples.tobytes()
+        off = data[:, ~sampled]
+        assert np.all(off == 0) and not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+        assert data is not ksp.data  # built on each access
+
+    @pytest.mark.parametrize(
+        "data, entries, error, match",
+        [
+            (np.ones((3, 4, 2)), np.ones((4, 2)), None, None),
+            (np.ones((3, 4)), np.ones((4, 2)), DimensionError, "KSpaceData must be 3-dimensional, got shape"),
+            (np.ones((0, 4, 2)), np.ones((4, 2)), DimensionError, "at least one element per axis"),
+            (np.ones((3, 4, 2)), np.ones((4, 3)), DimensionError, "does not match k-space shape"),
+            ("nan off the mask", np.eye(4, 2), DataError, "KSpaceData contains non-finite values"),
+            ("inf on the mask", np.eye(4, 2), DataError, "KSpaceData contains non-finite values"),
+        ],
+        ids=["valid", "ndim", "empty", "mask-shape", "nan-off-mask", "inf-on-mask"],
+    )
+    def test_construction_errors(self, data, entries, error, match):
+        if isinstance(data, str):
+            bad, where = (np.nan, (1, 1, 0)) if data.startswith("nan") else (np.inf * 1j, (1, 0, 0))
+            data = np.ones((3, 4, 2), dtype=complex)
+            data[where] = bad
+        mask = SamplingMask(entries, 2.0)
+        if error is None:
+            assert KSpaceData(data, mask).shape == data.shape
+        else:
+            with pytest.raises(error, match=match):
+                KSpaceData(data, mask)
+
+    def test_pickle_round_trip_carries_the_samples(self, rng):
+        dense, mask = self.volume_and_mask(rng, (32, 16, 8))
+        ksp = KSpaceData(dense, mask)
+        blob = pickle.dumps(ksp)
+        back = pickle.loads(blob)
+        assert back.samples.tobytes() == ksp.samples.tobytes()
+        assert not back.samples.flags.writeable and back.samples.flags.c_contiguous
+        assert np.array_equal(back.mask.entries, mask.entries) and back.shape == ksp.shape
+        assert back.data.tobytes() == ksp.data.tobytes()
+        assert len(blob) < ksp.samples.nbytes + dense.nbytes // 8  # the samples, not a volume
 
 
 class TestCasorati:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,22 @@ class TestEncode:
         rhs = a * encode(x, mask).data + b * encode(z, mask).data
         assert rel_err(lhs, rhs) < 1e-10
 
+    def test_keeps_its_block_and_makes_no_volume(self):
+        """``encode`` wraps the ``(nx, S)`` block it forms: its traced peak stays below one volume."""
+        nx, ny, nt = 129, 67, 32
+        img = DynamicImage(rand_volume(np.random.default_rng(5), (nx, ny, nt)))
+        mask = make_vd_mask(ny, nt, 8.0, seed=13)
+        encode(img, mask)  # fills the caches
+        tracemalloc.start()
+        try:
+            ksp = encode(img, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < img.data.nbytes
+        sampled = mask.entries.astype(bool)
+        assert ksp.samples.tobytes() == np.ascontiguousarray(fft2c(img).data[:, sampled]).tobytes()
+
 
 class TestAdjoint:
     def test_adjoint_identity(self, rng):
@@ -145,9 +163,9 @@ class TestAdjoint:
         entries = np.zeros((8, 1), dtype=np.uint8)
         entries[4] = 1
         mask = SamplingMask(entries, 8.0)
-        y = rand_kspace(rng, (8, 8, 1), mask)
-        direct = encode_adjoint(y)
-        zeroed = y.data.copy()
+        raw = rand_volume(rng, (8, 8, 1))
+        direct = encode_adjoint(KSpaceData(raw, mask))
+        zeroed = raw.copy()
         zeroed[:, entries[:, 0] == 0, :] = 0
         assert np.array_equal(direct.data, encode_adjoint(KSpaceData(zeroed, mask)).data)
 

@@ -899,16 +899,16 @@ class TestIterationOracle:
 _STANDARD, _ODD = (64, 64, 16), (129, 67, 32)
 _L3_HAAR = {"placement": "L3", "lr_mode": "soft", "transform": "temporal_haar", "dc_mode": "weighted", "dc_nu": 4.0}
 _MEMORY_RUNS = [
-    ("ista", {}, _STANDARD, 2.49),
-    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _STANDARD, 2.49),
-    ("ista-lr", _L3_HAAR, _STANDARD, 2.49),
-    ("ista-lr", _L3_HAAR, _ODD, 2.51),
-    ("slr", {"lr_mode": "hard"}, _STANDARD, 3.49),
-    ("slr", {"lr_mode": "soft"}, _STANDARD, 3.49),
-    ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 3.51),
-    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _ODD, 2.51),
-    ("ista-lr", {**_L3_HAAR, "placement": "L2"}, _ODD, 2.51),
-    ("slr", {"lr_mode": "hard"}, _ODD, 2.82),
+    ("ista", {}, _STANDARD, 2.36),
+    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _STANDARD, 2.37),
+    ("ista-lr", _L3_HAAR, _STANDARD, 2.37),
+    ("ista-lr", _L3_HAAR, _ODD, 2.44),
+    ("slr", {"lr_mode": "hard"}, _STANDARD, 3.38),
+    ("slr", {"lr_mode": "soft"}, _STANDARD, 3.38),
+    ("slr", {"lr_mode": "soft", "transform": "temporal_haar"}, _ODD, 3.40),
+    ("ista-lr", {**_L3_HAAR, "placement": "L1"}, _ODD, 2.44),
+    ("ista-lr", {**_L3_HAAR, "placement": "L2"}, _ODD, 2.44),
+    ("slr", {"lr_mode": "hard"}, _ODD, 2.69),
 ]
 
 
@@ -923,14 +923,19 @@ class TestLoopMemory:
     above the floor (hard mode here), or as a third volume where more than
     half the directions are kept (soft mode here) or under the floor; the
     sparse loop holds two volumes (``x`` and ``r``); each holds the ``(nx,
-    S)`` residual and samples.  The fixed part is the peak less one slab
-    buffer per thread, plus 0.1: with a factor, ``slr`` has a second slab
-    buffer per thread, counted in its fixed part.  On 64x64x16, under the
-    floor, with their one whole-volume buffer, ``slr`` peaks at 4.40 and
-    the sparse loop at 3.38; on 129x67x32, above the floor, on two
-    threads, ``slr`` at 2.92 to 2.95 (hard, ``k = 2`` of 32) and 3.63 to
-    3.65 (soft, as a volume), and the sparse loop at 2.64 at every
-    placement (2.52 on one thread; 2.50 at 128x128x32, L3).  ``slr`` had
+    S)`` residual and its real squares and reads the samples of ``y`` in
+    place.  The fixed part
+    is the peak less one slab buffer per thread, plus 0.1: with a factor,
+    ``slr`` has a second slab buffer per thread, counted in its fixed part.
+    On 64x64x16, under the floor, with their one whole-volume buffer,
+    ``slr`` peaks at 4.34 and the sparse loop at 3.32 to 3.33; on
+    129x67x32, above the floor, on two threads, ``slr`` at 2.85 to 2.88
+    (hard, ``k = 2`` of 32) and 3.59 (soft, as a volume), and the sparse
+    loop at 2.64 at every placement.  With the squares in a new array per
+    iteration these were 0.06 lower, and with a gathered copy of the samples and the
+    fidelity's squares in a grown slab buffer, these were 4.40 and 3.38,
+    and 2.92 to 2.95, 3.63 to 3.65 and 2.64 (2.52 on one thread; 2.50 at
+    128x128x32, L3).  ``slr`` had
     3.64 with ``t`` as a volume in both modes, and the sparse loop 3.64
     with a third volume for ``A^H c``, 4.38 to 4.40 with a fourth for
     scratch, 5.51 with real scratch volumes for its sums and 7.02 while

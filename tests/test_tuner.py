@@ -25,6 +25,7 @@ from dynlr import (
     KSpaceData,
     NumericError,
     SolverConfig,
+    data_consistency,
     default_config,
     encode,
     encode_adjoint,
@@ -271,6 +272,35 @@ def test_each_worker_receives_the_data_once(problem, monkeypatch):
     assert tune_hyperparams(y, img, space, "ista", base=base) == sequential_tune(y, img, space, "ista", base)[0]
     assert len(pickled) == 2
     assert multiprocessing.active_children() == []
+
+
+def test_package_code_never_reads_the_zero_filled_volume(problem, monkeypatch):
+    """The operators, ``default_config``, the solvers and a two-worker tune read ``samples``, never ``KSpaceData.data``.
+
+    The counting property sees this process only: the tuner's ``spawn``
+    workers import the class afresh.  What they get is checked instead: the
+    ``y`` that each one unpickles is reduced to its samples and mask.
+    """
+    img, y, _ = problem
+    reads, reduced = [], []
+    dense, reduce = KSpaceData.data, KSpaceData.__reduce__
+    monkeypatch.setattr(KSpaceData, "data", property(lambda ksp: reads.append(ksp) or dense.fget(ksp)))
+    monkeypatch.setattr(KSpaceData, "__reduce__", lambda ksp: reduced.append(reduce(ksp)) or reduced[-1])
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_WORKER_FLOOR", 0)
+    measured = encode(img, y.mask)
+    zero_filled = encode_adjoint(measured)
+    data_consistency(zero_filled, measured)
+    data_consistency(img, measured, "weighted", 4.0)
+    cfg = default_config(measured, rank_k=2, iterations=3)
+    for solver, placement in (("ista", "L2"), ("slr", "L2"), ("ista-lr", "L1"), ("ista-lr", "L2"), ("ista-lr", "L3")):
+        run_solver(solver, measured, cfg.replaced(placement=placement), reference=img)
+    space = {"lambda1": [0.0, cfg.lambda1]}  # two trajectories, one per worker
+    assert tune_hyperparams(measured, img, space, "slr", base=cfg) == sequential_tune(measured, img, space, "slr", cfg)[0]
+    assert reads == []
+    assert len(reduced) == 2  # once per worker
+    assert all(len(args) == 2 and args[0] is measured.samples and args[1] is measured.mask for _, args in reduced)
+    assert measured.data.shape == img.shape and reads == [measured]  # the wrapper counts a read
 
 
 def test_worker_that_dies_starting_is_eof_error_not_a_hang():
