@@ -164,8 +164,7 @@ def read_cplx(path) -> DynamicImage:
         raw = np.fromfile(dat_path, dtype="<c8")
     except OSError as exc:
         raise FormatError(f"cannot read data file {dat_path}: {exc}") from exc
-    vol = raw.astype(np.complex128).reshape((nx, ny, nt), order="F")
-    return DynamicImage(vol)
+    return DynamicImage(raw.reshape((nx, ny, nt), order="F"))  # DynamicImage converts it once, in F layout
 
 
 def write_mask(path, mask: SamplingMask) -> None:

@@ -24,15 +24,10 @@ def _check_dims(ref: DynamicImage, rec: DynamicImage):
         raise DimensionError(f"shape mismatch: reference {ref.shape} vs reconstruction {rec.shape}")
 
 
-def _abs2(arr, out=None, tmp=None):
-    """``re*re + im*im`` of ``arr`` into the real ``out``; ``tmp`` is real scratch; None allocates."""
-    out = np.multiply(arr.real, arr.real, out=out)
-    return np.add(out, np.multiply(arr.imag, arr.imag, out=tmp), out=out)
-
-
-def _norm2(arr, pair=None) -> float:
-    """``sum(re*re + im*im)`` of ``arr``; ``pair`` holds two real scratch volumes, or is None."""
-    return float(_abs2(arr, *(pair if pair is not None else (None, None))).sum())
+def _norm2(arr) -> float:
+    """``sum(re*re + im*im)`` of ``arr``."""
+    squares = np.multiply(arr.real, arr.real)
+    return float(np.add(squares, np.multiply(arr.imag, arr.imag), out=squares).sum())
 
 
 def _abs_max(arr):

@@ -213,11 +213,6 @@ def _sampled_ifft2c_arr(c, cols, out, block=None, scratch=None):
     return out
 
 
-def _residual(out, x, cols, acq, scratch=None):
-    """``A x - y`` on the sampled columns into the ``(nx, S)`` array ``out``; ``scratch`` as in :func:`_sampled_fft2c_arr`."""
-    return _sampled_fft2c_arr(x, cols, out, acq, scratch)
-
-
 def fft2c(img: DynamicImage) -> DynamicImage:
     """Centered unitary 2D Fourier transform of every frame.
 
@@ -273,7 +268,7 @@ def _dc_rows(arr, block, cols, w, rows, buf):
     """Data consistency ``arr = arr - w A^H c`` in place on the x-rows ``rows``; whether they are finite.
 
     ``block`` is the adjoint's x stage (:func:`_ifft_x_stage`) of the
-    residual ``c = A arr - y`` (:func:`_residual`), ``w`` comes from
+    residual ``c = A arr - y`` (:func:`_sampled_fft2c_arr`), ``w`` comes from
     :func:`_dc_weight` and ``buf`` is a slab buffer.  The slab's row stage,
     unshifted, is scaled by ``w`` in ``buf`` and subtracted one x-row at a
     time (:func:`_shift_y_into`), with the value of ``arr - w * (A^H c)`` in
@@ -315,7 +310,7 @@ def data_consistency(
     cols, acq = _sampled_data(acquired)
     out = np.array(pred.data, order="C")  # corrected in place, on contiguous rows whatever the input's layout
     scratch = _SlabScratch(out)
-    c = _residual(np.empty_like(acq), out, cols, acq, scratch)
+    c = _sampled_fft2c_arr(out, cols, np.empty_like(acq), acq, scratch)
     _ifft_x_stage(c, c, scratch)
     w = _dc_weight(mode, nu)
     _split_rows(lambda rows: _dc_rows(out, c, cols, w, rows, scratch(rows)), out.shape[0], out.nbytes)

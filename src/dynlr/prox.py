@@ -13,7 +13,8 @@ as rank-``k`` factors, ``U = M W`` (``(nx*ny) x k``) and ``V_k^H``, where
 their product; where more than half the directions are kept, or the volume
 is under the row split's floor, the output is one product with the
 ``nt x nt`` projector instead.  An SVD is used only when the Gram matrix
-would overflow or underflow; it gives the same two forms.
+would overflow or underflow; it gives the singular values and ``V`` in
+place of the Gram matrix's eigendecomposition, and the same ``W``.
 
 Every public operator here that reaches BLAS or LAPACK (the SVTs, the
 nuclear norm, the rank and the transforms) runs under
@@ -36,6 +37,7 @@ from .core import (
     _finite,
     _new_volume,
     _one_blas_thread,
+    _SlabScratch,
     _slabs,
     _split_rows,
 )
@@ -204,26 +206,23 @@ class _GramPartials:
 
 @dataclass(frozen=True)
 class _LowRank:
-    """The SVT's output as factors: each slab of its Casorati rows is ``U_s V_k^H``.
+    """The SVT's output as factors: each slab of its Casorati rows is ``(M_s w) V_k^H``.
 
-    ``k`` directions are kept.  While :func:`_factored`, ``vh`` is ``V_k^H``
-    (``k x nt``) and ``U_s`` is ``M_s w`` on the Gram route, with ``w =
-    V_k diag(g_k)`` (``nt x k``), or the rows of ``u = U_k diag(s_k)`` on
-    the SVD route.  Otherwise ``vh`` is None and ``U_s`` is the output
-    itself: ``M_s w`` with the ``nt x nt`` projector ``w = V diag(g) V^H``,
-    or the rows of the SVD route's whole output ``u``.  ``s_new`` holds
-    every new singular value, zeros included.
+    ``k`` directions are kept.  While :func:`_factored`, ``w = V_k
+    diag(g_k)`` (``nt x k``) and ``vh`` is ``V_k^H`` (``k x nt``).
+    Otherwise ``vh`` is None and ``M_s w`` is the output itself, with the
+    ``nt x nt`` projector ``w = V diag(g) V^H``.  ``s_new`` holds every new
+    singular value, zeros included.
     """
 
     s_new: np.ndarray
-    w: np.ndarray | None
+    w: np.ndarray
     vh: np.ndarray | None
-    u: np.ndarray | None = None
 
     @property
     def width(self):
-        """The columns of ``U``."""
-        return (self.w if self.u is None else self.u).shape[1]
+        """The columns of ``U = M w``."""
+        return self.w.shape[1]
 
 
 def _factored(k, nt, nbytes):
@@ -248,9 +247,10 @@ def _low_rank_factors(partials, cfg, source):
     diag(sigma**2) V^H`` the gain is ``g = _shrink(sigma) / sigma`` (0
     where sigma is 0), and the ``k`` directions with nonzero gain are kept.
     When ``G`` or its trace overflows (entries above about 1e154) or ``G``
-    underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), the SVD
-    of the Casorati matrix of ``source()``, the input volume, is used
-    instead.
+    underflows (largest diagonal entry below ``_GRAM_UNDERFLOW``), sigma
+    and ``V`` come from the thin SVD of the Casorati matrix of
+    ``source()``, the input volume, instead; the gain and factors follow
+    as on the Gram route.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         q = partials.parts[0]
@@ -265,18 +265,15 @@ def _low_rank_factors(partials, cfg, source):
         w, v = np.linalg.eigh(gram)
         sigma = np.sqrt(np.maximum(w[::-1], 0.0))
         v = v[:, ::-1]
-        s_new = _shrink(sigma, cfg)
-        gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        keep = gain != 0
-        if not _factored(np.count_nonzero(keep), nt, partials.nbytes):
-            return _LowRank(s_new, (v * gain) @ v.conj().T, None)
-        return _LowRank(s_new, v[:, keep] * gain[keep], np.ascontiguousarray(v[:, keep].conj().T))
-    u, s, vh = _casorati_svd(source())
-    s_new = _shrink(s, cfg)
-    keep = s_new != 0
+    else:
+        _, sigma, vh = _casorati_svd(source())
+        v = vh.conj().T
+    s_new = _shrink(sigma, cfg)
+    gain = np.divide(s_new, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    keep = gain != 0
     if not _factored(np.count_nonzero(keep), nt, partials.nbytes):
-        return _LowRank(s_new, None, None, (u * s_new) @ vh)
-    return _LowRank(s_new, None, vh[keep], u[:, keep] * s_new[keep])
+        return _LowRank(s_new, (v * gain) @ v.conj().T, None)
+    return _LowRank(s_new, v[:, keep] * gain[keep], np.ascontiguousarray(v[:, keep].conj().T))
 
 
 def _svt_arr(arr3d, cfg, out=None, scratch=None, partials=None):
@@ -308,8 +305,8 @@ def _svt_arr(arr3d, cfg, out=None, scratch=None, partials=None):
     None for a new one.  ``out`` may be ``arr3d``, which must then be
     C-contiguous: a slab's ``U_s`` is formed before its rows are
     overwritten, in the calling thread's buffer of ``scratch``, a
-    :class:`~dynlr.core._SlabScratch` for volumes of this shape, or in a
-    new array where that is None.  The Gram partials go into ``partials``,
+    :class:`~dynlr.core._SlabScratch` for volumes of this shape, or of a
+    new one where that is None.  The Gram partials go into ``partials``,
     a :class:`_GramPartials` for volumes of this shape that a loop keeps
     for its solve, or a new one where that is None.
     """
@@ -324,6 +321,7 @@ def _svt_arr(arr3d, cfg, out=None, scratch=None, partials=None):
     factors = _low_rank_factors(partials, cfg, lambda: arr3d)
     out = _new_volume(arr3d) if out is None else out
     dest = _casorati(out)
+    scratch = _SlabScratch(arr3d) if scratch is None else scratch
     # M_s W goes into dest's rows where it is the output and they are not its input.
     direct = factors.vh is None and out is not arr3d
     failed = []
@@ -331,19 +329,11 @@ def _svt_arr(arr3d, cfg, out=None, scratch=None, partials=None):
     def product(rows):
         span = slice(rows.start * ny, rows.stop * ny)
         t_s = dest[span]
-        if factors.u is not None:
-            u_s = factors.u[span]
-        else:
-            if direct:
-                u_s = t_s
-            elif scratch is None:
-                u_s = np.empty((span.stop - span.start, factors.width), dtype=np.complex128)
-            else:
-                u_s = scratch.array((span.stop - span.start, factors.width))
-            np.matmul(m[span], factors.w, out=u_s)
+        u_s = t_s if direct else scratch.array((span.stop - span.start, factors.width))
+        np.matmul(m[span], factors.w, out=u_s)
         if factors.vh is not None:
             np.matmul(u_s, factors.vh, out=t_s)
-        elif u_s is not t_s:
+        elif not direct:
             t_s[...] = u_s
         if not _finite(t_s):
             failed.append(rows)

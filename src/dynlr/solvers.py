@@ -58,8 +58,8 @@ from .operators import (
     _fft_x_stage,
     _ifft_rows,
     _ifft_x_stage,
-    _residual,
     _sampled_data,
+    _sampled_fft2c_arr,
     _sampled_ifft2c_arr,
     _shift_y_into,
 )
@@ -279,7 +279,7 @@ def objective_slr(
     cfg.validate()
     cols, acq = _sampled_data(y)
     with _one_blas_thread():
-        fid = 0.5 * _norm2(_residual(np.empty_like(acq), x.data, cols, acq))
+        fid = 0.5 * _norm2(_sampled_fft2c_arr(x.data, cols, np.empty_like(acq), acq))
         sparse = cfg.lambda1 * float(np.abs(_transform_fwd_arr(x.data, cfg.transform)).sum())
         nuclear = cfg.lambda2 * _nuclear_arr(t.data)
         gap = x.data - t.data
@@ -470,14 +470,15 @@ def _slr_iterations(cfg, cols, acq, x, c, squares, beta):
       input ``x_new + beta`` (or ``x_new``) from the same rows.
     * The low-rank step folds the partials into the new factors
       (:func:`~dynlr.prox._low_rank_factors`).  Its SVD route builds
-      ``x + beta`` in a temporary volume.
+      ``x + beta`` in a temporary volume, and returns ``W`` and ``V_k^H``
+      as the Gram route does.
     * The multiplier pass forms the input rows ``M_s`` from ``x`` and the
-      old ``beta``, writes ``U_s = M_s W`` into ``U``, forms ``t_s``,
-      checks it (the low-rank step's check), updates ``beta`` and checks
-      it, sums ``|x - t|^2`` and ``Re(conj(beta) (x - t))``, the
-      Lagrangian's multiplier term, forming ``x - t`` afresh for each, and
-      runs the forward's row stage on ``x`` into ``c``; no slab writes the
-      rows of ``x`` that it reads.  The forward's x stage then forms the
+      old ``beta``, writes ``U_s = M_s W`` into ``U`` on either route,
+      forms ``t_s``, checks it (the low-rank step's check), updates
+      ``beta`` and checks it, sums ``|x - t|^2`` and ``Re(conj(beta) (x -
+      t))``, the Lagrangian's multiplier term, forming ``x - t`` afresh for
+      each, and runs the forward's row stage on ``x`` into ``c``; no slab
+      writes the rows of ``x`` that it reads.  The forward's x stage then forms the
       residual.
 
     A callback's ``t`` is a volume made from the factors.  Each sum is
@@ -493,8 +494,9 @@ def _slr_iterations(cfg, cols, acq, x, c, squares, beta):
     partials = _GramPartials(x)
     # t = 0 to start with: an empty factor, or a zero volume where U will be t
     width = 0 if _factored(0, nt, x.nbytes) else nt
-    factors = _LowRank(np.zeros(0), None, np.zeros((0, nt), complex) if width == 0 else None)
-    store = np.zeros(nx * ny * width, complex)  # U on the Gram route
+    vh = np.zeros((0, nt), complex) if width == 0 else None
+    factors = _LowRank(np.zeros(0), np.zeros((nt, width), complex), vh)
+    store = np.zeros(nx * ny * width, complex)  # U
     u = store.reshape(nx * ny, width)
 
     def t_rows(rows):
@@ -535,9 +537,8 @@ def _slr_iterations(cfg, cols, acq, x, c, squares, beta):
         # U = M W; beta += eta1 * (x - t); then |x - t|^2 and Re(conj(beta) (x - t)) for the Lagrangian
         xs, bs = x[rows], beta[rows]
         gap = scratch(rows)
-        if factors.u is None:
-            block = np.add(xs, bs, out=gap) if into_t else xs
-            np.matmul(_casorati(block), factors.w, out=u[rows.start * ny : rows.stop * ny])
+        block = np.add(xs, bs, out=gap) if into_t else xs
+        np.matmul(_casorati(block), factors.w, out=u[rows.start * ny : rows.stop * ny])
         ts = t_rows(rows)
         if not _finite(ts):
             failed.add("low-rank")
@@ -558,25 +559,21 @@ def _slr_iterations(cfg, cols, acq, x, c, squares, beta):
         _split_rows(lambda rows: np.copyto(t[rows], t_rows(rows)), nx, x.nbytes)
         return t
 
-    _residual(c, x, cols, acq, scratch)
+    _sampled_fft2c_arr(x, cols, c, acq, scratch)
     x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
         _ifft_x_stage(c, c, scratch)
         sparse, diff2, new2 = _split_pass(adjoint_gradient_sparse, x, n, "gradient", "sparse", terms=3)
         rel_change = _rel_change(diff2, x2)
         x2 = new2
-        u = factors = None  # the old t is dead: an SVD route's U goes before the next is made
         factors = _low_rank_factors(partials, cfg, low_rank_input)
         if factors.vh is None:  # U is t, whose rows the next adjoint pass works in
             second = _SlabScratch(x)
-        if factors.u is not None:
-            u = factors.u
-        else:
-            size = nx * ny * factors.width
-            if store.size != size:
-                store = None
-                store = np.empty(size, complex)
-            u = store.reshape(nx * ny, factors.width)
+        size = nx * ny * factors.width
+        if store.size != size:
+            u = store = None
+            store = np.empty(size, complex)
+        u = store.reshape(nx * ny, factors.width)
         gap2, inner = _split_pass(multiplier_and_forward, x, n, "low-rank", "multiplier", terms=2)
         _fft_x_stage(c, acq, scratch)
         fid = _half_norm2(c, squares, x, scratch)
@@ -685,7 +682,7 @@ def _ista_iterations(cfg, cols, acq, x, c, squares, r, placement=None):
         _fft_rows(r, cols, rows, scratch(rows), c)
 
     if not keeps_residual:
-        _residual(c, x, cols, acq, scratch)
+        _sampled_fft2c_arr(x, cols, c, acq, scratch)
     x2 = _slab_norm2(x, scratch, 0)
     for n in range(1, cfg.iterations + 1):
         if not keeps_residual:
@@ -697,7 +694,7 @@ def _ista_iterations(cfg, cols, acq, x, c, squares, r, placement=None):
         _split_pass(sparse, x, n, "gradient", "sparse")
         if placement == "L2":
             _low_rank_step(r, cfg, n, r, scratch, partials)
-        _residual(c, r, cols, acq, scratch)
+        _sampled_fft2c_arr(r, cols, c, acq, scratch)
         if keeps_residual:  # the output's residual is (1 - w) c
             fid = _half_norm2(c, squares, x, scratch, 1.0 - w)
         block = _ifft_x_stage(c, c, scratch)

@@ -1,6 +1,7 @@
 import errno
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from dynlr import (
 )
 
 from dynlr import dataio
-from dynlr.cli import _write_trace, read_config_file, write_config_file
+from dynlr.cli import _load_kspace, _write_trace, read_config_file, write_config_file
 
 from conftest import rand_image
 
@@ -36,6 +37,33 @@ class TestVolumeRoundTrip:
         expected = img.data.astype(np.complex64).astype(np.complex128)
         assert np.array_equal(back.data, expected)
         assert np.abs(back.data - img.data).max() < 1e-6
+
+    def test_reads_a_locked_fortran_ordered_complex128_volume(self, rng, tmp_path):
+        img = rand_image(rng, (5, 6, 4))
+        write_cplx(str(tmp_path / "vol"), img)
+        back = read_cplx(str(tmp_path / "vol")).data
+        assert back.dtype == np.complex128
+        assert back.flags.f_contiguous and not back.flags.writeable
+
+    def test_load_kspace_converts_the_file_once(self, tmp_path):
+        """The k-space load peaks at the file's ``complex64`` read plus one ``complex128`` volume."""
+        nx, ny, nt = 128, 128, 32
+        rng = np.random.default_rng(11)
+        vol = rng.standard_normal((nx, ny, nt)) + 1j * rng.standard_normal((nx, ny, nt))
+        write_cplx(str(tmp_path / "k"), DynamicImage(vol))
+        mask = make_vd_mask(ny, nt, 8.0, seed=13)
+        write_mask(str(tmp_path / "m"), mask)
+        paths = str(tmp_path / "k"), str(tmp_path / "m")
+        _load_kspace(*paths)  # fills the caches
+        tracemalloc.start()
+        try:
+            y = _load_kspace(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * vol.nbytes
+        sampled = mask.entries.astype(bool)
+        assert np.array_equal(y.samples, vol.astype(np.complex64)[:, sampled])
 
     def test_accepts_suffixed_paths(self, rng, tmp_path):
         img = rand_image(rng, (4, 4, 1))

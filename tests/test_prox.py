@@ -400,6 +400,29 @@ class TestSvtProperties:
         assert arr.tobytes() == out.tobytes()
         assert s_in.tobytes() == s_out.tobytes()
 
+    # A Gram threshold of inf forces the SVD fallback at scale 1, where the
+    # Gram route runs too: both routes must give one form of factors.
+    @pytest.mark.parametrize("shape", [(64, 64, 16), (129, 67, 32)])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(rank_k=3), SolverConfig(lr_mode="soft", lambda2=5.0, rho=1.0, p=0.5),
+    ], ids=["hard", "soft"])
+    def test_svd_fallback_gives_the_gram_routes_form(self, rng, monkeypatch, shape, cfg):
+        data = rand_volume(rng, shape)
+        cfg = cfg.validate_for(shape[2])
+        factors = []
+        low_rank_factors = prox._low_rank_factors
+        monkeypatch.setattr(
+            prox, "_low_rank_factors", lambda *args: factors.append(low_rank_factors(*args)) or factors[-1]
+        )
+        with core._one_blas_thread():
+            gram = prox._svt_arr(data, cfg)[0]
+            monkeypatch.setattr(prox, "_GRAM_UNDERFLOW", np.inf)
+            fallback = prox._svt_arr(data, cfg)[0]
+        by_gram, by_svd = factors
+        assert by_svd.w.shape == by_gram.w.shape and by_svd.width == by_gram.width
+        assert (by_svd.vh is None) == (by_gram.vh is None)
+        assert rel_err(fallback, gram) < 1e-12
+
     # read_cplx returns F-ordered volumes, and the Gram matrix is formed from
     # the float64 view of the C-order Casorati matrix; 129x67x32 is above the
     # row split's floor.

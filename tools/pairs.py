@@ -127,7 +127,7 @@ def run_pairs(args):
             "its workloads run in the order of its 'series'"
         ),
         "machine": machine(provenance),
-        "claim": args.claim,
+        "claim": args.claim or None,
         "runs": [run],
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
